@@ -124,8 +124,8 @@ def main(argv=None) -> int:
             text = run_fit(config, seed=args.seed)
             _emit(text, out_path)
             if not _fit_converged(text):
-                print("error: fit did not converge; last iterate reported",
-                      file=sys.stderr)
+                print("error: fit did not converge; parameters reported "
+                      "without standard errors", file=sys.stderr)
                 return 2
             return 0
         text = _RUNNERS[config.kind](config)

@@ -221,10 +221,12 @@ def _fmt(value) -> str:
 
 
 def _parse_scalar(kind: str, text: str):
-    if kind == "float":
-        return float(text)
-    if kind == "int":
+    if kind in ("float", "int"):
         value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("expected a finite number")
+        if kind == "float":
+            return value
         if value != int(value):
             raise ValueError("expected an integer")
         return int(value)
@@ -433,6 +435,9 @@ def parse_config(text: str) -> ScenarioConfig:
                 errors.append((scen_line, "grid_min must be < grid_max"))
             elif scale == "log" and scen["grid_min"] <= 0:
                 errors.append((scen_line, "log grids need grid_min > 0"))
+            elif kind == "aspect_scan" and scen["grid_min"] <= 0:
+                errors.append((sections["scenario"]["grid_min"][1],
+                               "aspect_scan needs grid_min > 0 (an aspect ratio)"))
             else:
                 grid = GridSpec(scen["grid_min"], scen["grid_max"], scen["grid_count"], scale)
 
@@ -479,6 +484,8 @@ def parse_config(text: str) -> ScenarioConfig:
              "or atom_number+temperatures")
     if scen.get("sample_stride", 1) < 1:
         errors.append((scen_line, "sample_stride must be >= 1"))
+    if scen.get("od_ref", 1.0) <= 0:
+        errors.append((sections["scenario"]["od_ref"][1], "od_ref must be > 0"))
     if errors:
         raise ConfigError(errors)
 

@@ -125,13 +125,6 @@ class TemperatureTrace:
             for s in self.samples
         ]
 
-    def csv_text(self, header_items: tuple[tuple[str, str], ...] = ()) -> str:
-        lines = [f"# {key}={value}" for key, value in header_items]
-        lines.append(",".join(self.CSV_COLUMNS))
-        for row in self.csv_rows():
-            lines.append(",".join(f"{v:.12g}" for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def detuning_factor(delta_pol: float) -> float:
     """Steady-state detuning dependence, normalized to 1 at delta = -1/2."""

@@ -2,9 +2,12 @@
 
 Exponential relaxation fits to temperature traces, the radial
 steady-state-versus-intensity model with an unknown constant heating
-power, and the per-optical-density variant.  All fits run on a small
-Levenberg-Marquardt loop (damped Gauss-Newton with a forward-difference
-Jacobian); parameter uncertainties come from the covariance diagonal.
+power, and the per-optical-density variant.  Every fit is a direct
+solve: the two scan models are linear after a change of variables and
+take one weighted linear least-squares solve each; the exponential is
+linear in T_inf and T0 for fixed tau, which leaves a bisection in tau
+alone.  Parameter uncertainties come from the covariance diagonal,
+carried through the exact Jacobian of each change of variables.
 """
 
 from __future__ import annotations
@@ -21,12 +24,9 @@ from .dynamics import (
     TemperatureTrace,
     detuning_factor,
     steady_state_vs_od,
-    steady_state_with_heating,
 )
 
-JACOBIAN_REL_STEP = 1e-7
-MAX_ITERATIONS = 200
-STEP_TOLERANCE = 1e-8
+EXP_TAU_BRACKET = (1e-3, 1e3)  # tau search range, in units of the sample span
 
 
 class DegenerateDataError(ValueError):
@@ -52,7 +52,7 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged (or last-iterate) parameters of a least-squares fit."""
+    """Parameters of a least-squares fit, converged or not."""
 
     parameters: dict[str, float]
     standard_errors: dict[str, float] | None
@@ -61,102 +61,25 @@ class FitResult:
     iterations: int
 
 
-def _forward_jacobian(residual_fn, p, r0):
-    jac = np.empty((r0.size, p.size))
-    for i in range(p.size):
-        dp = JACOBIAN_REL_STEP * abs(p[i])
-        if dp == 0.0:
-            dp = JACOBIAN_REL_STEP
-        shifted = p.copy()
-        shifted[i] += dp
-        jac[:, i] = (residual_fn(shifted) - r0) / dp
-    return jac
+def _build_result(names, p, converged, iterations, cov, r_weighted, r_raw, weighted):
+    """FitResult with standard errors from the covariance diagonal.
 
-
-def _cost(r):
-    r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)):
-        return math.inf
-    return float(r @ r)
-
-
-def levenberg_marquardt(
-    residual_fn,
-    p0,
-    max_iterations: int = MAX_ITERATIONS,
-    step_tolerance: float = STEP_TOLERANCE,
-):
-    """Minimize sum(residual_fn(p)**2); returns (p, converged, iterations, jac).
-
-    Damped Gauss-Newton: the normal equations are regularized with
-    lambda*diag(JtJ); lambda grows tenfold on a rejected step and shrinks
-    tenfold on an accepted one.  Convergence is declared when the largest
-    relative parameter change falls below step_tolerance.
+    cov is the unscaled covariance (J^T J)^-1 of the weighted residuals;
+    without error bars it is scaled by the residual variance.  A
+    singular or indefinite covariance gives NaN errors; an unconverged
+    fit gives none.
     """
-    p = np.asarray(p0, dtype=float).copy()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = np.asarray(residual_fn(p), dtype=float)
-        cost = _cost(r)
-        lam = 1e-3
-        converged = False
-        iterations = 0
-        jac = _forward_jacobian(residual_fn, p, r)
-        for iterations in range(1, max_iterations + 1):
-            jtj = jac.T @ jac
-            grad = jac.T @ r
-            accepted = False
-            for _ in range(60):
-                damping = lam * np.diag(np.maximum(np.diag(jtj), 1e-300))
-                try:
-                    step = np.linalg.solve(jtj + damping, -grad)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                p_trial = p + step
-                r_trial = np.asarray(residual_fn(p_trial), dtype=float)
-                cost_trial = _cost(r_trial)
-                if cost_trial <= cost:
-                    accepted = True
-                    lam = max(lam / 10.0, 1e-14)
-                    break
-                lam *= 10.0
-            if not accepted:
-                break
-            rel_change = float(
-                np.max(np.abs(step) / np.maximum(np.abs(p_trial), 1e-300))
-            )
-            p, r, cost = p_trial, r_trial, cost_trial
-            jac = _forward_jacobian(residual_fn, p, r)
-            if rel_change < step_tolerance:
-                converged = True
-                break
-    return p, converged, iterations, jac
-
-
-def _covariance_errors(jac, residuals, n_params, weighted):
-    """Standard errors from the covariance diagonal; None if singular."""
-    try:
-        cov = np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        return None
-    if not weighted:
-        dof = residuals.size - n_params
-        if dof > 0:
-            cov = cov * float(residuals @ residuals) / dof
-    diag = np.diag(cov)
-    if np.any(diag < 0):
-        return None
-    return np.sqrt(diag)
-
-
-def _build_result(names, p, converged, iterations, jac, r_weighted, r_raw, weighted):
     errors = None
     if converged:
-        se = _covariance_errors(jac, r_weighted, len(names), weighted)
-        if se is not None:
-            errors = {name: float(s) for name, s in zip(names, se)}
-        else:
-            errors = {name: math.nan for name in names}
+        errors = {name: math.nan for name in names}
+        if cov is not None:
+            if not weighted:
+                dof = r_weighted.size - len(names)
+                if dof > 0:
+                    cov = cov * float(r_weighted @ r_weighted) / dof
+            diag = np.diag(cov)
+            if np.all(diag >= 0):
+                errors = {name: float(s) for name, s in zip(names, np.sqrt(diag))}
     return FitResult(
         parameters={name: float(v) for name, v in zip(names, p)},
         standard_errors=errors,
@@ -164,6 +87,31 @@ def _build_result(names, p, converged, iterations, jac, r_weighted, r_raw, weigh
         converged=converged,
         iterations=iterations,
     )
+
+
+def _inverse(matrix):
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _project(shifted, centered, tau):
+    """Best (T_inf - mean T, b) for a fixed tau, and the sign of the cost gradient.
+
+    shifted holds the sample times minus the first one and centered the
+    temperatures minus their mean.  For fixed tau the model T_inf +
+    b exp(-shifted/tau) is linear in T_inf and b, and their regression
+    on e = exp(-shifted/tau) is closed form.  The third value has the
+    sign of the derivative of the squared residual with respect to
+    log tau at that optimum (variable projection, Golub & Pereyra 1973).
+    """
+    e = np.exp(shifted * (-1.0 / tau))
+    e_mean = float(e.mean())
+    de = e - e_mean
+    es = e * shifted
+    b = float(de @ centered) / float(de @ de)
+    return -b * e_mean, b, b * (b * float(de @ es) - float(centered @ es))
 
 
 def fit_exponential(
@@ -175,6 +123,11 @@ def fit_exponential(
 
     window is an inclusive (t_min, t_max) time range; None uses the
     whole trace.  A constant trace leaves tau unidentifiable and raises.
+    For each tau, T_inf and T0 follow by linear regression; tau is found
+    by bisecting the sign of the projected gradient in log tau over
+    EXP_TAU_BRACKET times the sample span.  Without a sign change from
+    falling to rising cost the trace does not pin tau, and the fit is
+    reported unconverged at the better bracket end.
     """
     times = np.asarray(trace.times())
     temps = np.asarray(trace.temperatures(axis))
@@ -188,40 +141,67 @@ def fit_exponential(
             "temperature is constant over the window; tau is unidentifiable"
         )
 
-    span = float(times[-1] - times[0])
-
-    def residual_fn(p):
-        t_inf, t0, tau = p
-        if tau <= 0:
-            return np.full(times.size, np.inf)
-        return t_inf + (t0 - t_inf) * np.exp(-times / tau) - temps
-
-    p0 = np.array([temps[-1], temps[0], span / 3.0])
-    p, converged, iterations, jac = levenberg_marquardt(residual_fn, p0)
-    r = residual_fn(p)
+    shifted = times - times[0]
+    centered = temps - temps.mean()
+    lo, hi = (math.log(f * shifted[-1]) for f in EXP_TAU_BRACKET)
+    falls_at_lo = _project(shifted, centered, math.exp(lo))[2] < 0
+    rises_at_hi = _project(shifted, centered, math.exp(hi))[2] > 0
+    converged = falls_at_lo and rises_at_hi
+    iterations = 0
+    if converged:
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            iterations += 1
+            if _project(shifted, centered, math.exp(mid))[2] < 0:
+                lo = mid
+            else:
+                hi = mid
+    elif falls_at_lo:
+        lo = hi  # the cost still falls at the top of the bracket
+    tau = math.exp(lo)
+    offset, b, _ = _project(shifted, centered, tau)
+    t_inf = float(temps.mean()) + offset
+    e = np.exp(-shifted / tau)
+    r = offset + b * e - centered
+    with np.errstate(over="ignore"):
+        growth = float(np.exp(times[0] / tau))  # from the first sample back to t = 0
+    # T0 - T_inf = b * growth and exp(-t/tau) = e / growth
+    jac = np.column_stack((1.0 - e / growth, e / growth, b * e * times / tau**2))
     return _build_result(
-        ("T_inf", "T0", "tau"), p, converged, iterations, jac, r, r, weighted=False
+        ("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau), converged, iterations,
+        _inverse(jac.T @ jac), r, r, weighted=False,
     )
 
 
-def _weighted_residuals(points, model):
+def _linear_fit(points, design, target, scale):
+    """Weighted least squares of target ~ design @ q for the scan fits.
+
+    A point's residual in kelvin is scale * (design @ q - target); with
+    y_err on every point it is divided by y_err.  Columns are scaled to
+    unit norm before the solve, so parameters many decades apart keep
+    full precision.  Returns (q, unscaled covariance of q, weighted
+    residuals, raw residuals [K], weighted).
+    """
     has_err = [pt.y_err is not None for pt in points]
     if any(has_err) and not all(has_err):
         raise ValueError("either every point carries y_err or none does")
-    weighted = all(has_err) and len(points) > 0
-    y = np.array([pt.y for pt in points])
-    x = np.array([pt.x for pt in points])
-    err = np.array([pt.y_err for pt in points], dtype=float) if weighted else None
-
-    def raw(p):
-        return np.array([model(xi, p) for xi in x]) - y
-
+    weighted = all(has_err)
+    weights = np.full(len(points), scale)
     if weighted:
-        def scaled(p):
-            return raw(p) / err
-    else:
-        scaled = raw
-    return raw, scaled, weighted
+        weights /= np.array([pt.y_err for pt in points])
+    a = design * weights[:, None]
+    norms = np.linalg.norm(a, axis=0)
+    q_scaled, *_ = np.linalg.lstsq(a / norms, target * weights, rcond=None)
+    q = q_scaled / norms
+    cov = _inverse((a / norms).T @ (a / norms))
+    if cov is not None:
+        cov = cov / np.outer(norms, norms)
+    raw = scale * (design @ q - target)
+    return q, cov, weights / scale * raw, raw, weighted
+
+
+def _mapped(cov, jac):
+    """Covariance pushed through the Jacobian of a change of variables."""
+    return None if cov is None else jac @ cov @ jac.T
 
 
 def fit_intensity_scan(
@@ -237,92 +217,75 @@ def fit_intensity_scan(
     Needs at least 3 points spanning a factor of 3 in intensity, since
     the two parameters separate into an asymptote and a low-intensity
     upturn.  Points with y_err are combined as a weighted fit.
+
+    The model is linear after a change of variables: with base the
+    steady state at infinite kappa_y, T/base - 1 = 0.3 (1 + kappa) u +
+    v / I, where u = 1/kappa_y and v = H/(kappa_y E_r Gamma).  One
+    weighted solve gives (u, v); u <= 0 has no physical kappa_y and is
+    reported unconverged.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 scan points")
-    xs = [pt.x for pt in points]
-    if max(xs) / min(xs) < 3.0:
+    xs = np.array([pt.x for pt in points])
+    if xs.max() / xs.min() < 3.0:
         raise ValueError("intensity range must span at least a factor of 3")
 
-    def model(x, p):
-        kappa_y, heating = p
-        if kappa_y <= 0:
-            return math.inf
-        return steady_state_with_heating(kappa_y, kappa, heating, x, delta_pol, species)
-
-    raw, scaled, weighted = _weighted_residuals(points, model)
-
-    # Data-driven start: the high-intensity asymptote pins kappa_y, the
-    # lowest point then pins the heating power.
     derived = derive_constants(species)
     base = derived.doppler_temperature / 2.0 * detuning_factor(delta_pol)
-    ordered = sorted(points, key=lambda pt: pt.x)
-    t_high = ordered[-1].y
-    ratio = max(t_high / base - 1.0, 1e-6)
-    kappa_y0 = 0.3 * (1.0 + kappa) / ratio
-    t_low, x_low = ordered[0].y, ordered[0].x
-    heating0 = max(
-        (t_low * kappa_y0 / base - kappa_y0 - 0.3 * (1.0 + kappa))
-        * derived.recoil_energy * species.linewidth * x_low,
-        0.0,
-    )
-    p0 = np.array([kappa_y0, heating0])
+    design = np.column_stack((np.full(xs.size, 0.3 * (1.0 + kappa)), 1.0 / xs))
+    target = np.array([pt.y for pt in points]) / base - 1.0
+    (u, v), cov, r_weighted, r_raw, weighted = _linear_fit(points, design, target, base)
 
-    p, converged, iterations, jac = levenberg_marquardt(scaled, p0)
+    power = derived.recoil_energy * species.linewidth
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa_y, heating = 1.0 / u, v * power / u
+        jac = np.array([[-1.0 / u**2, 0.0], [-v * power / u**2, power / u]])
     return _build_result(
-        ("kappa_y", "heating_power"),
-        p, converged, iterations, jac, scaled(p), raw(p), weighted,
+        ("kappa_y", "heating_power"), (kappa_y, heating), bool(u > 0), 1,
+        _mapped(cov, jac), r_weighted, r_raw, weighted,
     )
 
 
 def fit_od_scan(
     points: list[ScanPoint],
-    kappa_y_at_ref: float,
     kappa_at_ref: float,
     od_ref: float,
     heating_power: float,
     intensity: float,
     delta_pol: float,
     species: AtomSpecies,
-    refit: bool = False,
 ) -> FitResult:
-    """Evaluate (and optionally refit) the steady state versus optical density.
+    """Fit kappa_y_star of the steady state versus optical density.
 
-    The per-OD coefficients are fixed by their values at a reference
-    optical density, kappa_y_star = kappa_y_at_ref/od_ref and kappa_star
-    = kappa_at_ref/od_ref.  With refit=True the single parameter
-    kappa_y_star is adjusted to the points; otherwise the curve is
-    evaluated as-is and only the residual norm is reported.
+    The per-OD coefficients enter as kappa_y = kappa_y_star * OD and
+    kappa = kappa_star * OD, with kappa_star = kappa_at_ref/od_ref held
+    fixed.  The model is linear in w = 1/kappa_y_star: T/base - 1 =
+    w * c(OD), where c is the excess of the model at kappa_y_star = 1,
+    so one weighted solve of a single column gives w.  w <= 0 has no
+    physical kappa_y_star and is reported unconverged.
     """
     if od_ref <= 0:
         raise ValueError("od_ref must be positive")
+    if not points:
+        raise ValueError("need at least 1 scan point")
     kappa_star = kappa_at_ref / od_ref
 
-    def model(x, p):
-        (kappa_y_star,) = p
-        if kappa_y_star <= 0:
-            return math.inf
-        return steady_state_vs_od(
-            kappa_y_star, kappa_star, x, heating_power, intensity, delta_pol, species
-        )
-
-    raw, scaled, weighted = _weighted_residuals(points, model)
-    p0 = np.array([kappa_y_at_ref / od_ref])
-    if not refit:
-        r_raw = raw(p0)
-        return FitResult(
-            parameters={
-                "kappa_y_star": float(p0[0]),
-                "kappa_star": kappa_star,
-            },
-            standard_errors={},
-            residual_norm=float(np.linalg.norm(r_raw)),
-            converged=True,
-            iterations=0,
-        )
-    p, converged, iterations, jac = levenberg_marquardt(scaled, p0)
+    base = derive_constants(species).doppler_temperature / 2.0 * detuning_factor(delta_pol)
+    column = np.array([
+        steady_state_vs_od(1.0, kappa_star, pt.x, heating_power, intensity, delta_pol, species)
+        for pt in points
+    ]) / base - 1.0
+    if not np.all(np.isfinite(column)):
+        raise DegenerateDataError("the steady state diverges at the scan points")
+    target = np.array([pt.y for pt in points]) / base - 1.0
+    (w,), cov, r_weighted, r_raw, weighted = _linear_fit(
+        points, column[:, None], target, base
+    )
+    with np.errstate(divide="ignore"):
+        kappa_y_star, jac = 1.0 / w, np.array([[-1.0 / w**2]])
     result = _build_result(
-        ("kappa_y_star",), p, converged, iterations, jac, scaled(p), raw(p), weighted
+        ("kappa_y_star",), (kappa_y_star,), bool(w > 0), 1,
+        _mapped(cov, jac), r_weighted, r_raw, weighted,
     )
     result.parameters["kappa_star"] = kappa_star
     return result

@@ -3,9 +3,7 @@
 Every runner returns the complete CSV document as a string, with the
 resolved configuration echoed into # key=value comment lines so a result
 file carries its own provenance.  Identical configs produce byte-identical
-output.  Grid points of a scan may evaluate on a small thread pool
-(capped by the DOPPLER_REABS_THREADS environment variable, default 1);
-rows are always emitted in grid order.
+output.  Scan rows are emitted in grid order.
 
 All intensities entering scan grids are normalized to saturation and are
 the values at the atoms; the [laser] attenuation_factor applies only to
@@ -15,8 +13,6 @@ the [laser] intensity key itself.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,25 +53,6 @@ from .trap import (
     phase_space_density,
     trap_frequencies,
 )
-
-THREADS_ENV_VAR = "DOPPLER_REABS_THREADS"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, values):
-    threads = _thread_count()
-    if threads == 1 or len(values) < 2:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, values))
-
 
 def _fmt_cell(value) -> str:
     if isinstance(value, bool):
@@ -193,7 +170,7 @@ def run_aspect_scan(config: ScenarioConfig) -> str:
         ss = steady_state(kappas, config.delta_pol, config.species)
         return (alpha, ss.T_z_inf, ss.T_y_inf)
 
-    rows = _ordered_map(point, config.grid.values())
+    rows = [point(v) for v in config.grid.values()]
     return _render_csv(
         config.resolved_items(), ("alpha", "T_z_inf_K", "T_y_inf_K"), rows
     )
@@ -221,7 +198,7 @@ def run_intensity_scan(config: ScenarioConfig) -> str:
             rate = 0.0
         return (intensity, t_inf, rate)
 
-    rows = _ordered_map(point, config.grid.values())
+    rows = [point(v) for v in config.grid.values()]
     return _render_csv(
         config.resolved_items(),
         ("intensity_Isat", "T_y_inf_K", "cool_rate_y_per_s"),
@@ -242,7 +219,7 @@ def run_od_scan(config: ScenarioConfig) -> str:
         )
         return (od, t_inf)
 
-    rows = _ordered_map(point, config.grid.values())
+    rows = [point(v) for v in config.grid.values()]
     return _render_csv(config.resolved_items(), ("od_y", "T_y_inf_K"), rows)
 
 
@@ -326,14 +303,12 @@ def run_fit(config: ScenarioConfig, seed: int = 0) -> str:
     else:
         result = fit_od_scan(
             points,
-            config.kappa_y_at_ref,
             config.kappa_at_ref,
             config.od_ref,
             config.heating_power,
             config.laser.effective_intensity,
             config.delta_pol,
             config.species,
-            refit=True,
         )
     return _fit_csv(config, result)
 

@@ -145,6 +145,16 @@ def test_type_errors_carry_value():
     )
     errors = _errors_of(text)
     assert any("expected true or false" in msg for _, msg in errors)
+    for old, new in (
+        ("intensity_Isat = 4e-3", "intensity_Isat = nan"),
+        ("temperature_uK = 1000", "temperature_uK = inf"),
+        ("duration_ms = 600", "duration_ms = 600\nsample_stride = -inf"),
+    ):
+        text = BASE.replace(old, new)
+        line = text.splitlines().index(new.splitlines()[-1]) + 1
+        errors = _errors_of(text)
+        assert any(ln == line and "expected a finite number" in msg
+                   for ln, msg in errors), new
 
 
 def test_unknown_scenario_kind():
@@ -171,6 +181,10 @@ def test_grid_validation():
         base + "grid_min = 0\ngrid_max = 1e-2\ngrid_count = 5\ngrid_scale = log\n"
     ))
     assert any("log grids need grid_min > 0" in msg for _, msg in errors)
+    aspect = "kind = aspect_scan\ngrid_min = 0\ngrid_max = 2\ngrid_count = 5\n"
+    errors = _errors_of(_scan_scenario(aspect))
+    line = _scan_scenario(aspect).splitlines().index("grid_min = 0") + 1
+    assert (line, "aspect_scan needs grid_min > 0 (an aspect ratio)") in errors
     errors = _errors_of(_scan_scenario(base + "grid_min = 1e-3\n"))
     assert any("scan grid incomplete" in msg for _, msg in errors)
     errors = _errors_of(_scan_scenario(
@@ -237,6 +251,11 @@ def test_per_kind_requirements():
         "kappa_y_at_ref = 0.11\n"
     ))
     assert any("od_scan needs scenario.kappa_y_at_ref" in msg for _, msg in errors)
+    od = ("kind = od_scan\ngrid_min = 1\ngrid_max = 20\ngrid_count = 5\n"
+          "kappa_y_at_ref = 0.11\nkappa_at_ref = 0.24\nod_ref = 0\n")
+    errors = _errors_of(_scan_scenario(od))
+    line = _scan_scenario(od).splitlines().index("od_ref = 0") + 1
+    assert (line, "od_ref must be > 0") in errors
     head, _, _ = BASE.partition("[cloud]")
     errors = _errors_of(head + "[scenario]\nkind = steady_state\n")
     assert any("steady_state needs [cloud]" in msg for _, msg in errors)

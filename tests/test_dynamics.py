@@ -339,14 +339,6 @@ def test_trace_invariants_and_stride(hot_cloud, trap, species, measured_laser):
     assert all(g == pytest.approx(gaps[0], rel=1e-9) for g in gaps)
 
 
-def test_csv_text_shape(frozen_run):
-    text = frozen_run.csv_text(header_items=(("a", "1"),))
-    lines = text.splitlines()
-    assert lines[0] == "# a=1"
-    assert lines[1].startswith("t_s,T_z_K,T_y_K,")
-    assert len(lines) == 2 + len(frozen_run.samples)
-
-
 def test_integration_error_carries_time():
     err = IntegrationError("step failed", time=0.25)
     assert err.time == 0.25

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from doppler_reabs import (
     fit_exponential,
     fit_intensity_scan,
     fit_od_scan,
-    levenberg_marquardt,
     load_scan_points,
     steady_state_vs_od,
     steady_state_with_heating,
@@ -127,6 +125,7 @@ def _intensity_points(species, noise=0.0, seed=0, n=8, lo=1e-4, hi=1e-2,
 def test_intensity_noiseless_recovery(species):
     fit = fit_intensity_scan(_intensity_points(species), 0.24, -0.8, species)
     assert fit.converged
+    assert fit.iterations == 1
     assert fit.parameters["kappa_y"] == pytest.approx(0.11, rel=1e-8)
     assert fit.parameters["heating_power"] == pytest.approx(2.6e-26, rel=1e-8)
 
@@ -200,31 +199,27 @@ def _od_points(species, kappa_y_star=0.11 / 4.5, n=10):
     ]
 
 
-def test_od_evaluation_mode(species):
-    fit = fit_od_scan(
-        _od_points(species), 0.11, 0.24, 4.5, 2.6e-26, 1.33e-3, -0.8, species
-    )
-    assert fit.converged
-    assert fit.iterations == 0
-    assert fit.parameters["kappa_y_star"] == pytest.approx(0.11 / 4.5, rel=1e-12)
-    assert fit.parameters["kappa_star"] == pytest.approx(0.24 / 4.5, rel=1e-12)
-    assert fit.residual_norm < 1e-15
-
-
 def test_od_refit_recovers_shifted_coefficient(species):
     # data generated with a 20% larger kappa_y_star than the reference
     true_star = 1.2 * 0.11 / 4.5
     fit = fit_od_scan(
         _od_points(species, kappa_y_star=true_star),
-        0.11, 0.24, 4.5, 2.6e-26, 1.33e-3, -0.8, species, refit=True,
+        0.24, 4.5, 2.6e-26, 1.33e-3, -0.8, species,
     )
     assert fit.converged
+    assert fit.iterations == 1
     assert fit.parameters["kappa_y_star"] == pytest.approx(true_star, rel=1e-8)
+    assert fit.parameters["kappa_star"] == pytest.approx(0.24 / 4.5, rel=1e-12)
 
 
 def test_od_scan_rejects_bad_reference(species):
     with pytest.raises(ValueError):
-        fit_od_scan(_od_points(species), 0.11, 0.24, 0.0, 0.0, 1e-3, -0.8, species)
+        fit_od_scan(_od_points(species), 0.24, 0.0, 0.0, 1e-3, -0.8, species)
+    with pytest.raises(ValueError):
+        fit_od_scan([], 0.24, 4.5, 0.0, 1e-3, -0.8, species)
+    # heating with no light: the model diverges at every optical density
+    with pytest.raises(DegenerateDataError):
+        fit_od_scan(_od_points(species), 0.24, 4.5, 2.6e-26, 0.0, -0.8, species)
 
 
 def test_scan_point_validation():
@@ -246,22 +241,23 @@ def test_load_scan_points_roundtrip():
         load_scan_points(io.StringIO("a,b\n1,2\n"))
 
 
-def test_levenberg_marquardt_quadratic():
-    def residual(p):
-        return np.array([p[0] - 3.0, p[1] + 2.0, 0.5 * (p[0] - 3.0)])
+def test_exponential_straight_line_unconverged():
+    # a straight line is the tau -> infinity limit: no minimum in the bracket
+    times = np.linspace(0.0, 0.004, 20)
+    fit = fit_exponential(_trace(times, 1e-3 - 0.01 * times), axis="y")
+    assert not fit.converged
+    assert fit.standard_errors is None
+    assert fit.parameters["tau"] == pytest.approx(1e3 * 0.004, rel=1e-12)
 
-    p, converged, iterations, _ = levenberg_marquardt(residual, np.array([0.0, 0.0]))
-    assert converged
-    assert p[0] == pytest.approx(3.0, abs=1e-10)
-    assert p[1] == pytest.approx(-2.0, abs=1e-10)
 
-
-def test_levenberg_marquardt_iteration_budget():
-    def residual(p):
-        return np.array([math.exp(p[0]) - 5.0, p[0] ** 3 - 1.0])
-
-    _, converged, iterations, _ = levenberg_marquardt(
-        residual, np.array([10.0]), max_iterations=1
-    )
-    assert iterations == 1
-    assert not converged
+def test_scan_fits_without_physical_kappa_unconverged(species):
+    # points below the infinite-kappa_y floor need kappa_y < 0
+    floor = steady_state_with_heating(1e12, 0.24, 0.0, 1e-3, -0.8, species)
+    points = [ScanPoint(x=x, y=0.9 * floor) for x in (1e-4, 1e-3, 1e-2)]
+    fit = fit_intensity_scan(points, 0.24, -0.8, species)
+    assert not fit.converged
+    assert fit.parameters["kappa_y"] < 0
+    assert fit.iterations == 1
+    fit = fit_od_scan(points, 0.24, 4.5, 0.0, 1.33e-3, -0.8, species)
+    assert not fit.converged
+    assert fit.parameters["kappa_y_star"] < 0
