@@ -486,6 +486,9 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append((scen_line, "sample_stride must be >= 1"))
     if scen.get("od_ref", 1.0) <= 0:
         errors.append((sections["scenario"]["od_ref"][1], "od_ref must be > 0"))
+    if scen.get("noise_fraction", 0.0) < 0:
+        errors.append((sections["scenario"]["noise_fraction"][1],
+                       "noise_fraction must be >= 0"))
     if errors:
         raise ConfigError(errors)
 

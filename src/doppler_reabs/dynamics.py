@@ -321,15 +321,19 @@ def simulate(
 ) -> TemperatureTrace:
     """Integrate the two-temperature rate equations.
 
-    A classic fixed-step fourth-order Runge-Kutta march; the step is a
-    fiftieth of the fastest relaxation time (at most 0.2 ms) and is
-    halved and the run restarted if a step ever produces a non-finite or
-    non-positive temperature.  When self_consistent is set the cloud
-    sizes are recomputed from the current temperatures after every step,
-    the peak density from the constant atom number, and the kappa set
-    re-evaluated; otherwise shape and kappas stay frozen at the initial
-    state.  delta_pol defaults to the effective detuning of the
-    stretched-state transition at the trap bottom.
+    A fixed-step Runge-Kutta march with the classic fourth-order stage
+    weights; the step is a fiftieth of the fastest relaxation time (at
+    most 0.2 ms) and is halved and the run restarted if a step ever
+    produces a non-finite or non-positive temperature.  When
+    self_consistent is set the cloud sizes are recomputed from the
+    current temperatures after every step, the peak density from the
+    constant atom number, and the kappa set re-evaluated; otherwise shape
+    and kappas stay frozen at the initial state.  The kappas and rates of
+    the step's start are held over all four stages, so the scheme is
+    fourth order only with a frozen shape: in self-consistent mode it is
+    first order in the shape coupling.  delta_pol defaults to the
+    effective detuning of the stretched-state transition at the trap
+    bottom.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -345,6 +349,8 @@ def simulate(
     shape0 = _shape_of(initial)
     kappas0 = kappa_set(shape0, species)
     rates0 = rates(laser, kappas0, delta_pol, species, trap, consistency_mode)
+    # temperature_slope's recoil factor, taken once per run
+    heat_scale = derive_constants(species).recoil_energy / (2.0 * const.K_B)
     fastest = max(rates0.cool_rate_z, rates0.cool_rate_y)
     step = MAX_STEP if fastest <= 0 else min(1.0 / (STEPS_PER_TIME_CONSTANT * fastest), MAX_STEP)
 
@@ -369,8 +375,8 @@ def simulate(
 
             def slope(tz, ty):
                 return (
-                    temperature_slope(tz, rs.cool_rate_z, rs.heat_rate_z, species),
-                    temperature_slope(ty, rs.cool_rate_y, rs.heat_rate_y, species),
+                    heat_scale * rs.heat_rate_z - tz * rs.cool_rate_z,
+                    heat_scale * rs.heat_rate_y - ty * rs.cool_rate_y,
                 )
 
             k1z, k1y = slope(T_z, T_y)

@@ -9,6 +9,16 @@ reabsorbed-photon numbers per laser photon: kappa_y (radial momentum
 transfer), kappa_z (axial momentum transfer) and kappa (total number of
 rescattering events).  Optical densities along the axes come from the
 same column-density bookkeeping.
+
+With u = cos(theta) and e = (sigma_y/sigma_z)^2 - 1 each angular
+integral is sigma_y times a sum of moments of 1/sqrt(1 + e u^2), and
+every moment has a closed form: the total and axial ones are elementary,
+the radial ones are Carlson's symmetric elliptic integrals R_F and R_D
+(Carlson 1995, Numer. Algorithms 10:13; DLMF 19.36), evaluated here by
+duplication in pure math.  Near the sphere, where the moment recurrences
+divide by e and cancel, the binomial series in e is summed instead.
+The adaptive quadrature _angular_integral is kept as the test oracle and
+imports scipy only when called.
 """
 
 from __future__ import annotations
@@ -16,19 +26,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .atoms import AtomSpecies, derive_constants
 
 HALF_PI = math.pi / 2.0
 KAPPA0_PREFACTOR = 9.0 / (128.0 * math.sqrt(2.0 * math.pi))
 
 # Angular integrals over [0, pi] of (1 + cos^2)^2 times each projection
-# weight for a direction-independent sigma(theta); used as quadrature
-# cross-checks.  13*pi/16, 7/3 and 56/15.
+# weight per unit sigma for a sphere (e = 0, sigma(theta) constant):
+# 13*pi/16, 7/3 and 56/15.  The closed forms reduce to them at e = 0, and
+# the tests and selfcheck hold both the closed forms and the quadrature
+# oracle to them.
 SPHERE_INTEGRAL_RADIAL = 13.0 * math.pi / 16.0
 SPHERE_INTEGRAL_AXIAL = 7.0 / 3.0
 SPHERE_INTEGRAL_TOTAL = 56.0 / 15.0
+
+# Below |e| = SERIES_CUT the radial and total integrals are summed as
+# binomial series in e; 0.15**20 < 1e-16, so 20 terms reach double
+# precision.  At the cut the recurrences still agree with a 40-digit
+# quadrature to 7e-15 relative.
+SERIES_CUT = 0.15
+_SERIES_TERMS = 20
+# Relative error bound asked of Carlson's duplication (unit roundoff).
+_CARLSON_TOL = 2.0**-53
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=200)
 
@@ -94,6 +113,12 @@ def kappa0(n0: float, cross_section: float) -> float:
 
 
 def _angular_integral(shape: CloudShape, projection) -> float:
+    """Adaptive quadrature of one angular integral over [0, pi] [m].
+
+    The oracle the closed forms are tested against; not on any run path.
+    """
+    from scipy.integrate import quad
+
     # All integrands are symmetric about pi/2, so integrate half the range.
     def integrand(theta: float) -> float:
         c = math.cos(theta)
@@ -103,12 +128,121 @@ def _angular_integral(shape: CloudShape, projection) -> float:
     return 2.0 * value
 
 
+def _series_coefficients() -> tuple[tuple[float, float], ...]:
+    # Coefficient of e^j of the radial and total half-range integrals,
+    # highest power first for Horner: the binomial coefficient of
+    # (1 + x)^(-1/2) times the moments of the sphere, Wallis integrals
+    # W_n = int_0^{pi/2} cos^{2n} for the radial sum M0 + M1 - M2 - M3
+    # and int_0^1 u^{2j} (1 + u^2)^2 du for the total.
+    wallis = [HALF_PI]
+    for n in range(1, _SERIES_TERMS + 3):
+        wallis.append(wallis[-1] * (2 * n - 1) / (2 * n))
+    coefficients = []
+    binomial = 1.0
+    for j in range(_SERIES_TERMS):
+        radial = wallis[j] + wallis[j + 1] - wallis[j + 2] - wallis[j + 3]
+        total = 1.0 / (2 * j + 1) + 2.0 / (2 * j + 3) + 1.0 / (2 * j + 5)
+        coefficients.append((binomial * radial, binomial * total))
+        binomial *= -(2 * j + 1) / (2 * j + 2)
+    return tuple(reversed(coefficients))
+
+
+_SERIES = _series_coefficients()
+
+
+def _carlson_rf_rd(y: float) -> tuple[float, float]:
+    """R_F(0, y, 1) and R_D(0, y, 1) by Carlson's duplication (DLMF 19.36.1-2)."""
+    x, z = 0.0, 1.0
+    a_f = (y + 1.0) / 3.0
+    a_d = (y + 3.0) / 5.0
+    dx_f, dy_f = a_f, a_f - y
+    dx_d, dy_d = a_d, a_d - y
+    q_f = max(abs(dx_f), abs(dy_f), abs(a_f - 1.0)) / (3.0 * _CARLSON_TOL) ** (1 / 6)
+    q_d = max(abs(dx_d), abs(dy_d), abs(a_d - 1.0)) / (_CARLSON_TOL / 4.0) ** (1 / 6)
+    scale = 1.0  # 4^-m
+    tail = 0.0
+    while scale * q_f >= a_f or scale * q_d >= a_d:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        tail += scale / (sz * (z + lam))
+        scale *= 0.25
+        x, y, z = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25
+        a_f = (a_f + lam) * 0.25
+        a_d = (a_d + lam) * 0.25
+
+    dx, dy = dx_f * scale / a_f, dy_f * scale / a_f
+    dz = -dx - dy
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    r_f = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a_f)
+
+    dx, dy = dx_d * scale / a_d, dy_d * scale / a_d
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2 = xy - 6.0 * zz
+    e3 = (3.0 * xy - 8.0 * zz) * dz
+    e4 = 3.0 * (xy - zz) * zz
+    e5 = xy * zz * dz
+    r_d = scale / (a_d * math.sqrt(a_d)) * (
+        1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+        - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0
+    ) + 3.0 * tail
+    return r_f, r_d
+
+
+def _closed_form_integrals(shape: CloudShape) -> tuple[float, float, float]:
+    """The radial, axial and total angular integrals over [0, pi] [m].
+
+    The same three numbers _angular_integral gives for the projections
+    sin^2, sin*|cos| and sin, in closed form.  Each is 2 sigma_y times a
+    half-range sum over u = cos(theta) with e = (sigma_y/sigma_z)^2 - 1:
+    radial M0 + M1 - M2 - M3 with M_k = int_0^{pi/2} cos^{2k}/sqrt(1 + e cos^2),
+    total N0 + 2 N1 + N2 with N_k = int_0^1 u^{2k}/sqrt(1 + e u^2), and
+    axial (1/2) int_0^1 (1 + v)^2/sqrt(1 + e v) dv.
+    """
+    ratio = shape.sigma_y / shape.sigma_z
+    y = ratio * ratio  # 1 + e
+    if not 0.0 < y < math.inf:
+        raise ValueError(
+            f"cloud aspect ratio sigma_z/sigma_y = {shape.aspect_ratio:g} is out of range"
+        )
+    e = y - 1.0
+
+    # Axial: sqrt(1 + e v) = 1 + t (ratio - 1) turns the half-range
+    # integral into q int_0^1 (1 + a t + b t^2)^2 dt, a polynomial with no
+    # division by e, so it needs no series.
+    q = 1.0 / (1.0 + ratio)
+    a = 2.0 * q
+    b = q * (ratio - 1.0)
+    axial = q * (1.0 + a + (a * a + 2.0 * b) / 3.0 + a * b / 2.0 + b * b / 5.0)
+
+    if abs(e) < SERIES_CUT:
+        radial = total = 0.0
+        for c_radial, c_total in _SERIES:
+            radial = radial * e + c_radial
+            total = total * e + c_total
+    else:
+        # N0 in closed form, then 2k e N_k = sqrt(1 + e) - (2k - 1) N_{k-1}.
+        s = math.sqrt(abs(e))
+        n0 = (math.asinh(s) if e > 0.0 else math.asin(s)) / s
+        n1 = (ratio - n0) / (2.0 * e)
+        n2 = (ratio - 3.0 * n1) / (4.0 * e)
+        total = n0 + 2.0 * n1 + n2
+        # M0 = R_F(0, 1 + e, 1), M1 = R_D(0, 1 + e, 1) / 3, then
+        # (2k + 1) e M_{k+1} = (2k - 1) M_{k-1} - 2k (1 - e) M_k.
+        r_f, r_d = _carlson_rf_rd(y)
+        m0, m1 = r_f, r_d / 3.0
+        m2 = (m0 - 2.0 * (1.0 - e) * m1) / (3.0 * e)
+        m3 = (3.0 * m1 - 4.0 * (1.0 - e) * m2) / (5.0 * e)
+        radial = m0 + m1 - m2 - m3
+    two_sigma = 2.0 * shape.sigma_y
+    return two_sigma * radial, two_sigma * axial, two_sigma * total
+
+
 def kappa_set(shape: CloudShape, species: AtomSpecies) -> KappaSet:
-    """Reabsorption coefficients for a cloud shape by angular quadrature."""
+    """Reabsorption coefficients for a cloud shape, from the closed forms."""
     k0 = kappa0(shape.peak_density, derive_constants(species).resonant_cross_section)
-    radial = _angular_integral(shape, lambda t: math.sin(t) ** 2)
-    axial = _angular_integral(shape, lambda t: math.sin(t) * abs(math.cos(t)))
-    total = _angular_integral(shape, math.sin)
+    radial, axial, total = _closed_form_integrals(shape)
     return KappaSet(
         kappa_y=k0 * (2.0 / math.pi) * radial,
         kappa_z=k0 * axial,

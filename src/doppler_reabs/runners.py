@@ -43,7 +43,7 @@ from .reabsorption import (
     SPHERE_INTEGRAL_AXIAL,
     SPHERE_INTEGRAL_RADIAL,
     SPHERE_INTEGRAL_TOTAL,
-    _angular_integral,
+    _closed_form_integrals,
     kappa_set,
     optical_density,
 )
@@ -401,11 +401,10 @@ def run_selfcheck() -> SelfCheckReport:
     checks.append(_check_range("kappa_y at steady-state shape", kappas.kappa_y, 0.09, 0.12, "0.1"))
     checks.append(_check_range("kappa at steady-state shape", kappas.kappa, 0.22, 0.28, "0.24"))
 
-    # spherical-cloud angular integrals against closed forms
+    # spherical-cloud angular integrals, as kappa_set evaluates them,
+    # against the moments of (1 + cos^2)^2
     sphere = CloudShape(sigma_y=1e-4, sigma_z=1e-4, peak_density=0.0)
-    radial = _angular_integral(sphere, lambda t: math.sin(t) ** 2) / 1e-4
-    axial = _angular_integral(sphere, lambda t: math.sin(t) * abs(math.cos(t))) / 1e-4
-    total = _angular_integral(sphere, math.sin) / 1e-4
+    radial, axial, total = (v / 1e-4 for v in _closed_form_integrals(sphere))
     checks.append(_check_rel("sphere integral, radial", radial, SPHERE_INTEGRAL_RADIAL, 1e-9))
     checks.append(_check_rel("sphere integral, axial", axial, SPHERE_INTEGRAL_AXIAL, 1e-9))
     checks.append(_check_rel("sphere integral, total", total, SPHERE_INTEGRAL_TOTAL, 1e-9))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from doppler_reabs import cli, constants
@@ -346,6 +350,26 @@ def test_selfcheck_passes(capsys):
     assert len(data_rows) >= 10
     assert all(" pass" in row or row == "" for row in data_rows)
     assert "all checks passed" in out
+
+
+def test_cli_and_selfcheck_do_not_load_scipy():
+    # scipy serves only the quadrature oracle of the tests: a fresh
+    # interpreter importing the command line and running selfcheck
+    # never loads it
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, doppler_reabs.cli as cli\n"
+        "print('scipy' in sys.modules)\n"
+        "assert cli.run_selfcheck().all_passed\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]
 
 
 def test_selfcheck_catches_perturbed_constants(capsys, monkeypatch):

@@ -256,6 +256,11 @@ def test_per_kind_requirements():
     errors = _errors_of(_scan_scenario(od))
     line = _scan_scenario(od).splitlines().index("od_ref = 0") + 1
     assert (line, "od_ref must be > 0") in errors
+    noisy = ("kind = intensity_scan\nkappa_y = 0.11\nkappa = 0.24\n"
+             "grid_min = 1e-3\ngrid_max = 1e-2\ngrid_count = 5\nnoise_fraction = -0.1\n")
+    errors = _errors_of(_scan_scenario(noisy))
+    line = _scan_scenario(noisy).splitlines().index("noise_fraction = -0.1") + 1
+    assert (line, "noise_fraction must be >= 0") in errors
     head, _, _ = BASE.partition("[cloud]")
     errors = _errors_of(head + "[scenario]\nkind = steady_state\n")
     assert any("steady_state needs [cloud]" in msg for _, msg in errors)

@@ -17,6 +17,7 @@ from doppler_reabs import (
 )
 from doppler_reabs.reabsorption import (
     KAPPA0_PREFACTOR,
+    SERIES_CUT,
     SPHERE_INTEGRAL_AXIAL,
     SPHERE_INTEGRAL_RADIAL,
     SPHERE_INTEGRAL_TOTAL,
@@ -99,10 +100,40 @@ def test_kappa_set_sphere_closed_form(sphere, species, derived):
     k0 = kappa0(sphere.peak_density, derived.resonant_cross_section)
     r = sphere.sigma_y
     assert ks.kappa_y == pytest.approx(
-        k0 * r * (2 / math.pi) * SPHERE_INTEGRAL_RADIAL, rel=1e-9
+        k0 * r * (2 / math.pi) * SPHERE_INTEGRAL_RADIAL, rel=1e-14
     )
-    assert ks.kappa_z == pytest.approx(k0 * r * SPHERE_INTEGRAL_AXIAL, rel=1e-9)
-    assert ks.kappa == pytest.approx(k0 * r * SPHERE_INTEGRAL_TOTAL, rel=1e-9)
+    assert ks.kappa_z == pytest.approx(k0 * r * SPHERE_INTEGRAL_AXIAL, rel=1e-14)
+    assert ks.kappa == pytest.approx(k0 * r * SPHERE_INTEGRAL_TOTAL, rel=1e-14)
+
+
+def test_kappa_set_matches_quadrature_oracle(species, derived):
+    # closed forms against adaptive quadrature over four decades of
+    # aspect ratio, next to the sphere, and on both sides of
+    # |e| = SERIES_CUT, with e = (sigma_y / sigma_z)^2 - 1, where the
+    # binomial series hands over to the recurrences
+    aspects = [10.0 ** (-2 + 4 * i / 200) for i in range(201)]
+    aspects += [1.0 + s * d for d in (1e-12, 1e-8, 1e-4) for s in (1.0, -1.0)]
+    aspects += [1.0 / math.sqrt(1.0 + s * SERIES_CUT * (1.0 + d))
+                for s in (1.0, -1.0) for d in (-1e-9, 1e-9)]
+    for alpha in aspects:
+        shape = CloudShape(sigma_y=3e-4, sigma_z=3e-4 * alpha, peak_density=1e16)
+        ks = kappa_set(shape, species)
+        k0 = kappa0(shape.peak_density, derived.resonant_cross_section)
+        expected = (
+            k0 * (2 / math.pi) * _angular_integral(shape, lambda t: math.sin(t) ** 2),
+            k0 * _angular_integral(shape, lambda t: math.sin(t) * abs(math.cos(t))),
+            k0 * _angular_integral(shape, math.sin),
+        )
+        got = (ks.kappa_y, ks.kappa_z, ks.kappa)
+        assert got == pytest.approx(expected, rel=1e-10), f"alpha = {alpha!r}"
+
+
+def test_kappa_set_rejects_unrepresentable_aspect(species):
+    # (sigma_y / sigma_z)^2 underflows to 0 or overflows to inf
+    for sigma_y, sigma_z in ((1e-160, 1e160), (1e160, 1e-160)):
+        with pytest.raises(ValueError, match="aspect ratio"):
+            kappa_set(CloudShape(sigma_y=sigma_y, sigma_z=sigma_z, peak_density=1e16),
+                      species)
 
 
 def test_kappa_elongation_shifts_weight(species):
