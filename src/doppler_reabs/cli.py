@@ -9,8 +9,8 @@ Verbs:
 
 Scenario configs are sectioned key=value text (see parse_config).  CSV
 goes to --out when given, else to the path in scenario.output, else to
-stdout.  Exit codes: 0 success, 1 invalid input, 2 runtime or
-convergence failure, 3 selfcheck failure.
+stdout.  Exit codes: 0 success, 1 invalid input, 2 fit that did not
+converge, 3 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import sys
 
 from .config import ConfigError, ScenarioConfig, parse_config, preset_dump
-from .dynamics import IntegrationError
 from .runners import (
     run_aspect_scan,
     run_dynamics,
@@ -131,17 +130,13 @@ def main(argv=None) -> int:
         text = _RUNNERS[config.kind](config)
         _emit(text, out_path)
         return 0
-    except ConfigError as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        # a config value so extreme that the model's arithmetic leaves
+        # the float range (overflow, or a product that underflows to 0)
+        print(f"error: input out of the model's numeric range: {exc}", file=sys.stderr)
         return 1
 
 

@@ -36,10 +36,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .atoms import AtomSpecies, LaserConfig, effective_detuning, species_from_lab_units, zeeman_shift
+from .dynamics import MAX_STEPS, rate_caps, step_size
 from .presets import SPECIES_PRESETS, TRAP_PRESETS
 from .trap import TrapConfig, trap_from_lab_units
 
 SCENARIO_KINDS = ("dynamics", "aspect_scan", "intensity_scan", "od_scan", "steady_state")
+MAX_GRID_POINTS = 100_000  # work and memory budget of one scan
 
 # key -> type tag; under each section. "float"/"int"/"bool"/"str".
 _SPECIES_KEYS = {
@@ -177,13 +179,10 @@ class ScenarioConfig:
     def with_consistency_mode(self, on: bool) -> "ScenarioConfig":
         return replace(self, consistency_mode=on)
 
-    def with_output(self, path: str | None) -> "ScenarioConfig":
-        return replace(self, output=path) if path else self
-
     def resolved_items(self) -> tuple[tuple[str, str], ...]:
         """Key=value pairs echoed into every CSV header for provenance."""
         items = [kv for kv in self.raw_items if not kv[0].startswith("scenario.")]
-        items.append(("resolved.delta_pol_Gamma", _fmt(self.delta_pol)))
+        items.append(("resolved.delta_pol_Gamma", format_value(self.delta_pol)))
         items.append(("scenario.kind", self.kind))
         for key, value in (
             ("duration_ms", None if self.duration is None else self.duration * 1e3),
@@ -208,14 +207,17 @@ class ScenarioConfig:
             ("fit_axis", self.fit_axis if self.kind == "dynamics" else None),
         ):
             if value is not None:
-                items.append((f"scenario.{key}", _fmt(value)))
+                items.append((f"scenario.{key}", format_value(value)))
         return tuple(items)
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """Text of a header, preset or CSV value; non-finite floats read 'divergent'."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            return "divergent"
         return f"{value:.12g}"
     return str(value)
 
@@ -384,6 +386,11 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(errors)
 
     cloud_items = typed.get("cloud", {})
+    for key, value in cloud_items.items():
+        # a cloud without density is allowed: it has no reabsorption
+        if value < 0 or (value == 0 and key != "peak_density_per_cm3"):
+            bound = ">= 0" if key == "peak_density_per_cm3" else "> 0"
+            errors.append((sections["cloud"][key][1], f"cloud.{key} must be {bound}"))
     atom_number = cloud_items.get("atom_number")
     temperatures = None
     if "temperature_uK" in cloud_items:
@@ -431,6 +438,9 @@ def parse_config(text: str) -> ScenarioConfig:
             elif scen["grid_count"] < 2:
                 errors.append((sections["scenario"]["grid_count"][1],
                                "grid_count must be >= 2 for a scan"))
+            elif scen["grid_count"] > MAX_GRID_POINTS:
+                errors.append((sections["scenario"]["grid_count"][1],
+                               f"grid_count must be <= {MAX_GRID_POINTS}"))
             elif not scen["grid_min"] < scen["grid_max"]:
                 errors.append((scen_line, "grid_min must be < grid_max"))
             elif scale == "log" and scen["grid_min"] <= 0:
@@ -468,6 +478,7 @@ def parse_config(text: str) -> ScenarioConfig:
         need(grid is not None, "aspect_scan needs a scan grid")
         need(atom_number is not None and n0 is not None,
              "aspect_scan needs [cloud] atom_number and peak_density_per_cm3")
+        need(n0 != 0, "aspect_scan needs peak_density_per_cm3 > 0")
     elif kind == "intensity_scan":
         need(grid is not None, "intensity_scan needs a scan grid")
         need("kappa_y" in scen and "kappa" in scen,
@@ -482,6 +493,15 @@ def parse_config(text: str) -> ScenarioConfig:
         need(shape_given or temps_given,
              "steady_state needs [cloud] either sigma_y_um+sigma_z_um+peak_density_per_cm3 "
              "or atom_number+temperatures")
+    if "duration_ms" in scen:
+        # the capped cooling rates give the shortest step this trap can ask for
+        longest = MAX_STEPS * step_size(max(rate_caps(trap, species)))
+        if scen["duration_ms"] < 0:
+            errors.append((sections["scenario"]["duration_ms"][1], "duration_ms must be >= 0"))
+        elif scen["duration_ms"] * 1e-3 > longest:
+            errors.append((sections["scenario"]["duration_ms"][1],
+                           f"duration_ms must be <= {longest * 1e3:.6g} in this trap "
+                           f"(at most {MAX_STEPS} integrator steps)"))
     if scen.get("sample_stride", 1) < 1:
         errors.append((scen_line, "sample_stride must be >= 1"))
     if scen.get("od_ref", 1.0) <= 0:
@@ -506,7 +526,7 @@ def parse_config(text: str) -> ScenarioConfig:
     ):
         for key in _SECTIONS[section_name]:
             if key in items:
-                raw_items.append((f"{section_name}.{key}", _fmt(items[key])))
+                raw_items.append((f"{section_name}.{key}", format_value(items[key])))
 
     return ScenarioConfig(
         species=species,
@@ -548,12 +568,12 @@ def preset_dump() -> str:
         lines.append(f"# species preset '{preset_name}'")
         lines.append("[species]")
         for key, value in items.items():
-            lines.append(f"{key} = {_fmt(value)}")
+            lines.append(f"{key} = {format_value(value)}")
         lines.append("")
     for preset_name, items in sorted(TRAP_PRESETS.items()):
         lines.append(f"# trap preset '{preset_name}'")
         lines.append("[trap]")
         for key, value in items.items():
-            lines.append(f"{key} = {_fmt(value)}")
+            lines.append(f"{key} = {format_value(value)}")
         lines.append("")
     return "\n".join(lines)

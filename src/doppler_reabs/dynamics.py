@@ -6,7 +6,10 @@ rate is proportional to kappa_y.  Heating comes from recoil of all
 scattered and rescattered photons.  The module provides the per-axis
 rates, closed-form steady states and transients, and an integrator that
 optionally recomputes the cloud shape and the reabsorption coefficients
-from the falling temperature at every step.
+from the falling temperature at every step.  While the shape is fixed
+each axis obeys the linear equation dT/dt = S - C*T, so the integrator
+advances every step by its exact solution: exact at a frozen shape,
+first order in the shape coupling when self-consistent.
 
 Two rate conventions are exposed.  With consistency_mode the heating
 rates are scaled so that the fixed point of the differential equations
@@ -28,15 +31,7 @@ from .trap import CloudState, TrapConfig, peak_density, sigma_from_temperature, 
 
 MAX_STEP = 2e-4          # integrator step ceiling [s]
 STEPS_PER_TIME_CONSTANT = 50
-MAX_STEP_HALVINGS = 12
-
-
-class IntegrationError(RuntimeError):
-    """Integration failed; carries the time at which the step went bad."""
-
-    def __init__(self, message: str, time: float):
-        super().__init__(message)
-        self.time = time
+MAX_STEPS = 10**6        # steps one run may take; parse_config enforces it
 
 
 @dataclass(frozen=True)
@@ -133,6 +128,24 @@ def detuning_factor(delta_pol: float) -> float:
     return (1.0 + 4.0 * delta_pol**2) / (4.0 * abs(delta_pol))
 
 
+def rate_caps(trap: TrapConfig, species: AtomSpecies) -> tuple[float, float]:
+    """Bandwidth caps (axial, radial) of the damping rates, 2*omega_i/pi [1/s]."""
+    _, omega_y, omega_z = trap_frequencies(trap, species)
+    return 2.0 * omega_z / math.pi, 2.0 * omega_y / math.pi
+
+
+def step_size(fastest_rate: float) -> float:
+    """Integrator step [s] for a run whose fastest initial cooling rate is fastest_rate.
+
+    A STEPS_PER_TIME_CONSTANT-th of the fastest relaxation time, at most
+    MAX_STEP.  It shrinks as fastest_rate grows, so the capped rates
+    (rate_caps) give the shortest step a trap can ask for.
+    """
+    if fastest_rate <= 0:
+        return MAX_STEP
+    return min(1.0 / (STEPS_PER_TIME_CONSTANT * fastest_rate), MAX_STEP)
+
+
 def rates(
     laser: LaserConfig,
     kappas: KappaSet,
@@ -167,9 +180,7 @@ def rates(
         heat_z *= 4.0
         heat_y *= 4.0
 
-    _, omega_y, omega_z = trap_frequencies(trap, species)
-    cap_z = 2.0 * omega_z / math.pi
-    cap_y = 2.0 * omega_y / math.pi
+    cap_z, cap_y = rate_caps(trap, species)
     capped_z = cool_z > cap_z
     capped_y = cool_y > cap_y
     if capped_z:
@@ -295,17 +306,24 @@ def transient(T0: float, T_inf: float, tau: float, t: float) -> float:
     return T_inf + (T0 - T_inf) * math.exp(-t / tau)
 
 
-class _StepFailure(Exception):
-    def __init__(self, time: float):
-        self.time = time
-
-
 def _shape_of(state: CloudState) -> CloudShape:
     return CloudShape(
         sigma_y=state.sigma_y,
         sigma_z=state.sigma_z,
         peak_density=state.peak_density,
     )
+
+
+def _relax(T: float, source: float, rate: float, dt: float) -> float:
+    """T after dt of dT/dt = source - rate*T with source and rate held fixed.
+
+    T*exp(-x) + source*dt*phi(x) with x = rate*dt and
+    phi(x) = (1 - exp(-x))/x, phi(0) = 1; both terms are >= 0 for T > 0,
+    source >= 0 and rate >= 0, so the temperature stays positive.
+    """
+    x = rate * dt
+    phi = 1.0 if x == 0.0 else -math.expm1(-x) / x
+    return T * math.exp(-x) + source * dt * phi
 
 
 def simulate(
@@ -321,19 +339,19 @@ def simulate(
 ) -> TemperatureTrace:
     """Integrate the two-temperature rate equations.
 
-    A fixed-step Runge-Kutta march with the classic fourth-order stage
-    weights; the step is a fiftieth of the fastest relaxation time (at
-    most 0.2 ms) and is halved and the run restarted if a step ever
-    produces a non-finite or non-positive temperature.  When
-    self_consistent is set the cloud sizes are recomputed from the
-    current temperatures after every step, the peak density from the
-    constant atom number, and the kappa set re-evaluated; otherwise shape
-    and kappas stay frozen at the initial state.  The kappas and rates of
-    the step's start are held over all four stages, so the scheme is
-    fourth order only with a frozen shape: in self-consistent mode it is
-    first order in the shape coupling.  delta_pol defaults to the
-    effective detuning of the stretched-state transition at the trap
-    bottom.
+    Fixed steps of at most step_size(fastest initial cooling rate),
+    stretched so that whole steps fill duration.  Each step advances
+    every axis by the exact solution of dT/dt = S - C*T at the heating
+    source S and cooling rate C of the step's start, so with a frozen
+    shape the trace is exact up to rounding, and the temperatures stay
+    positive at any step: there are no restarts.  When self_consistent
+    is set the cloud sizes are recomputed from the current temperatures
+    after every step, the peak density from the constant atom number,
+    and the kappa set re-evaluated; each step holds it and the rates
+    fixed, so the scheme is first order in the shape coupling.
+    Otherwise shape and kappas stay frozen at the initial state.
+    delta_pol defaults to the effective detuning of the stretched-state
+    transition at the trap bottom.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -346,69 +364,33 @@ def simulate(
 
     mu = trap.magnetic_moment
     n_atoms = initial.atom_number
-    shape0 = _shape_of(initial)
-    kappas0 = kappa_set(shape0, species)
-    rates0 = rates(laser, kappas0, delta_pol, species, trap, consistency_mode)
+    T_z, T_y = initial.T_z, initial.T_y
+    sigma_z, sigma_y = initial.sigma_z, initial.sigma_y
+    n0 = initial.peak_density
+    kappas = kappa_set(_shape_of(initial), species)
+    rates0 = rates(laser, kappas, delta_pol, species, trap, consistency_mode)
     # temperature_slope's recoil factor, taken once per run
     heat_scale = derive_constants(species).recoil_energy / (2.0 * const.K_B)
-    fastest = max(rates0.cool_rate_z, rates0.cool_rate_y)
-    step = MAX_STEP if fastest <= 0 else min(1.0 / (STEPS_PER_TIME_CONSTANT * fastest), MAX_STEP)
 
-    def sample(t, T_z, T_y, sigma_z, sigma_y, n0, kappas):
-        return TraceSample(
-            t=t, T_z=T_z, T_y=T_y, sigma_z=sigma_z, sigma_y=sigma_y,
-            peak_density=n0, kappas=kappas,
-        )
-
-    def run(h: float) -> TemperatureTrace:
-        T_z, T_y = initial.T_z, initial.T_y
-        sigma_z, sigma_y = initial.sigma_z, initial.sigma_y
-        n0 = initial.peak_density
-        kappas = kappas0
-        samples = [sample(0.0, T_z, T_y, sigma_z, sigma_y, n0, kappas)]
-        if duration == 0:
-            return TemperatureTrace(samples=tuple(samples))
-        n_steps = max(1, math.ceil(duration / h))
-        dt = duration / n_steps
-        for i in range(n_steps):
-            rs = rates(laser, kappas, delta_pol, species, trap, consistency_mode)
-
-            def slope(tz, ty):
-                return (
-                    heat_scale * rs.heat_rate_z - tz * rs.cool_rate_z,
-                    heat_scale * rs.heat_rate_y - ty * rs.cool_rate_y,
-                )
-
-            k1z, k1y = slope(T_z, T_y)
-            k2z, k2y = slope(T_z + dt / 2 * k1z, T_y + dt / 2 * k1y)
-            k3z, k3y = slope(T_z + dt / 2 * k2z, T_y + dt / 2 * k2y)
-            k4z, k4y = slope(T_z + dt * k3z, T_y + dt * k3y)
-            T_z = T_z + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-            T_y = T_y + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-            t = (i + 1) * dt
-            if not (math.isfinite(T_z) and math.isfinite(T_y)) or T_z <= 0 or T_y <= 0:
-                raise _StepFailure(t)
-            if self_consistent:
-                sigma_z = sigma_from_temperature(T_z, trap.curvature_z, mu)
-                sigma_y = sigma_from_temperature(T_y, trap.curvature_y, mu)
-                sigma_x = sigma_from_temperature(T_y, trap.curvature_x, mu)
-                n0 = peak_density(n_atoms, sigma_x, sigma_y, sigma_z)
-                kappas = kappa_set(
-                    CloudShape(sigma_y=sigma_y, sigma_z=sigma_z, peak_density=n0),
-                    species,
-                )
-            if (i + 1) % sample_stride == 0 or i == n_steps - 1:
-                samples.append(sample(t, T_z, T_y, sigma_z, sigma_y, n0, kappas))
+    samples = [TraceSample(0.0, T_z, T_y, sigma_z, sigma_y, n0, kappas)]
+    if duration == 0:
         return TemperatureTrace(samples=tuple(samples))
-
-    last_failure = 0.0
-    for _ in range(MAX_STEP_HALVINGS + 1):
-        try:
-            return run(step)
-        except _StepFailure as failure:
-            last_failure = failure.time
-            step /= 2.0
-    raise IntegrationError(
-        f"integration failed near t = {last_failure:.6g} s even at step {step:.3g} s",
-        time=last_failure,
-    )
+    step = step_size(max(rates0.cool_rate_z, rates0.cool_rate_y))
+    n_steps = max(1, math.ceil(duration / step))
+    dt = duration / n_steps
+    for i in range(n_steps):
+        rs = rates(laser, kappas, delta_pol, species, trap, consistency_mode)
+        T_z = _relax(T_z, heat_scale * rs.heat_rate_z, rs.cool_rate_z, dt)
+        T_y = _relax(T_y, heat_scale * rs.heat_rate_y, rs.cool_rate_y, dt)
+        if self_consistent:
+            sigma_z = sigma_from_temperature(T_z, trap.curvature_z, mu)
+            sigma_y = sigma_from_temperature(T_y, trap.curvature_y, mu)
+            sigma_x = sigma_from_temperature(T_y, trap.curvature_x, mu)
+            n0 = peak_density(n_atoms, sigma_x, sigma_y, sigma_z)
+            kappas = kappa_set(
+                CloudShape(sigma_y=sigma_y, sigma_z=sigma_z, peak_density=n0),
+                species,
+            )
+        if (i + 1) % sample_stride == 0 or i == n_steps - 1:
+            samples.append(TraceSample((i + 1) * dt, T_z, T_y, sigma_z, sigma_y, n0, kappas))
+    return TemperatureTrace(samples=tuple(samples))

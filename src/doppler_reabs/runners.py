@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import constants as const
 from .atoms import AtomSpecies, LaserConfig, derive_constants, effective_detuning
-from .config import ScenarioConfig
+from .config import ScenarioConfig, format_value
 from .dynamics import (
     TemperatureTrace,
+    _shape_of,
     rates,
     simulate,
     steady_state,
@@ -50,25 +50,16 @@ from .reabsorption import (
 from .trap import (
     CloudState,
     cloud_from_temperatures,
-    phase_space_density,
+    thermal_debroglie_wavelength,
     trap_frequencies,
 )
-
-def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return "divergent"
-        return f"{value:.12g}"
-    return str(value)
 
 
 def _render_csv(header_items, columns, rows) -> str:
     lines = [f"# {key}={value}" for key, value in header_items]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        lines.append(",".join(format_value(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -86,10 +77,7 @@ def _steady_shape(config: ScenarioConfig) -> CloudShape:
             sigma_z=config.cloud_sigma_z,
             peak_density=config.cloud_peak_density,
         )
-    cloud = _initial_cloud(config)
-    return CloudShape(
-        sigma_y=cloud.sigma_y, sigma_z=cloud.sigma_z, peak_density=cloud.peak_density
-    )
+    return _shape_of(_initial_cloud(config))
 
 
 def run_steady_state(config: ScenarioConfig) -> str:
@@ -121,17 +109,12 @@ def _trace_psd(sample, species: AtomSpecies) -> float:
     # the simulation ties the unobserved x axis to y, so the geometric
     # mean temperature uses T_y twice
     t_geo = (sample.T_y ** 2 * sample.T_z) ** (1.0 / 3.0)
-    lambda_db = const.PLANCK / math.sqrt(
-        2.0 * math.pi * species.mass * const.K_B * t_geo
-    )
-    return sample.peak_density * lambda_db**3
+    return sample.peak_density * thermal_debroglie_wavelength(t_geo, species) ** 3
 
 
-def run_dynamics(config: ScenarioConfig) -> str:
-    """Integrate the rate equations; trace CSV plus a phase-space column."""
-    initial = _initial_cloud(config)
-    trace = simulate(
-        initial,
+def _simulate(config: ScenarioConfig) -> TemperatureTrace:
+    return simulate(
+        _initial_cloud(config),
         config.trap,
         config.species,
         config.laser,
@@ -141,6 +124,11 @@ def run_dynamics(config: ScenarioConfig) -> str:
         sample_stride=config.sample_stride,
         delta_pol=config.delta_pol,
     )
+
+
+def run_dynamics(config: ScenarioConfig) -> str:
+    """Integrate the rate equations; trace CSV plus a phase-space column."""
+    trace = _simulate(config)
     columns = TemperatureTrace.CSV_COLUMNS + ("psd",)
     rows = [
         row + (_trace_psd(sample, config.species),)
@@ -149,11 +137,9 @@ def run_dynamics(config: ScenarioConfig) -> str:
     return _render_csv(config.resolved_items(), columns, rows)
 
 
-def _aspect_shape(config: ScenarioConfig, alpha: float) -> CloudShape:
-    n = config.atom_number
-    n0_ref = config.cloud_peak_density
+def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> CloudShape:
     norm = (2.0 * math.pi) ** 1.5
-    if config.aspect_mode == "fixed_n0":
+    if aspect_mode == "fixed_n0":
         sigma_y = (n / (norm * n0_ref * alpha)) ** (1.0 / 3.0)
         n0 = n0_ref
     else:  # fixed_N: keep the alpha = 1 radius, let density dilute
@@ -165,7 +151,9 @@ def _aspect_shape(config: ScenarioConfig, alpha: float) -> CloudShape:
 def run_aspect_scan(config: ScenarioConfig) -> str:
     """Steady state as a function of cloud aspect ratio sigma_z/sigma_y."""
     def point(alpha: float):
-        shape = _aspect_shape(config, alpha)
+        shape = _aspect_shape(
+            config.atom_number, config.cloud_peak_density, config.aspect_mode, alpha
+        )
         kappas = kappa_set(shape, config.species)
         ss = steady_state(kappas, config.delta_pol, config.species)
         return (alpha, ss.T_z_inf, ss.T_y_inf)
@@ -176,18 +164,38 @@ def run_aspect_scan(config: ScenarioConfig) -> str:
     )
 
 
+def _scan_model(config: ScenarioConfig):
+    """Radial steady state [K] at one grid value of an intensity or OD scan."""
+    if config.kind == "intensity_scan":
+        def model(intensity: float) -> float:
+            return steady_state_with_heating(
+                config.kappa_y, config.kappa, config.heating_power,
+                intensity, config.delta_pol, config.species,
+            )
+        return model
+
+    kappa_y_star = config.kappa_y_at_ref / config.od_ref
+    kappa_star = config.kappa_at_ref / config.od_ref
+    intensity = config.laser.effective_intensity
+
+    def model(od: float) -> float:
+        return steady_state_vs_od(
+            kappa_y_star, kappa_star, od, config.heating_power,
+            intensity, config.delta_pol, config.species,
+        )
+    return model
+
+
 def run_intensity_scan(config: ScenarioConfig) -> str:
     """Radial steady state and cooling rate across an intensity grid."""
     kappas = KappaSet(
         kappa_y=config.kappa_y, kappa_z=config.kappa_z, kappa=config.kappa,
         kappa0=0.0,
     )
+    model = _scan_model(config)
 
     def point(intensity: float):
-        t_inf = steady_state_with_heating(
-            config.kappa_y, config.kappa, config.heating_power,
-            intensity, config.delta_pol, config.species,
-        )
+        t_inf = model(intensity)
         if intensity > 0:
             laser = replace(config.laser, intensity=intensity, attenuation_factor=1.0)
             rate = rates(
@@ -208,43 +216,16 @@ def run_intensity_scan(config: ScenarioConfig) -> str:
 
 def run_od_scan(config: ScenarioConfig) -> str:
     """Radial steady state across an optical-density grid."""
-    kappa_y_star = config.kappa_y_at_ref / config.od_ref
-    kappa_star = config.kappa_at_ref / config.od_ref
-    intensity = config.laser.effective_intensity
-
-    def point(od: float):
-        t_inf = steady_state_vs_od(
-            kappa_y_star, kappa_star, od, config.heating_power,
-            intensity, config.delta_pol, config.species,
-        )
-        return (od, t_inf)
-
-    rows = [point(v) for v in config.grid.values()]
+    model = _scan_model(config)
+    rows = [(od, model(od)) for od in config.grid.values()]
     return _render_csv(config.resolved_items(), ("od_y", "T_y_inf_K"), rows)
 
 
 def _synthetic_points(config: ScenarioConfig, seed: int) -> list[ScanPoint]:
     rng = np.random.default_rng(seed)
-    xs = config.grid.values()
-    if config.kind == "intensity_scan":
-        def model(x):
-            return steady_state_with_heating(
-                config.kappa_y, config.kappa, config.heating_power,
-                x, config.delta_pol, config.species,
-            )
-    else:
-        kappa_y_star = config.kappa_y_at_ref / config.od_ref
-        kappa_star = config.kappa_at_ref / config.od_ref
-        intensity = config.laser.effective_intensity
-
-        def model(x):
-            return steady_state_vs_od(
-                kappa_y_star, kappa_star, x, config.heating_power,
-                intensity, config.delta_pol, config.species,
-            )
-
+    model = _scan_model(config)
     points = []
-    for x in xs:
+    for x in config.grid.values():
         y_true = model(x)
         if not math.isfinite(y_true):
             continue
@@ -279,15 +260,9 @@ def run_fit(config: ScenarioConfig, seed: int = 0) -> str:
     noise_fraction, which then also sets the per-point error bars).
     """
     if config.kind == "dynamics":
-        initial = _initial_cloud(config)
-        trace = simulate(
-            initial, config.trap, config.species, config.laser, config.duration,
-            self_consistent=config.self_consistent,
-            consistency_mode=config.consistency_mode,
-            sample_stride=config.sample_stride,
-            delta_pol=config.delta_pol,
+        result = fit_exponential(
+            _simulate(config), axis=config.fit_axis, window=config.window
         )
-        result = fit_exponential(trace, axis=config.fit_axis, window=config.window)
         return _fit_csv(config, result)
 
     if config.kind not in ("intensity_scan", "od_scan"):
@@ -465,15 +440,8 @@ def run_selfcheck() -> SelfCheckReport:
 
     # aspect-ratio scan properties at fixed peak density
     alphas = [float(a) for a in np.geomspace(0.1, 10.0, 41)]
-    n0_ref = 5e16
-    norm = (2.0 * math.pi) ** 1.5
-
-    def aspect_point(alpha: float):
-        sigma_y = (1e8 / (norm * n0_ref * alpha)) ** (1.0 / 3.0)
-        s = CloudShape(sigma_y=sigma_y, sigma_z=alpha * sigma_y, peak_density=n0_ref)
-        return steady_state(kappa_set(s, species), -0.5, species)
-
-    states = [aspect_point(a) for a in alphas]
+    shapes = [_aspect_shape(1e8, 5e16, "fixed_n0", a) for a in alphas]
+    states = [steady_state(kappa_set(s, species), -0.5, species) for s in shapes]
     t_y_vals = [s.T_y_inf for s in states]
     t_z_vals = [s.T_z_inf for s in states]
     alpha_star = alphas[t_y_vals.index(min(t_y_vals))]

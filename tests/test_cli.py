@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from doppler_reabs import cli, constants
+from doppler_reabs import GridSpec, cli, constants, runners
 from doppler_reabs.cli import main
 
 DYNAMICS = """\
@@ -386,3 +386,25 @@ def test_preset_dump(capsys):
     assert "Cr52" in out
     assert "stuttgart_cloverleaf" in out
     assert "curvature_z_G_per_cm2" in out
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the work budget let the config through")
+
+
+@pytest.mark.parametrize("text, key", [
+    (DYNAMICS.replace("duration_ms = 60", "duration_ms = 1e7"), "duration_ms"),
+    (ASPECT.replace("grid_count = 6", "grid_count = 1000000000"), "grid_count"),
+], ids=["duration_ms", "grid_count"])
+def test_work_budget_rejects_config_with_line_number(tmp_path, capsys, monkeypatch, text, key):
+    # a config over the step or grid budget fails at parse time; the
+    # guards keep a regression from running the huge job instead
+    monkeypatch.setattr(runners, "simulate", _refuse_to_run)
+    monkeypatch.setattr(GridSpec, "values", _refuse_to_run)
+    verb = "simulate" if key == "duration_ms" else "scan"
+    assert main([verb, "--config", _write(tmp_path, "big.cfg", text)]) == 1
+    err = capsys.readouterr().err
+    line_no = next(n for n, l in enumerate(text.splitlines(), 1) if l.startswith(key))
+    assert err.startswith("error:")
+    assert f"line {line_no}: {key} must be <=" in err
+    assert "Traceback" not in err

@@ -185,6 +185,10 @@ def test_grid_validation():
     errors = _errors_of(_scan_scenario(aspect))
     line = _scan_scenario(aspect).splitlines().index("grid_min = 0") + 1
     assert (line, "aspect_scan needs grid_min > 0 (an aspect ratio)") in errors
+    huge = base + "grid_min = 1e-3\ngrid_max = 1e-2\ngrid_count = 100001\n"
+    errors = _errors_of(_scan_scenario(huge))
+    line = _scan_scenario(huge).splitlines().index("grid_count = 100001") + 1
+    assert (line, "grid_count must be <= 100000") in errors
     errors = _errors_of(_scan_scenario(base + "grid_min = 1e-3\n"))
     assert any("scan grid incomplete" in msg for _, msg in errors)
     errors = _errors_of(_scan_scenario(
@@ -264,6 +268,27 @@ def test_per_kind_requirements():
     head, _, _ = BASE.partition("[cloud]")
     errors = _errors_of(head + "[scenario]\nkind = steady_state\n")
     assert any("steady_state needs [cloud]" in msg for _, msg in errors)
+    aspect = ("kind = aspect_scan\ngrid_min = 0.5\ngrid_max = 2\ngrid_count = 5\n")
+    errors = _errors_of(_scan_scenario(aspect).replace(
+        "temperature_uK = 1000", "peak_density_per_cm3 = 0"))
+    assert any("aspect_scan needs peak_density_per_cm3 > 0" in msg for _, msg in errors)
+
+
+def test_domain_and_work_budget_carry_line_numbers():
+    for old, new, message in (
+        ("atom_number = 1e8", "atom_number = 0", "cloud.atom_number must be > 0"),
+        ("temperature_uK = 1000", "temperature_uK = -1", "cloud.temperature_uK must be > 0"),
+        ("temperature_uK = 1000", "temperature_uK = 1000\npeak_density_per_cm3 = -1",
+         "cloud.peak_density_per_cm3 must be >= 0"),
+        ("duration_ms = 600", "duration_ms = -1", "duration_ms must be >= 0"),
+        # 10^6 steps of the preset trap's capped radial rate are about 45 s
+        ("duration_ms = 600", "duration_ms = 46000",
+         "duration_ms must be <= 45189.3 in this trap (at most 1000000 integrator steps)"),
+    ):
+        text = BASE.replace(old, new)
+        line = text.splitlines().index(new.splitlines()[-1]) + 1
+        assert (line, message) in _errors_of(text), new
+    assert parse_config(BASE.replace("duration_ms = 600", "duration_ms = 45000")).duration == 45.0
 
 
 def test_sample_stride_validation():
