@@ -16,6 +16,7 @@ converge, 3 selfcheck failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import ConfigError, ScenarioConfig, parse_config, preset_dump
@@ -43,6 +44,7 @@ _RUNNERS = {
 }
 
 
+@functools.cache  # parse_args returns a fresh namespace, so calls can share one parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doppler-reabs",

@@ -4,12 +4,13 @@ Axial cooling comes from the standing wave along z; radial cooling
 exists only because rescattered photons carry momentum sideways, so its
 rate is proportional to kappa_y.  Heating comes from recoil of all
 scattered and rescattered photons.  The module provides the per-axis
-rates, closed-form steady states and transients, and an integrator that
-optionally recomputes the cloud shape and the reabsorption coefficients
-from the falling temperature at every step.  While the shape is fixed
-each axis obeys the linear equation dT/dt = S - C*T, so the integrator
-advances every step by its exact solution: exact at a frozen shape,
-first order in the shape coupling when self-consistent.
+rates, closed-form steady states and transients, and time-domain runs.
+While the shape is fixed each axis obeys the linear equation
+dT/dt = S - C*T, so a frozen-shape run is its exact solution, evaluated
+at each sample in O(samples).  A self-consistent run recomputes the
+cloud shape and the reabsorption coefficients from the falling
+temperature after every step, each step advanced by that exact
+solution: first order in the shape coupling.
 
 Two rate conventions are exposed.  With consistency_mode the heating
 rates are scaled so that the fixed point of the differential equations
@@ -146,6 +147,55 @@ def step_size(fastest_rate: float) -> float:
     return min(1.0 / (STEPS_PER_TIME_CONSTANT * fastest_rate), MAX_STEP)
 
 
+class RateModel:
+    """The rates of one run: the constants are taken once, at construction,
+    and rates(kappas) adds the cloud shape.  heat_scale = E_r/(2 k_B) [K]
+    turns a heating rate into the source term of dT/dt.
+    """
+
+    def __init__(self, laser: LaserConfig, delta_pol: float, species: AtomSpecies,
+                 trap: TrapConfig, consistency_mode: bool = True):
+        if delta_pol >= 0:
+            raise ValueError(
+                "delta_pol must be negative; blue detuning heats instead of cooling"
+            )
+        derived = derive_constants(species)
+        gamma = species.linewidth
+        lorentz = 1.0 + 4.0 * delta_pol**2
+        self.drive = gamma * (-32.0 * delta_pol)
+        self.intensity = laser.effective_intensity
+        self.lorentz_sq = lorentz**2
+        self.recoil_per_photon = derived.recoil_energy / (const.HBAR * gamma)
+        self.scatter = 2.0 * self.intensity * gamma / lorentz
+        self.heat_factor = 4.0 if consistency_mode else 1.0
+        self.cap_z, self.cap_y = rate_caps(trap, species)
+        self.heat_scale = derived.recoil_energy / (2.0 * const.K_B)
+
+    def rates(self, kappas: KappaSet) -> RateSet:
+        """Per-axis cooling and heating rates for the current cloud shape."""
+        cool_z = (
+            self.drive * (1.0 + kappas.kappa_z)
+            * 2.0 * self.intensity * self.recoil_per_photon / self.lorentz_sq
+        )
+        cool_y = (
+            self.drive * kappas.kappa_y
+            * 2.0 * self.intensity * self.recoil_per_photon / self.lorentz_sq
+        )
+        heat_z = ((1.0 + kappas.kappa_z) + 0.4 * (1.0 + kappas.kappa)) * self.scatter
+        heat_y = (kappas.kappa_y + 0.3 * (1.0 + kappas.kappa)) * self.scatter
+        heat_z *= self.heat_factor
+        heat_y *= self.heat_factor
+        capped_z = cool_z > self.cap_z
+        capped_y = cool_y > self.cap_y
+        if capped_z:
+            heat_z *= self.cap_z / cool_z
+            cool_z = self.cap_z
+        if capped_y:
+            heat_y *= self.cap_y / cool_y
+            cool_y = self.cap_y
+        return RateSet(cool_z, cool_y, heat_z, heat_y, capped_z, capped_y)
+
+
 def rates(
     laser: LaserConfig,
     kappas: KappaSet,
@@ -155,56 +205,7 @@ def rates(
     consistency_mode: bool = True,
 ) -> RateSet:
     """Per-axis cooling and heating rates for the current cloud shape."""
-    if delta_pol >= 0:
-        raise ValueError(
-            "delta_pol must be negative; blue detuning heats instead of cooling"
-        )
-    derived = derive_constants(species)
-    gamma = species.linewidth
-    intensity = laser.effective_intensity
-    lorentz = 1.0 + 4.0 * delta_pol**2
-    recoil_per_photon = derived.recoil_energy / (const.HBAR * gamma)
-
-    cool_z = (
-        gamma * (-32.0 * delta_pol) * (1.0 + kappas.kappa_z)
-        * 2.0 * intensity * recoil_per_photon / lorentz**2
-    )
-    cool_y = (
-        gamma * (-32.0 * delta_pol) * kappas.kappa_y
-        * 2.0 * intensity * recoil_per_photon / lorentz**2
-    )
-    scatter = 2.0 * intensity * gamma / lorentz
-    heat_z = ((1.0 + kappas.kappa_z) + 0.4 * (1.0 + kappas.kappa)) * scatter
-    heat_y = (kappas.kappa_y + 0.3 * (1.0 + kappas.kappa)) * scatter
-    if consistency_mode:
-        heat_z *= 4.0
-        heat_y *= 4.0
-
-    cap_z, cap_y = rate_caps(trap, species)
-    capped_z = cool_z > cap_z
-    capped_y = cool_y > cap_y
-    if capped_z:
-        heat_z *= cap_z / cool_z
-        cool_z = cap_z
-    if capped_y:
-        heat_y *= cap_y / cool_y
-        cool_y = cap_y
-    return RateSet(
-        cool_rate_z=cool_z,
-        cool_rate_y=cool_y,
-        heat_rate_z=heat_z,
-        heat_rate_y=heat_y,
-        capped_z=capped_z,
-        capped_y=capped_y,
-    )
-
-
-def temperature_slope(
-    temperature: float, cool_rate: float, heat_rate: float, species: AtomSpecies
-) -> float:
-    """dT/dt for one axis [K/s]: recoil heating minus rate-damped temperature."""
-    e_r = derive_constants(species).recoil_energy
-    return e_r / (2.0 * const.K_B) * heat_rate - temperature * cool_rate
+    return RateModel(laser, delta_pol, species, trap, consistency_mode).rates(kappas)
 
 
 def steady_state(
@@ -339,17 +340,16 @@ def simulate(
 ) -> TemperatureTrace:
     """Integrate the two-temperature rate equations.
 
-    Fixed steps of at most step_size(fastest initial cooling rate),
-    stretched so that whole steps fill duration.  Each step advances
-    every axis by the exact solution of dT/dt = S - C*T at the heating
-    source S and cooling rate C of the step's start, so with a frozen
-    shape the trace is exact up to rounding, and the temperatures stay
-    positive at any step: there are no restarts.  When self_consistent
-    is set the cloud sizes are recomputed from the current temperatures
-    after every step, the peak density from the constant atom number,
-    and the kappa set re-evaluated; each step holds it and the rates
-    fixed, so the scheme is first order in the shape coupling.
-    Otherwise shape and kappas stay frozen at the initial state.
+    A sample follows every sample_stride fixed steps and the last one; a
+    step is at most step_size(fastest initial cooling rate), stretched
+    so that whole steps fill duration.  With a frozen shape each axis
+    obeys dT/dt = S - C*T with constant S and C, so each sample is the
+    exact solution at its time, evaluated directly: O(samples), exact
+    up to rounding.  When self_consistent is set, every step advances
+    each axis by that solution at the S and C of the step's start (the
+    temperatures stay positive at any step), then recomputes the cloud
+    sizes from the temperatures, the peak density from the constant
+    atom number, and the kappa set: first order in the shape coupling.
     delta_pol defaults to the effective detuning of the stretched-state
     transition at the trap bottom.
     """
@@ -368,29 +368,34 @@ def simulate(
     sigma_z, sigma_y = initial.sigma_z, initial.sigma_y
     n0 = initial.peak_density
     kappas = kappa_set(_shape_of(initial), species)
-    rates0 = rates(laser, kappas, delta_pol, species, trap, consistency_mode)
-    # temperature_slope's recoil factor, taken once per run
-    heat_scale = derive_constants(species).recoil_energy / (2.0 * const.K_B)
+    model = RateModel(laser, delta_pol, species, trap, consistency_mode)
+    rs = model.rates(kappas)
 
     samples = [TraceSample(0.0, T_z, T_y, sigma_z, sigma_y, n0, kappas)]
     if duration == 0:
         return TemperatureTrace(samples=tuple(samples))
-    step = step_size(max(rates0.cool_rate_z, rates0.cool_rate_y))
+    step = step_size(max(rs.cool_rate_z, rs.cool_rate_y))
     n_steps = max(1, math.ceil(duration / step))
     dt = duration / n_steps
-    for i in range(n_steps):
-        rs = rates(laser, kappas, delta_pol, species, trap, consistency_mode)
-        T_z = _relax(T_z, heat_scale * rs.heat_rate_z, rs.cool_rate_z, dt)
-        T_y = _relax(T_y, heat_scale * rs.heat_rate_y, rs.cool_rate_y, dt)
-        if self_consistent:
-            sigma_z = sigma_from_temperature(T_z, trap.curvature_z, mu)
-            sigma_y = sigma_from_temperature(T_y, trap.curvature_y, mu)
-            sigma_x = sigma_from_temperature(T_y, trap.curvature_x, mu)
-            n0 = peak_density(n_atoms, sigma_x, sigma_y, sigma_z)
-            kappas = kappa_set(
-                CloudShape(sigma_y=sigma_y, sigma_z=sigma_z, peak_density=n0),
-                species,
-            )
-        if (i + 1) % sample_stride == 0 or i == n_steps - 1:
-            samples.append(TraceSample((i + 1) * dt, T_z, T_y, sigma_z, sigma_y, n0, kappas))
+    if not self_consistent:
+        S_z, S_y = model.heat_scale * rs.heat_rate_z, model.heat_scale * rs.heat_rate_y
+        for k in [*range(sample_stride, n_steps, sample_stride), n_steps]:
+            t = k * dt
+            T_t = _relax(T_z, S_z, rs.cool_rate_z, t), _relax(T_y, S_y, rs.cool_rate_y, t)
+            samples.append(TraceSample(t, *T_t, sigma_z, sigma_y, n0, kappas))
+        return TemperatureTrace(samples=tuple(samples))
+    for k in range(1, n_steps + 1):
+        rs = model.rates(kappas)
+        T_z = _relax(T_z, model.heat_scale * rs.heat_rate_z, rs.cool_rate_z, dt)
+        T_y = _relax(T_y, model.heat_scale * rs.heat_rate_y, rs.cool_rate_y, dt)
+        sigma_z = sigma_from_temperature(T_z, trap.curvature_z, mu)
+        sigma_y = sigma_from_temperature(T_y, trap.curvature_y, mu)
+        sigma_x = sigma_from_temperature(T_y, trap.curvature_x, mu)
+        n0 = peak_density(n_atoms, sigma_x, sigma_y, sigma_z)
+        kappas = kappa_set(
+            CloudShape(sigma_y=sigma_y, sigma_z=sigma_z, peak_density=n0),
+            species,
+        )
+        if k % sample_stride == 0 or k == n_steps:
+            samples.append(TraceSample(k * dt, T_z, T_y, sigma_z, sigma_y, n0, kappas))
     return TemperatureTrace(samples=tuple(samples))

@@ -188,9 +188,16 @@ def _linear_fit(points, design, target, scale):
     weights = np.full(len(points), scale)
     if weighted:
         weights /= np.array([pt.y_err for pt in points])
-    a = design * weights[:, None]
-    norms = np.linalg.norm(a, axis=0)
-    q_scaled, *_ = np.linalg.lstsq(a / norms, target * weights, rcond=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = design * weights[:, None], target * weights
+        norms = np.linalg.norm(a, axis=0)
+    # LAPACK writes to the process's stderr when handed non-finite values
+    if not (np.isfinite(a).all() and np.isfinite(b).all()
+            and np.all((norms > 0) & np.isfinite(norms))):
+        raise DegenerateDataError(
+            "the scan data are out of range for a least-squares solve"
+        )
+    q_scaled, *_ = np.linalg.lstsq(a / norms, b, rcond=None)
     q = q_scaled / norms
     cov = _inverse((a / norms).T @ (a / norms))
     if cov is not None:

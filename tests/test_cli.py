@@ -190,6 +190,26 @@ def test_dynamics_repeat_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_consecutive_calls_do_not_leak_options(tmp_path):
+    # the parser is built once per process; an option given to one call
+    # must not carry over to the next
+    fit_cfg = _write(tmp_path, "i.cfg", INTENSITY_FIT)
+    dyn_cfg = _write(tmp_path, "d.cfg", DYNAMICS)
+
+    def run(*args):
+        out = tmp_path / "out.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    cli._build_parser.cache_clear()
+    first_fit = run("fit", "--config", fit_cfg)
+    first_sim = run("simulate", "--config", dyn_cfg)
+    assert run("fit", "--config", fit_cfg, "--seed", "3") != first_fit
+    assert run("fit", "--config", fit_cfg) == first_fit
+    assert run("simulate", "--config", dyn_cfg, "--mode", "verbatim") != first_sim
+    assert run("simulate", "--config", dyn_cfg) == first_sim
+
+
 def test_invalid_config_exits_1(tmp_path, capsys):
     cfg = _write(
         tmp_path, "bad.cfg", DYNAMICS.replace("detuning_Gamma", "detunning_Gamma")
@@ -352,24 +372,45 @@ def test_selfcheck_passes(capsys):
     assert "all checks passed" in out
 
 
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports this package."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_cli_and_selfcheck_do_not_load_scipy():
     # scipy serves only the quadrature oracle of the tests: a fresh
     # interpreter importing the command line and running selfcheck
     # never loads it
-    package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys, doppler_reabs.cli as cli\n"
         "print('scipy' in sys.modules)\n"
         "assert cli.run_selfcheck().all_passed\n"
         "print('scipy' in sys.modules)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=120,
-    )
+    result = _fresh_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("text", [
+    INTENSITY_FIT.replace("kappa = 0.24", "kappa = 1e300"),
+    OD_SCAN.replace("kappa_y_at_ref = 0.11", "kappa_y_at_ref = 1e-300")
+    + "noise_fraction = 0.03\n",
+], ids=["intensity_kappa_1e300", "od_kappa_y_at_ref_1e-300"])
+def test_out_of_range_fit_data_exit_1_without_lapack_noise(tmp_path, text):
+    # LAPACK writes its complaints outside Python, so only the stderr of
+    # a fresh process shows them
+    cfg = _write(tmp_path, "f.cfg", text)
+    result = _fresh_python("-m", "doppler_reabs", "fit", "--config", cfg)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "DLASCL" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
 
 
 def test_selfcheck_catches_perturbed_constants(capsys, monkeypatch):

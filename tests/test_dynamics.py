@@ -18,11 +18,10 @@ from doppler_reabs import (
     steady_state,
     steady_state_vs_od,
     steady_state_with_heating,
-    temperature_slope,
     transient,
     trap_from_lab_units,
 )
-from doppler_reabs import constants as const
+from doppler_reabs import dynamics
 
 
 NO_REABSORPTION = KappaSet(kappa_y=0.0, kappa_z=0.0, kappa=0.0, kappa0=0.0)
@@ -93,16 +92,6 @@ def test_consistency_mode_scales_heating_only(measured_laser, species, trap):
     assert on.cool_rate_y == pytest.approx(off.cool_rate_y, rel=1e-15)
     assert on.heat_rate_y == pytest.approx(4 * off.heat_rate_y, rel=1e-12)
     assert on.heat_rate_z == pytest.approx(4 * off.heat_rate_z, rel=1e-12)
-
-
-def test_temperature_slope_bookkeeping(species):
-    # heating alone grows T linearly at the recoil rate; cooling alone
-    # relaxes it toward zero
-    e_r = derive_constants(species).recoil_energy
-    heat_only = temperature_slope(1e-4, 0.0, 100.0, species)
-    assert heat_only == pytest.approx(e_r / (2 * const.K_B) * 100.0, rel=1e-12)
-    cool_only = temperature_slope(1e-4, 50.0, 0.0, species)
-    assert cool_only == pytest.approx(-1e-4 * 50.0, rel=1e-12)
 
 
 def test_steady_state_axial_floor(species, derived):
@@ -264,15 +253,56 @@ def test_frozen_run_follows_exact_transient(
     kappas = kappa_set(shape, species)
     rs = rates(measured_laser, kappas, delta_pol, species, trap)
     ss = steady_state(kappas, delta_pol, species)
-    # each step is the exact solution at the frozen shape, so every
-    # sample sits on the closed-form transient up to rounding (abs=0:
-    # pytest's default absolute slack is a relative 1e-9 at these
-    # temperatures)
+    # each sample is the exact solution at the frozen shape, evaluated
+    # at its own time, so it sits on the closed-form transient up to
+    # rounding (abs=0: pytest's default absolute slack is a relative
+    # 1e-9 at these temperatures)
     for sample in frozen_run.samples:
         expected_z = transient(1e-3, ss.T_z_inf, 1 / rs.cool_rate_z, sample.t)
         expected_y = transient(1e-3, ss.T_y_inf, 1 / rs.cool_rate_y, sample.t)
-        assert sample.T_z == pytest.approx(expected_z, rel=1e-12, abs=0)
-        assert sample.T_y == pytest.approx(expected_y, rel=1e-12, abs=0)
+        assert sample.T_z == pytest.approx(expected_z, rel=4e-15, abs=0)
+        assert sample.T_y == pytest.approx(expected_y, rel=4e-15, abs=0)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 50, 10**6])
+def test_frozen_and_self_consistent_runs_share_sample_times(
+    hot_cloud, trap, species, measured_laser, delta_pol, stride
+):
+    # the step rule sets the sample grid in both modes; 10**6 exceeds the
+    # step count, leaving only the start and the end
+    frozen, tracked = (
+        simulate(
+            hot_cloud, trap, species, measured_laser, 0.02,
+            self_consistent=mode, sample_stride=stride, delta_pol=delta_pol,
+        ).times()
+        for mode in (False, True)
+    )
+    assert frozen == tracked
+    assert len(frozen) == 2 if stride == 10**6 else len(frozen) > 2
+
+
+def test_frozen_run_costs_one_kappa_set_and_two_relaxations_per_sample(
+    monkeypatch, hot_cloud, trap, species, measured_laser, delta_pol
+):
+    calls = {"kappa_set": 0, "_relax": 0}
+
+    def counting(name):
+        real = getattr(dynamics, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counting(name))
+    trace = simulate(
+        hot_cloud, trap, species, measured_laser, 0.6,
+        self_consistent=False, sample_stride=50, delta_pol=delta_pol,
+    )
+    emitted = len(trace.samples) - 1
+    assert emitted > 100
+    assert calls == {"kappa_set": 1, "_relax": 2 * emitted}
 
 
 def test_zero_intensity_run_keeps_the_start_temperature(hot_cloud, trap, species, delta_pol):
