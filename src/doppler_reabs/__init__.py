@@ -49,9 +49,7 @@ from .fitting import (
 from .presets import SPECIES_PRESETS, TRAP_PRESETS, cr52, stuttgart_cloverleaf
 from .reabsorption import (
     CloudShape,
-    EffectiveIntensity,
     KappaSet,
-    effective_intensity,
     kappa0,
     kappa_set,
     optical_density,
@@ -74,9 +72,7 @@ from .trap import (
     cloud_from_temperatures,
     larmor_safety,
     peak_density,
-    phase_space_density,
     sigma_from_temperature,
-    temperature_from_sigma,
     thermal_debroglie_wavelength,
     trap_frequencies,
     trap_from_lab_units,
@@ -92,7 +88,6 @@ __all__ = [
     "DegenerateDataError",
     "DepolarizationReport",
     "DerivedAtomConstants",
-    "EffectiveIntensity",
     "FitResult",
     "GridSpec",
     "KappaSet",
@@ -115,7 +110,6 @@ __all__ = [
     "derive_constants",
     "detuning_factor",
     "effective_detuning",
-    "effective_intensity",
     "fit_exponential",
     "fit_intensity_scan",
     "fit_od_scan",
@@ -127,7 +121,6 @@ __all__ = [
     "optical_density",
     "parse_config",
     "peak_density",
-    "phase_space_density",
     "preset_dump",
     "rates",
     "run_aspect_scan",
@@ -146,7 +139,6 @@ __all__ = [
     "steady_state_vs_od",
     "steady_state_with_heating",
     "stuttgart_cloverleaf",
-    "temperature_from_sigma",
     "thermal_debroglie_wavelength",
     "transient",
     "trap_frequencies",

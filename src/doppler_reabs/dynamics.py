@@ -78,18 +78,6 @@ class TemperatureTrace:
 
     samples: tuple[TraceSample, ...]
 
-    CSV_COLUMNS = (
-        "t_s",
-        "T_z_K",
-        "T_y_K",
-        "sigma_z_m",
-        "sigma_y_m",
-        "n0_per_m3",
-        "kappa_y",
-        "kappa_z",
-        "kappa",
-    )
-
     def __post_init__(self):
         times = [s.t for s in self.samples]
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -104,22 +92,6 @@ class TemperatureTrace:
         if axis not in ("z", "y"):
             raise ValueError("axis must be 'z' or 'y'")
         return [s.T_z if axis == "z" else s.T_y for s in self.samples]
-
-    def csv_rows(self) -> list[tuple[float, ...]]:
-        return [
-            (
-                s.t,
-                s.T_z,
-                s.T_y,
-                s.sigma_z,
-                s.sigma_y,
-                s.peak_density,
-                s.kappas.kappa_y,
-                s.kappas.kappa_z,
-                s.kappas.kappa,
-            )
-            for s in self.samples
-        ]
 
 
 def detuning_factor(delta_pol: float) -> float:

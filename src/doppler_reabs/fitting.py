@@ -83,7 +83,7 @@ def _build_result(names, p, converged, iterations, cov, r_weighted, r_raw, weigh
     return FitResult(
         parameters={name: float(v) for name, v in zip(names, p)},
         standard_errors=errors,
-        residual_norm=float(np.linalg.norm(r_raw)),
+        residual_norm=math.hypot(*r_raw.tolist()),
         converged=converged,
         iterations=iterations,
     )

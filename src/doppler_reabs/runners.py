@@ -129,10 +129,17 @@ def _simulate(config: ScenarioConfig) -> TemperatureTrace:
 def run_dynamics(config: ScenarioConfig) -> str:
     """Integrate the rate equations; trace CSV plus a phase-space column."""
     trace = _simulate(config)
-    columns = TemperatureTrace.CSV_COLUMNS + ("psd",)
+    columns = (
+        "t_s", "T_z_K", "T_y_K", "sigma_z_m", "sigma_y_m", "n0_per_m3",
+        "kappa_y", "kappa_z", "kappa", "psd",
+    )
     rows = [
-        row + (_trace_psd(sample, config.species),)
-        for row, sample in zip(trace.csv_rows(), trace.samples)
+        (
+            s.t, s.T_z, s.T_y, s.sigma_z, s.sigma_y, s.peak_density,
+            s.kappas.kappa_y, s.kappas.kappa_z, s.kappas.kappa,
+            _trace_psd(s, config.species),
+        )
+        for s in trace.samples
     ]
     return _render_csv(config.resolved_items(), columns, rows)
 

@@ -2,7 +2,7 @@
 
 Trap frequencies, the Larmor-precession safety margin for spin
 polarization, the temperature to Gaussian-size mapping of a thermal
-cloud, peak density and phase-space density.
+cloud, peak density and the thermal de Broglie wavelength.
 """
 
 from __future__ import annotations
@@ -121,15 +121,6 @@ def sigma_from_temperature(temperature: float, curvature: float, magnetic_moment
     return math.sqrt(const.K_B * temperature / (magnetic_moment * curvature))
 
 
-def temperature_from_sigma(sigma: float, curvature: float, magnetic_moment: float) -> float:
-    """Inverse of sigma_from_temperature [K]."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if curvature <= 0 or magnetic_moment <= 0:
-        raise ValueError("curvature and magnetic_moment must be positive")
-    return magnetic_moment * curvature * sigma**2 / const.K_B
-
-
 def peak_density(atom_number: float, sigma_x: float, sigma_y: float, sigma_z: float) -> float:
     """Peak density of a Gaussian cloud [1/m^3]."""
     return atom_number / (TWO_PI_CUBED_SQRT * sigma_x * sigma_y * sigma_z)
@@ -159,17 +150,6 @@ def cloud_from_temperatures(
     )
 
 
-def phase_space_density(state: CloudState, species: AtomSpecies) -> float:
-    """Peak phase-space density n0 * lambda_dB^3.
-
-    The thermal de Broglie wavelength uses the geometric mean of the
-    three axis temperatures.
-    """
-    t_geo = (state.T_x * state.T_y * state.T_z) ** (1.0 / 3.0)
-    lambda_db = const.PLANCK / math.sqrt(2.0 * math.pi * species.mass * const.K_B * t_geo)
-    return state.peak_density * lambda_db**3
-
-
 def thermal_debroglie_wavelength(temperature: float, species: AtomSpecies) -> float:
     """Thermal de Broglie wavelength [m]."""
     if temperature <= 0:
@@ -185,9 +165,7 @@ __all__ = [
     "trap_frequencies",
     "larmor_safety",
     "sigma_from_temperature",
-    "temperature_from_sigma",
     "peak_density",
     "cloud_from_temperatures",
-    "phase_space_density",
     "thermal_debroglie_wavelength",
 ]

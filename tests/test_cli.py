@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -411,6 +412,22 @@ def test_out_of_range_fit_data_exit_1_without_lapack_noise(tmp_path, text):
     assert result.stderr.startswith("error:")
     assert "DLASCL" not in result.stderr
     assert "RuntimeWarning" not in result.stderr
+
+
+def test_overflowing_od_fit_reports_a_finite_residual_norm(tmp_path):
+    # the raw residuals near 1e294 K square past the float range; the
+    # norm must not overflow to 'divergent' or warn on stderr
+    text = OD_SCAN.replace("kappa_at_ref = 0.24", "kappa_at_ref = 1e300").replace(
+        "grid_scale = log", "heating_power_J_per_s = 2.6e-26\nnoise_fraction = 0.03"
+    )
+    cfg = _write(tmp_path, "f.cfg", text)
+    result = _fresh_python("-m", "doppler_reabs", "fit", "--config", cfg)
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    residual = _column(result.stdout, "value")[
+        _column(result.stdout, "parameter").index("residual_norm_K")
+    ]
+    assert math.isfinite(float(residual)), residual
 
 
 def test_selfcheck_catches_perturbed_constants(capsys, monkeypatch):
