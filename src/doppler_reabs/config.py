@@ -23,8 +23,9 @@ The format is deliberately flat and greppable:
 
 Keys holding dimensioned quantities carry their unit as a suffix in the
 key name; a key without its suffix is rejected, with the suffixed form
-suggested.  Unknown keys are rejected with the nearest valid key.  All
-errors carry the offending line number and are reported together.
+suggested.  Unknown keys are rejected with the nearest valid key, and a
+value outside its key's declared range or words at the key's own line.
+All errors carry the offending line number and are reported together.
 """
 
 from __future__ import annotations
@@ -42,72 +43,84 @@ from .trap import TrapConfig, trap_from_lab_units
 
 SCENARIO_KINDS = ("dynamics", "aspect_scan", "intensity_scan", "od_scan", "steady_state")
 MAX_GRID_POINTS = 100_000  # work and memory budget of one scan
+ASPECT_RANGE = (1e-6, 1e6)  # sigma_z/sigma_y of an aspect_scan grid
 
-# key -> type tag; under each section. "float"/"int"/"bool"/"str".
+# key -> (type, rule) under each section.  The type is "float", "int",
+# "bool" or "str"; the rule is None, an inclusive (low, high) range, "> 0"
+# or a tuple of the allowed words.  The ranges of the model's inputs lie
+# at least three decades beyond the values of the presets, the tests and
+# the benchmark, and keep the model's arithmetic finite.
+_INT_QN = ("int", (0, 1000))  # an angular-momentum quantum number
 _SPECIES_KEYS = {
-    "preset": "str",
-    "name": "str",
-    "mass_u": "float",
-    "wavelength_nm": "float",
-    "linewidth_MHz": "float",
-    "saturation_intensity_W_per_m2": "float",
-    "j_ground": "int",
-    "j_excited": "int",
-    "l_ground": "int",
-    "s_ground": "int",
-    "l_excited": "int",
-    "s_excited": "int",
-    "m_j": "int",
+    "preset": ("str", None),
+    "name": ("str", None),
+    "mass_u": ("float", (1e-3, 1e6)),
+    "wavelength_nm": ("float", (0.1, 1e6)),
+    "linewidth_MHz": ("float", (1e-6, 1e6)),
+    "saturation_intensity_W_per_m2": ("float", (1e-6, 1e9)),
+    # a J = 0 ground state has no Lande g-factor and no moment to trap
+    "j_ground": ("int", (1, 1000)),
+    "j_excited": ("int", (2, 1001)),
+    "l_ground": _INT_QN,
+    "s_ground": _INT_QN,
+    "l_excited": _INT_QN,
+    "s_excited": _INT_QN,
+    "m_j": ("int", (-1000, 1000)),
 }
+_CURVATURE = ("float", (1e-3, 1e8))
 _TRAP_KEYS = {
-    "preset": "str",
-    "curvature_x_G_per_cm2": "float",
-    "curvature_y_G_per_cm2": "float",
-    "curvature_z_G_per_cm2": "float",
-    "offset_field_G": "float",
-    "magnetic_moment_muB": "float",
+    "preset": ("str", None),
+    "curvature_x_G_per_cm2": _CURVATURE,
+    "curvature_y_G_per_cm2": _CURVATURE,
+    "curvature_z_G_per_cm2": _CURVATURE,
+    "offset_field_G": ("float", (1e-3, 1e6)),
+    "magnetic_moment_muB": ("float", (1e-3, 1e4)),
 }
+_DETUNING = ("float", (-1e6, 1e6))
 _LASER_KEYS = {
-    "intensity_Isat": "float",
-    "detuning_Gamma": "float",
-    "detuning_pol_Gamma": "float",
-    "attenuation_factor": "float",
-    "polarization_purity": "float",
+    "intensity_Isat": ("float", (0.0, 1e4)),
+    "detuning_Gamma": _DETUNING,
+    "detuning_pol_Gamma": _DETUNING,
+    "attenuation_factor": ("float", (1.0, 1e6)),
+    "polarization_purity": ("float", (0.0, 1.0)),
 }
+_TEMPERATURE = ("float", (1e-3, 1e7))
+_SIGMA = ("float", (1e-2, 1e7))
 _CLOUD_KEYS = {
-    "atom_number": "float",
-    "temperature_uK": "float",
-    "temperature_x_uK": "float",
-    "temperature_y_uK": "float",
-    "temperature_z_uK": "float",
-    "sigma_y_um": "float",
-    "sigma_z_um": "float",
-    "peak_density_per_cm3": "float",
+    "atom_number": ("float", (1.0, 1e14)),
+    "temperature_uK": _TEMPERATURE,
+    "temperature_y_uK": _TEMPERATURE,  # x follows y, as in the model
+    "temperature_z_uK": _TEMPERATURE,
+    "sigma_y_um": _SIGMA,
+    "sigma_z_um": _SIGMA,
+    # a cloud without density is allowed: it has no reabsorption
+    "peak_density_per_cm3": ("float", (0.0, 1e16)),
 }
+_NUMBER = ("float", None)
 _SCENARIO_KEYS = {
-    "kind": "str",
-    "output": "str",
-    "duration_ms": "float",
-    "sample_stride": "int",
-    "self_consistent": "bool",
-    "consistency_mode": "bool",
-    "grid_min": "float",
-    "grid_max": "float",
-    "grid_count": "int",
-    "grid_scale": "str",
-    "aspect_mode": "str",
-    "kappa_y": "float",
-    "kappa_z": "float",
-    "kappa": "float",
-    "heating_power_J_per_s": "float",
-    "od_ref": "float",
-    "kappa_y_at_ref": "float",
-    "kappa_at_ref": "float",
-    "data": "str",
-    "noise_fraction": "float",
-    "fit_axis": "str",
-    "window_min_ms": "float",
-    "window_max_ms": "float",
+    "kind": ("str", SCENARIO_KINDS),
+    "output": ("str", None),
+    "duration_ms": ("float", (0.0, math.inf)),
+    "sample_stride": ("int", (1, math.inf)),
+    "self_consistent": ("bool", None),
+    "consistency_mode": ("bool", None),
+    "grid_min": _NUMBER,
+    "grid_max": _NUMBER,
+    "grid_count": ("int", (2, MAX_GRID_POINTS)),
+    "grid_scale": ("str", ("linear", "log")),
+    "aspect_mode": ("str", ("fixed_n0", "fixed_N")),
+    "kappa_y": _NUMBER,
+    "kappa_z": _NUMBER,
+    "kappa": _NUMBER,
+    "heating_power_J_per_s": _NUMBER,
+    "od_ref": ("float", "> 0"),
+    "kappa_y_at_ref": _NUMBER,
+    "kappa_at_ref": _NUMBER,
+    "data": ("str", None),
+    "noise_fraction": ("float", (0.0, math.inf)),
+    "fit_axis": ("str", ("z", "y")),
+    "window_min_ms": _NUMBER,
+    "window_max_ms": _NUMBER,
 }
 _SECTIONS = {
     "species": _SPECIES_KEYS,
@@ -153,7 +166,7 @@ class ScenarioConfig:
     kind: str
     output: str | None = None
     atom_number: float | None = None
-    temperatures: tuple[float, float, float] | None = None  # (T_x, T_y, T_z) [K]
+    temperatures: tuple[float, float, float] | None = None  # (T_y, T_y, T_z) [K]
     cloud_sigma_y: float | None = None   # [m]
     cloud_sigma_z: float | None = None
     cloud_peak_density: float | None = None  # [1/m^3]
@@ -284,26 +297,46 @@ def _tokenize(text: str, errors: list) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
+def _check_rule(rule, value) -> None:
+    """Raise ValueError('must be ...') when value breaks its key's rule."""
+    if rule is None:
+        return
+    if rule == "> 0":
+        if not value > 0:
+            raise ValueError("must be > 0")
+    elif isinstance(rule[0], str):
+        if value not in rule:
+            raise ValueError(f"must be one of {', '.join(rule)}")
+    elif not rule[0] <= value <= rule[1]:
+        low, high = rule
+        raise ValueError(f"must be >= {low:g}" if high == math.inf
+                         else f"must be in [{low:g}, {high:g}]")
+
+
 def _typed_section(name, raw, errors) -> dict:
+    """Values of one section by key type, each checked against its key's rule."""
     out = {}
     for key, (text, line_no) in raw.items():
+        kind, rule = _SECTIONS[name][key]
         try:
-            out[key] = _parse_scalar(_SECTIONS[name][key], text)
+            out[key] = _parse_scalar(kind, text)
+            _check_rule(rule, out[key])
         except ValueError as exc:
             errors.append((line_no, f"{name}.{key}: {exc} (got '{text}')"))
     return out
 
 
 def _merge_preset(name, presets, raw, typed, errors):
+    """The preset's items under the section's own; None for an unknown preset."""
     merged = {}
     if "preset" in typed:
         preset_name = typed["preset"]
         if preset_name not in presets:
-            line = raw["preset"][1]
             known = ", ".join(sorted(presets))
-            errors.append((line, f"unknown {name} preset '{preset_name}' (known: {known})"))
-        else:
-            merged.update(presets[preset_name])
+            errors.append((raw["preset"][1],
+                           f"unknown {name} preset '{preset_name}' (known: {known})"))
+            return None
+        merged.update(presets[preset_name])
     merged.update({k: v for k, v in typed.items() if k != "preset"})
     return merged
 
@@ -323,152 +356,107 @@ def parse_config(text: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
 
-    species_items = _merge_preset("species", SPECIES_PRESETS, sections["species"], typed["species"], errors)
-    trap_items = _merge_preset("trap", TRAP_PRESETS, sections["trap"], typed["trap"], errors)
+    def line(section, key=None) -> int:
+        """The key's line, or the section's first when the key is absent."""
+        raw = sections.get(section, {})
+        if key in raw:
+            return raw[key][1]
+        return min((v[1] for v in raw.values()), default=0)
+
+    built = {}
+    for name, presets, build in (("species", SPECIES_PRESETS, species_from_lab_units),
+                                 ("trap", TRAP_PRESETS, trap_from_lab_units)):
+        items = _merge_preset(name, presets, sections[name], typed[name], errors)
+        if items is None:
+            continue
+        missing = sorted(set(_SECTIONS[name]) - {"preset"} - set(items))
+        if missing:
+            errors.append((line(name), f"{name} is incomplete without a preset; "
+                                       f"missing: {', '.join(missing)}"))
+            continue
+        try:
+            built[name] = items, build(**items)
+        except ValueError as exc:
+            errors.append((line(name), f"{name}: {exc}"))
     if errors:
         raise ConfigError(errors)
-
-    section_line = {name: min(v[1] for v in raw.values()) if raw else 0 for name, raw in sections.items()}
-
-    missing_species = sorted(set(_SPECIES_KEYS) - {"preset"} - set(species_items))
-    if missing_species:
-        errors.append((section_line.get("species", 0),
-                       f"species is incomplete without a preset; missing: {', '.join(missing_species)}"))
-    missing_trap = sorted(set(_TRAP_KEYS) - {"preset"} - set(trap_items))
-    if missing_trap:
-        errors.append((section_line.get("trap", 0),
-                       f"trap is incomplete without a preset; missing: {', '.join(missing_trap)}"))
-    if errors:
-        raise ConfigError(errors)
-
-    try:
-        species = species_from_lab_units(**species_items)
-    except ValueError as exc:
-        errors.append((section_line.get("species", 0), f"species: {exc}"))
-    try:
-        trap = trap_from_lab_units(**trap_items)
-    except ValueError as exc:
-        errors.append((section_line.get("trap", 0), f"trap: {exc}"))
-    if errors:
-        raise ConfigError(errors)
+    (species_items, species), (trap_items, trap) = built["species"], built["trap"]
 
     laser_items = typed["laser"]
-    laser_line = section_line.get("laser", 0)
+    detunings = [k for k in ("detuning_Gamma", "detuning_pol_Gamma") if k in laser_items]
     if "intensity_Isat" not in laser_items:
-        errors.append((laser_line, "laser.intensity_Isat is required"))
-    has_laser_det = "detuning_Gamma" in laser_items
-    has_pol_det = "detuning_pol_Gamma" in laser_items
-    if has_laser_det == has_pol_det:
-        errors.append((laser_line,
+        errors.append((line("laser"), "laser.intensity_Isat is required"))
+    if len(detunings) != 1:
+        errors.append((line("laser", detunings[-1] if detunings else None),
                        "exactly one of laser.detuning_Gamma (laser frame) or "
                        "laser.detuning_pol_Gamma (effective, at trap bottom) is required"))
     if errors:
         raise ConfigError(errors)
 
-    stretched_shift = zeeman_shift(species, species.m_j, +1, trap.offset_field)
-    if has_pol_det:
+    if detunings == ["detuning_pol_Gamma"]:
         delta_pol = laser_items["detuning_pol_Gamma"]
-        laser_detuning = delta_pol + stretched_shift
+        laser_detuning = delta_pol + zeeman_shift(species, species.m_j, +1, trap.offset_field)
     else:
         laser_detuning = laser_items["detuning_Gamma"]
-        delta_pol = effective_detuning(
-            laser_detuning, trap.offset_field, species, species.m_j, +1
-        )
-    try:
-        laser = LaserConfig(
-            intensity=laser_items["intensity_Isat"],
-            detuning=laser_detuning,
-            attenuation_factor=laser_items.get("attenuation_factor", 1.0),
-            polarization_purity=laser_items.get("polarization_purity", 0.0),
-        )
-    except ValueError as exc:
-        errors.append((laser_line, f"laser: {exc}"))
-        raise ConfigError(errors)
+        delta_pol = effective_detuning(laser_detuning, trap.offset_field, species, species.m_j, +1)
+    laser = LaserConfig(
+        intensity=laser_items["intensity_Isat"],
+        detuning=laser_detuning,
+        attenuation_factor=laser_items.get("attenuation_factor", 1.0),
+        polarization_purity=laser_items.get("polarization_purity", 0.0),
+    )
 
     cloud_items = typed.get("cloud", {})
-    for key, value in cloud_items.items():
-        # a cloud without density is allowed: it has no reabsorption
-        if value < 0 or (value == 0 and key != "peak_density_per_cm3"):
-            bound = ">= 0" if key == "peak_density_per_cm3" else "> 0"
-            errors.append((sections["cloud"][key][1], f"cloud.{key} must be {bound}"))
     atom_number = cloud_items.get("atom_number")
+    t_y = cloud_items.get("temperature_y_uK", cloud_items.get("temperature_uK"))
+    t_z = cloud_items.get("temperature_z_uK", cloud_items.get("temperature_uK"))
     temperatures = None
-    if "temperature_uK" in cloud_items:
-        t_iso = cloud_items["temperature_uK"] * 1e-6
-        temperatures = (t_iso, t_iso, t_iso)
-    if any(k in cloud_items for k in ("temperature_x_uK", "temperature_y_uK", "temperature_z_uK")):
-        base = temperatures or (None, None, None)
-        t_y = cloud_items.get("temperature_y_uK")
-        t_y = t_y * 1e-6 if t_y is not None else base[1]
-        t_x = cloud_items.get("temperature_x_uK")
-        t_x = t_x * 1e-6 if t_x is not None else t_y
-        t_z = cloud_items.get("temperature_z_uK")
-        t_z = t_z * 1e-6 if t_z is not None else base[2]
-        if t_y is None or t_z is None:
-            errors.append((section_line.get("cloud", 0),
-                           "per-axis temperatures need both temperature_y_uK and temperature_z_uK "
-                           "(or an isotropic temperature_uK)"))
-        else:
-            temperatures = (t_x, t_y, t_z)
+    if t_y is not None and t_z is not None:
+        temperatures = (t_y * 1e-6, t_y * 1e-6, t_z * 1e-6)
+    elif t_y is not None or t_z is not None:
+        given = "temperature_y_uK" if t_y is not None else "temperature_z_uK"
+        errors.append((line("cloud", given),
+                       "per-axis temperatures need both temperature_y_uK and temperature_z_uK "
+                       "(or an isotropic temperature_uK)"))
     sigma_y = cloud_items.get("sigma_y_um")
     sigma_z = cloud_items.get("sigma_z_um")
     n0 = cloud_items.get("peak_density_per_cm3")
 
     scen = typed["scenario"]
-    scen_line = section_line.get("scenario", 0)
     kind = scen.get("kind")
     if kind is None:
-        errors.append((scen_line, "scenario.kind is required"))
-        raise ConfigError(errors)
-    if kind not in SCENARIO_KINDS:
-        errors.append((sections["scenario"]["kind"][1],
-                       f"unknown scenario kind '{kind}' (known: {', '.join(SCENARIO_KINDS)})"))
+        errors.append((line("scenario"), "scenario.kind is required"))
         raise ConfigError(errors)
 
     grid = None
-    if any(k in scen for k in ("grid_min", "grid_max", "grid_count", "grid_scale")):
-        missing = [k for k in ("grid_min", "grid_max", "grid_count") if k not in scen]
-        if missing:
-            errors.append((scen_line, f"scan grid incomplete; missing: {', '.join(missing)}"))
+    grid_keys = [k for k in ("grid_min", "grid_max", "grid_count", "grid_scale") if k in scen]
+    missing = [k for k in ("grid_min", "grid_max", "grid_count") if k not in scen]
+    if grid_keys and missing:
+        errors.append((line("scenario", grid_keys[0]),
+                       f"scan grid incomplete; missing: {', '.join(missing)}"))
+    elif grid_keys:
+        g_min, g_max, scale = scen["grid_min"], scen["grid_max"], scen.get("grid_scale", "linear")
+        low, high = ASPECT_RANGE
+        if not g_min < g_max:
+            errors.append((line("scenario", "grid_min"), "grid_min must be < grid_max"))
+        elif scale == "log" and g_min <= 0:
+            errors.append((line("scenario", "grid_min"), "log grids need grid_min > 0"))
+        elif kind == "aspect_scan" and not (low <= g_min and g_max <= high):
+            errors.append((line("scenario", "grid_min" if g_min < low else "grid_max"),
+                           f"aspect_scan needs grid_min and grid_max in [{low:g}, {high:g}] "
+                           "(aspect ratios)"))
         else:
-            scale = scen.get("grid_scale", "linear")
-            if scale not in ("linear", "log"):
-                errors.append((sections["scenario"]["grid_scale"][1],
-                               f"grid_scale must be 'linear' or 'log', got '{scale}'"))
-            elif scen["grid_count"] < 2:
-                errors.append((sections["scenario"]["grid_count"][1],
-                               "grid_count must be >= 2 for a scan"))
-            elif scen["grid_count"] > MAX_GRID_POINTS:
-                errors.append((sections["scenario"]["grid_count"][1],
-                               f"grid_count must be <= {MAX_GRID_POINTS}"))
-            elif not scen["grid_min"] < scen["grid_max"]:
-                errors.append((scen_line, "grid_min must be < grid_max"))
-            elif scale == "log" and scen["grid_min"] <= 0:
-                errors.append((scen_line, "log grids need grid_min > 0"))
-            elif kind == "aspect_scan" and scen["grid_min"] <= 0:
-                errors.append((sections["scenario"]["grid_min"][1],
-                               "aspect_scan needs grid_min > 0 (an aspect ratio)"))
-            else:
-                grid = GridSpec(scen["grid_min"], scen["grid_max"], scen["grid_count"], scale)
-
-    aspect_mode = scen.get("aspect_mode", "fixed_n0")
-    if aspect_mode not in ("fixed_n0", "fixed_N"):
-        errors.append((sections["scenario"]["aspect_mode"][1],
-                       f"aspect_mode must be 'fixed_n0' or 'fixed_N', got '{aspect_mode}'"))
-    fit_axis = scen.get("fit_axis", "y")
-    if fit_axis not in ("z", "y"):
-        errors.append((sections["scenario"]["fit_axis"][1],
-                       f"fit_axis must be 'z' or 'y', got '{fit_axis}'"))
+            grid = GridSpec(g_min, g_max, scen["grid_count"], scale)
 
     window = None
     if "window_min_ms" in scen or "window_max_ms" in scen:
         window = (scen.get("window_min_ms", 0.0) * 1e-3,
                   scen.get("window_max_ms", math.inf) * 1e-3)
 
-    # per-kind requirements
-    def need(condition, message):
+    # per-kind requirements, at the kind's line unless they name a given key
+    def need(condition, message, at=line("scenario", "kind")):
         if not condition:
-            errors.append((scen_line, message))
+            errors.append((at, message))
 
     if kind == "dynamics":
         need("duration_ms" in scen, "dynamics needs scenario.duration_ms")
@@ -478,7 +466,8 @@ def parse_config(text: str) -> ScenarioConfig:
         need(grid is not None, "aspect_scan needs a scan grid")
         need(atom_number is not None and n0 is not None,
              "aspect_scan needs [cloud] atom_number and peak_density_per_cm3")
-        need(n0 != 0, "aspect_scan needs peak_density_per_cm3 > 0")
+        need(n0 != 0, "aspect_scan needs peak_density_per_cm3 > 0",
+             line("cloud", "peak_density_per_cm3"))
     elif kind == "intensity_scan":
         need(grid is not None, "intensity_scan needs a scan grid")
         need("kappa_y" in scen and "kappa" in scen,
@@ -496,19 +485,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if "duration_ms" in scen:
         # the capped cooling rates give the shortest step this trap can ask for
         longest = MAX_STEPS * step_size(max(rate_caps(trap, species)))
-        if scen["duration_ms"] < 0:
-            errors.append((sections["scenario"]["duration_ms"][1], "duration_ms must be >= 0"))
-        elif scen["duration_ms"] * 1e-3 > longest:
-            errors.append((sections["scenario"]["duration_ms"][1],
-                           f"duration_ms must be <= {longest * 1e3:.6g} in this trap "
-                           f"(at most {MAX_STEPS} integrator steps)"))
-    if scen.get("sample_stride", 1) < 1:
-        errors.append((scen_line, "sample_stride must be >= 1"))
-    if scen.get("od_ref", 1.0) <= 0:
-        errors.append((sections["scenario"]["od_ref"][1], "od_ref must be > 0"))
-    if scen.get("noise_fraction", 0.0) < 0:
-        errors.append((sections["scenario"]["noise_fraction"][1],
-                       "noise_fraction must be >= 0"))
+        need(scen["duration_ms"] * 1e-3 <= longest,
+             f"duration_ms must be <= {longest * 1e3:.6g} in this trap "
+             f"(at most {MAX_STEPS} integrator steps)", line("scenario", "duration_ms"))
     if errors:
         raise ConfigError(errors)
 
@@ -545,7 +524,7 @@ def parse_config(text: str) -> ScenarioConfig:
         self_consistent=scen.get("self_consistent", True),
         consistency_mode=scen.get("consistency_mode", True),
         grid=grid,
-        aspect_mode=aspect_mode,
+        aspect_mode=scen.get("aspect_mode", "fixed_n0"),
         kappa_y=scen.get("kappa_y"),
         kappa_z=scen.get("kappa_z", 0.0),
         kappa=scen.get("kappa"),
@@ -555,7 +534,7 @@ def parse_config(text: str) -> ScenarioConfig:
         kappa_at_ref=scen.get("kappa_at_ref"),
         data=scen.get("data"),
         noise_fraction=scen.get("noise_fraction", 0.0),
-        fit_axis=fit_axis,
+        fit_axis=scen.get("fit_axis", "y"),
         window=window,
         raw_items=tuple(raw_items),
     )
@@ -564,16 +543,9 @@ def parse_config(text: str) -> ScenarioConfig:
 def preset_dump() -> str:
     """Render the built-in presets in config format."""
     lines = []
-    for preset_name, items in sorted(SPECIES_PRESETS.items()):
-        lines.append(f"# species preset '{preset_name}'")
-        lines.append("[species]")
-        for key, value in items.items():
-            lines.append(f"{key} = {format_value(value)}")
-        lines.append("")
-    for preset_name, items in sorted(TRAP_PRESETS.items()):
-        lines.append(f"# trap preset '{preset_name}'")
-        lines.append("[trap]")
-        for key, value in items.items():
-            lines.append(f"{key} = {format_value(value)}")
-        lines.append("")
+    for section, presets in (("species", SPECIES_PRESETS), ("trap", TRAP_PRESETS)):
+        for preset_name, items in sorted(presets.items()):
+            lines += [f"# {section} preset '{preset_name}'", f"[{section}]"]
+            lines += [f"{key} = {format_value(value)}" for key, value in items.items()]
+            lines.append("")
     return "\n".join(lines)

@@ -235,7 +235,8 @@ def steady_state_with_heating(
                 species,
             ).T_y_inf
         )
-    extra = heating_power / (derived.recoil_energy * species.linewidth * intensity)
+    # two divisions: E_r * Gamma * intensity underflows to 0 at the smallest intensities
+    extra = heating_power / (derived.recoil_energy * species.linewidth) / intensity
     return (
         (kappa_y + 0.3 * (1.0 + kappa) + extra)
         / kappa_y

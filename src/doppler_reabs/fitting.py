@@ -27,6 +27,10 @@ from .dynamics import (
 )
 
 EXP_TAU_BRACKET = (1e-3, 1e3)  # tau search range, in units of the sample span
+# Residual norm over data norm up to which an unweighted fit is exact but for
+# rounding: noise-free frozen traces and scans read 1e-16 to 1e-15, traces of
+# a self-consistent shape 1.6e-7 and up, scans with 0.1 % noise 6e-4.
+EXACT_FIT_REL = 1e-12
 
 
 class DegenerateDataError(ValueError):
@@ -61,16 +65,19 @@ class FitResult:
     iterations: int
 
 
-def _build_result(names, p, converged, iterations, cov, r_weighted, r_raw, weighted):
+def _build_result(names, p, converged, iterations, cov, r_weighted, r_raw, y, weighted):
     """FitResult with standard errors from the covariance diagonal.
 
     cov is the unscaled covariance (J^T J)^-1 of the weighted residuals;
     without error bars it is scaled by the residual variance.  A
     singular or indefinite covariance gives NaN errors; an unconverged
-    fit gives none.
+    fit gives none, and so does an unweighted fit that matches the data
+    y exactly (EXACT_FIT_REL), whose residual variance is rounding noise.
     """
+    residual_norm = math.hypot(*r_raw.tolist())
+    exact = not weighted and residual_norm <= EXACT_FIT_REL * math.hypot(*y.tolist())
     errors = None
-    if converged:
+    if converged and not exact:
         errors = {name: math.nan for name in names}
         if cov is not None:
             if not weighted:
@@ -83,7 +90,7 @@ def _build_result(names, p, converged, iterations, cov, r_weighted, r_raw, weigh
     return FitResult(
         parameters={name: float(v) for name, v in zip(names, p)},
         standard_errors=errors,
-        residual_norm=math.hypot(*r_raw.tolist()),
+        residual_norm=residual_norm,
         converged=converged,
         iterations=iterations,
     )
@@ -168,7 +175,7 @@ def fit_exponential(
     jac = np.column_stack((1.0 - e / growth, e / growth, b * e * times / tau**2))
     return _build_result(
         ("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau), converged, iterations,
-        _inverse(jac.T @ jac), r, r, weighted=False,
+        _inverse(jac.T @ jac), r, r, temps, weighted=False,
     )
 
 
@@ -234,14 +241,14 @@ def fit_intensity_scan(
     if len(points) < 3:
         raise ValueError("need at least 3 scan points")
     xs = np.array([pt.x for pt in points])
-    if xs.max() / xs.min() < 3.0:
+    if xs.max() < 3.0 * xs.min():
         raise ValueError("intensity range must span at least a factor of 3")
 
     derived = derive_constants(species)
     base = derived.doppler_temperature / 2.0 * detuning_factor(delta_pol)
     design = np.column_stack((np.full(xs.size, 0.3 * (1.0 + kappa)), 1.0 / xs))
-    target = np.array([pt.y for pt in points]) / base - 1.0
-    (u, v), cov, r_weighted, r_raw, weighted = _linear_fit(points, design, target, base)
+    y = np.array([pt.y for pt in points])
+    (u, v), cov, r_weighted, r_raw, weighted = _linear_fit(points, design, y / base - 1.0, base)
 
     power = derived.recoil_energy * species.linewidth
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -249,7 +256,7 @@ def fit_intensity_scan(
         jac = np.array([[-1.0 / u**2, 0.0], [-v * power / u**2, power / u]])
     return _build_result(
         ("kappa_y", "heating_power"), (kappa_y, heating), bool(u > 0), 1,
-        _mapped(cov, jac), r_weighted, r_raw, weighted,
+        _mapped(cov, jac), r_weighted, r_raw, y, weighted,
     )
 
 
@@ -284,15 +291,15 @@ def fit_od_scan(
     ]) / base - 1.0
     if not np.all(np.isfinite(column)):
         raise DegenerateDataError("the steady state diverges at the scan points")
-    target = np.array([pt.y for pt in points]) / base - 1.0
+    y = np.array([pt.y for pt in points])
     (w,), cov, r_weighted, r_raw, weighted = _linear_fit(
-        points, column[:, None], target, base
+        points, column[:, None], y / base - 1.0, base
     )
     with np.errstate(divide="ignore"):
         kappa_y_star, jac = 1.0 / w, np.array([[-1.0 / w**2]])
     result = _build_result(
         ("kappa_y_star",), (kappa_y_star,), bool(w > 0), 1,
-        _mapped(cov, jac), r_weighted, r_raw, weighted,
+        _mapped(cov, jac), r_weighted, r_raw, y, weighted,
     )
     result.parameters["kappa_star"] = kappa_star
     return result

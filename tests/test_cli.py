@@ -263,6 +263,15 @@ def test_fit_dynamics_recovers_decay_time(tmp_path):
     assert float(table["T_inf"]) == pytest.approx(6.63920595e-4, rel=1e-4)
 
 
+def test_exact_fit_leaves_standard_errors_blank(tmp_path, capsys):
+    # a frozen shape relaxes exactly exponentially, so the residuals of
+    # its fit are rounding noise and carry no standard errors
+    assert main(["fit", "--config", _write(tmp_path, "d.cfg", DYNAMICS)]) == 0
+    rows = {row[0]: row[1:] for row in _parse_csv(capsys.readouterr().out)[2]}
+    assert rows["converged"][0] == "true"
+    assert [rows[name][1] for name in ("T_inf", "T0", "tau")] == ["", "", ""]
+
+
 def test_fit_intensity_seeded_and_deterministic(tmp_path):
     cfg = _write(tmp_path, "i.cfg", INTENSITY_FIT)
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
@@ -450,11 +459,14 @@ def _refuse_to_run(*args, **kwargs):
     raise AssertionError("the work budget let the config through")
 
 
-@pytest.mark.parametrize("text, key", [
-    (DYNAMICS.replace("duration_ms = 60", "duration_ms = 1e7"), "duration_ms"),
-    (ASPECT.replace("grid_count = 6", "grid_count = 1000000000"), "grid_count"),
+@pytest.mark.parametrize("text, key, message", [
+    (DYNAMICS.replace("duration_ms = 60", "duration_ms = 1e7"), "duration_ms",
+     "duration_ms must be <="),
+    (ASPECT.replace("grid_count = 6", "grid_count = 1000000000"), "grid_count",
+     "scenario.grid_count: must be in [2, 100000] (got '1000000000')"),
 ], ids=["duration_ms", "grid_count"])
-def test_work_budget_rejects_config_with_line_number(tmp_path, capsys, monkeypatch, text, key):
+def test_work_budget_rejects_config_with_line_number(tmp_path, capsys, monkeypatch, text, key,
+                                                     message):
     # a config over the step or grid budget fails at parse time; the
     # guards keep a regression from running the huge job instead
     monkeypatch.setattr(runners, "simulate", _refuse_to_run)
@@ -464,5 +476,5 @@ def test_work_budget_rejects_config_with_line_number(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     line_no = next(n for n, l in enumerate(text.splitlines(), 1) if l.startswith(key))
     assert err.startswith("error:")
-    assert f"line {line_no}: {key} must be <=" in err
+    assert f"line {line_no}: {message}" in err
     assert "Traceback" not in err

@@ -158,8 +158,10 @@ def test_type_errors_carry_value():
 
 
 def test_unknown_scenario_kind():
-    errors = _errors_of(BASE.replace("kind = dynamics", "kind = warmup"))
-    assert any("unknown scenario kind 'warmup'" in msg for _, msg in errors)
+    text = BASE.replace("kind = dynamics", "kind = warmup")
+    line = text.splitlines().index("kind = warmup") + 1
+    assert (line, "scenario.kind: must be one of dynamics, aspect_scan, intensity_scan, "
+                  "od_scan, steady_state (got 'warmup')") in _errors_of(text)
 
 
 def _scan_scenario(tail):
@@ -169,10 +171,10 @@ def _scan_scenario(tail):
 
 def test_grid_validation():
     base = "kind = intensity_scan\nkappa_y = 0.11\nkappa = 0.24\n"
-    errors = _errors_of(_scan_scenario(
-        base + "grid_min = 1e-3\ngrid_max = 1e-2\ngrid_count = 1\n"
-    ))
-    assert any("grid_count must be >= 2" in msg for _, msg in errors)
+    few = base + "grid_min = 1e-3\ngrid_max = 1e-2\ngrid_count = 1\n"
+    errors = _errors_of(_scan_scenario(few))
+    line = _scan_scenario(few).splitlines().index("grid_count = 1") + 1
+    assert (line, "scenario.grid_count: must be in [2, 100000] (got '1')") in errors
     errors = _errors_of(_scan_scenario(
         base + "grid_min = 1e-2\ngrid_max = 1e-3\ngrid_count = 5\n"
     ))
@@ -181,20 +183,22 @@ def test_grid_validation():
         base + "grid_min = 0\ngrid_max = 1e-2\ngrid_count = 5\ngrid_scale = log\n"
     ))
     assert any("log grids need grid_min > 0" in msg for _, msg in errors)
-    aspect = "kind = aspect_scan\ngrid_min = 0\ngrid_max = 2\ngrid_count = 5\n"
-    errors = _errors_of(_scan_scenario(aspect))
-    line = _scan_scenario(aspect).splitlines().index("grid_min = 0") + 1
-    assert (line, "aspect_scan needs grid_min > 0 (an aspect ratio)") in errors
+    for bounds, bad in (("grid_min = 0\ngrid_max = 2", "grid_min = 0"),
+                        ("grid_min = 0.5\ngrid_max = 1e7", "grid_max = 1e7")):
+        aspect = _scan_scenario(f"kind = aspect_scan\n{bounds}\ngrid_count = 5\n")
+        line = aspect.splitlines().index(bad) + 1
+        assert (line, "aspect_scan needs grid_min and grid_max in [1e-06, 1e+06] "
+                      "(aspect ratios)") in _errors_of(aspect)
     huge = base + "grid_min = 1e-3\ngrid_max = 1e-2\ngrid_count = 100001\n"
     errors = _errors_of(_scan_scenario(huge))
     line = _scan_scenario(huge).splitlines().index("grid_count = 100001") + 1
-    assert (line, "grid_count must be <= 100000") in errors
+    assert (line, "scenario.grid_count: must be in [2, 100000] (got '100001')") in errors
     errors = _errors_of(_scan_scenario(base + "grid_min = 1e-3\n"))
     assert any("scan grid incomplete" in msg for _, msg in errors)
-    errors = _errors_of(_scan_scenario(
-        base + "grid_min = 1e-3\ngrid_max = 1e-2\ngrid_count = 5\ngrid_scale = cubic\n"
-    ))
-    assert any("grid_scale must be 'linear' or 'log'" in msg for _, msg in errors)
+    cubic = base + "grid_min = 1e-3\ngrid_max = 1e-2\ngrid_count = 5\ngrid_scale = cubic\n"
+    errors = _errors_of(_scan_scenario(cubic))
+    line = _scan_scenario(cubic).splitlines().index("grid_scale = cubic") + 1
+    assert (line, "scenario.grid_scale: must be one of linear, log (got 'cubic')") in errors
 
 
 def test_grid_spec_values():
@@ -242,6 +246,11 @@ def test_per_axis_temperatures():
         BASE.replace("temperature_uK = 1000", "temperature_y_uK = 900")
     )
     assert any("per-axis temperatures need both" in msg for _, msg in errors)
+    # the model ties x to y, so x has no key of its own
+    text = BASE.replace("temperature_uK = 1000", "temperature_uK = 1000\ntemperature_x_uK = 4000")
+    line = text.splitlines().index("temperature_x_uK = 4000") + 1
+    assert any(ln == line and msg.startswith("unknown key 'temperature_x_uK'")
+               for ln, msg in _errors_of(text))
 
 
 def test_per_kind_requirements():
@@ -259,12 +268,12 @@ def test_per_kind_requirements():
           "kappa_y_at_ref = 0.11\nkappa_at_ref = 0.24\nod_ref = 0\n")
     errors = _errors_of(_scan_scenario(od))
     line = _scan_scenario(od).splitlines().index("od_ref = 0") + 1
-    assert (line, "od_ref must be > 0") in errors
+    assert (line, "scenario.od_ref: must be > 0 (got '0')") in errors
     noisy = ("kind = intensity_scan\nkappa_y = 0.11\nkappa = 0.24\n"
              "grid_min = 1e-3\ngrid_max = 1e-2\ngrid_count = 5\nnoise_fraction = -0.1\n")
     errors = _errors_of(_scan_scenario(noisy))
     line = _scan_scenario(noisy).splitlines().index("noise_fraction = -0.1") + 1
-    assert (line, "noise_fraction must be >= 0") in errors
+    assert (line, "scenario.noise_fraction: must be >= 0 (got '-0.1')") in errors
     head, _, _ = BASE.partition("[cloud]")
     errors = _errors_of(head + "[scenario]\nkind = steady_state\n")
     assert any("steady_state needs [cloud]" in msg for _, msg in errors)
@@ -276,11 +285,13 @@ def test_per_kind_requirements():
 
 def test_domain_and_work_budget_carry_line_numbers():
     for old, new, message in (
-        ("atom_number = 1e8", "atom_number = 0", "cloud.atom_number must be > 0"),
-        ("temperature_uK = 1000", "temperature_uK = -1", "cloud.temperature_uK must be > 0"),
+        ("atom_number = 1e8", "atom_number = 0",
+         "cloud.atom_number: must be in [1, 1e+14] (got '0')"),
+        ("temperature_uK = 1000", "temperature_uK = -1",
+         "cloud.temperature_uK: must be in [0.001, 1e+07] (got '-1')"),
         ("temperature_uK = 1000", "temperature_uK = 1000\npeak_density_per_cm3 = -1",
-         "cloud.peak_density_per_cm3 must be >= 0"),
-        ("duration_ms = 600", "duration_ms = -1", "duration_ms must be >= 0"),
+         "cloud.peak_density_per_cm3: must be in [0, 1e+16] (got '-1')"),
+        ("duration_ms = 600", "duration_ms = -1", "scenario.duration_ms: must be >= 0 (got '-1')"),
         # 10^6 steps of the preset trap's capped radial rate are about 45 s
         ("duration_ms = 600", "duration_ms = 46000",
          "duration_ms must be <= 45189.3 in this trap (at most 1000000 integrator steps)"),
@@ -292,10 +303,9 @@ def test_domain_and_work_budget_carry_line_numbers():
 
 
 def test_sample_stride_validation():
-    errors = _errors_of(
-        BASE.replace("duration_ms = 600", "duration_ms = 600\nsample_stride = 0")
-    )
-    assert any("sample_stride must be >= 1" in msg for _, msg in errors)
+    text = BASE.replace("duration_ms = 600", "duration_ms = 600\nsample_stride = 0")
+    line = text.splitlines().index("sample_stride = 0") + 1
+    assert (line, "scenario.sample_stride: must be >= 1 (got '0')") in _errors_of(text)
 
 
 def test_resolved_items_echo():

@@ -10,6 +10,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from doppler_reabs.cli import main
+from doppler_reabs.config import _SECTIONS
 
 PREAMBLE = """\
 [species]
@@ -137,3 +138,50 @@ def test_mutated_configs_keep_the_exit_code_contract(case):
         # numpy may warn on stderr first about extreme values
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())
         assert "Traceback" not in err.getvalue()
+
+
+SWEEP_VALUES = EDGE_VALUES[:8]  # the finite numbers
+
+
+def _breaks_rule(kind, rule, value: float) -> bool:
+    """Whether a numeric key's own type or rule forbids value."""
+    if kind == "int" and value != int(value):
+        return True
+    if rule == "> 0":
+        return not value > 0
+    return rule is not None and not rule[0] <= value <= rule[1]
+
+
+def _sweep():
+    """Every numeric key line of CASES, one at a time, set to each sweep
+    value and, for the model's inputs, to the key's own bounds.  (The
+    scenario bounds include the work budget of a 100 000-point scan.)"""
+    for verb, text in CASES:
+        lines, section = text.splitlines(), None
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                section = line[1:-1]
+                continue
+            key = line.partition("=")[0].strip()
+            kind, rule = _SECTIONS[section][key] if "=" in line else (None, None)
+            if kind not in ("float", "int"):
+                continue
+            bounds = tuple(repr(b) for b in rule) if section != "scenario" else ()
+            for value in SWEEP_VALUES + bounds:
+                mutated = lines[:i] + [f"{key} = {value}"] + lines[i + 1:]
+                yield verb, "\n".join(mutated) + "\n", i + 1, section, key, value
+
+
+def test_edge_sweep_rejects_each_bad_value_at_its_own_line(tmp_path):
+    path, out_path = tmp_path / "case.cfg", str(tmp_path / "out.csv")
+    for verb, text, line_no, section, key, value in _sweep():
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([verb, "--config", str(path), "--out", out_path])
+        case = f"{verb}: {section}.{key} = {value}"
+        assert code in (0, 1, 2, 3), case
+        assert "numeric range" not in err.getvalue(), case
+        if _breaks_rule(*_SECTIONS[section][key], float(value)):
+            assert code == 1, case
+            assert f"line {line_no}: {section}.{key}: " in err.getvalue(), case

@@ -20,6 +20,7 @@ from doppler_reabs.reabsorption import (
     SPHERE_INTEGRAL_RADIAL,
     SPHERE_INTEGRAL_TOTAL,
     _angular_integral,
+    _closed_form_integrals,
     _complete_rf_rd,
 )
 
@@ -152,6 +153,18 @@ def test_kappa_set_finite_at_extreme_aspect_ratios(species):
         ks = kappa_set(shape, species)
         for value in (ks.kappa_y, ks.kappa_z, ks.kappa):
             assert math.isfinite(value) and value > 0, f"alpha = 1e{k}"
+
+
+def test_long_cloud_limits():
+    # as alpha = sigma_z / sigma_y grows without bound, each integral over
+    # 2 sigma_y tends to its line-cloud limit: radial int_0^1 (1 + u^2)^2 du
+    # = 28/15, axial 43/15 and total 19 pi / 16
+    for alpha in (1e20, 1e50, 1e100, 1e150):
+        shape = CloudShape(sigma_y=1e-4, sigma_z=1e-4 * alpha, peak_density=0.0)
+        radial, axial, total = (v / 2e-4 for v in _closed_form_integrals(shape))
+        assert radial == pytest.approx(28 / 15, rel=1e-13, abs=0), f"alpha = {alpha:g}"
+        assert axial == pytest.approx(43 / 15, rel=1e-15, abs=0), f"alpha = {alpha:g}"
+        assert total == pytest.approx(19 * math.pi / 16, rel=1e-15, abs=0), f"alpha = {alpha:g}"
 
 
 def test_kappa_set_rejects_unrepresentable_aspect(species):
