@@ -12,11 +12,9 @@ presets for the chromium experiment the model was built around.
 from .atoms import (
     AtomSpecies,
     DepolarizationReport,
-    DerivedAtomConstants,
     LaserConfig,
     cg_squared,
     depolarization_assessment,
-    derive_constants,
     effective_detuning,
     lande_g,
     scattering_rate,
@@ -87,7 +85,6 @@ __all__ = [
     "ConfigError",
     "DegenerateDataError",
     "DepolarizationReport",
-    "DerivedAtomConstants",
     "FitResult",
     "GridSpec",
     "KappaSet",
@@ -107,7 +104,6 @@ __all__ = [
     "cloud_from_temperatures",
     "cr52",
     "depolarization_assessment",
-    "derive_constants",
     "detuning_factor",
     "effective_detuning",
     "fit_exponential",

@@ -1,10 +1,10 @@
 """Atomic species data and single-transition light-atom arithmetic.
 
 Covers the closed cooling transition J -> J+1 of a spin-polarized atom:
-derived transition constants, Clebsch-Gordan branching (squared), Lande
-g-factors, Zeeman-shifted effective detunings, low-saturation scattering
-rates, and a pessimistic estimate of depolarization out of the stretched
-state for imperfect polarization.
+its recoil, Doppler and cross-section constants, Clebsch-Gordan
+branching (squared), Lande g-factors, Zeeman-shifted effective
+detunings, low-saturation scattering rates, and a pessimistic estimate
+of depolarization out of the stretched state for imperfect polarization.
 """
 
 from __future__ import annotations
@@ -56,16 +56,20 @@ class AtomSpecies:
     def g_excited(self) -> float:
         return lande_g(self.l_excited, self.s_excited, self.j_excited)
 
+    @property
+    def recoil_energy(self) -> float:
+        """(hbar k)^2 / 2m with k = 2 pi / lambda [J]."""
+        return (const.HBAR * (2.0 * math.pi / self.wavelength)) ** 2 / (2.0 * self.mass)
 
-@dataclass(frozen=True)
-class DerivedAtomConstants:
-    """Constants derived from an AtomSpecies, all SI."""
+    @property
+    def doppler_temperature(self) -> float:
+        """hbar Gamma / (2 k_B) [K]."""
+        return const.HBAR * self.linewidth / (2.0 * const.K_B)
 
-    wavenumber: float            # k = 2 pi / lambda [1/m]
-    reduced_wavelength: float    # lambda / (2 pi) [m]
-    recoil_energy: float         # (hbar k)^2 / 2m [J]
-    doppler_temperature: float   # hbar Gamma / (2 k_B) [K]
-    resonant_cross_section: float  # 6 pi (lambda/2pi)^2 [m^2]
+    @property
+    def resonant_cross_section(self) -> float:
+        """6 pi (lambda / 2 pi)^2 [m^2]."""
+        return 6.0 * math.pi * (self.wavelength / (2.0 * math.pi)) ** 2
 
 
 @dataclass(frozen=True)
@@ -137,19 +141,6 @@ def species_from_lab_units(
         l_excited=int(l_excited),
         s_excited=int(s_excited),
         m_j=int(m_j),
-    )
-
-
-def derive_constants(species: AtomSpecies) -> DerivedAtomConstants:
-    """Compute the transition constants that everything downstream uses."""
-    k = 2.0 * math.pi / species.wavelength
-    lbar = species.wavelength / (2.0 * math.pi)
-    return DerivedAtomConstants(
-        wavenumber=k,
-        reduced_wavelength=lbar,
-        recoil_energy=(const.HBAR * k) ** 2 / (2.0 * species.mass),
-        doppler_temperature=const.HBAR * species.linewidth / (2.0 * const.K_B),
-        resonant_cross_section=6.0 * math.pi * lbar**2,
     )
 
 

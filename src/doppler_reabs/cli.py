@@ -21,9 +21,10 @@ import sys
 
 from .config import ConfigError, ScenarioConfig, parse_config, preset_dump
 from .runners import (
+    _fit_csv,
+    fit_scenario,
     run_aspect_scan,
     run_dynamics,
-    run_fit,
     run_intensity_scan,
     run_od_scan,
     run_selfcheck,
@@ -57,10 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--out", help="output CSV path (default: scenario.output or stdout)")
-        p.add_argument(
-            "--mode", choices=("consistency", "verbatim"),
-            help="override the rate convention of the config",
-        )
         if with_seed:
             p.add_argument(
                 "--seed", type=int, default=0,
@@ -89,8 +86,6 @@ def _load_config(args) -> ScenarioConfig:
             [(0, f"scenario kind '{config.kind}' does not run under "
                  f"'{args.verb}' (expected one of: {allowed})")]
         )
-    if args.mode is not None:
-        config = config.with_consistency_mode(args.mode == "consistency")
     return config
 
 
@@ -100,13 +95,6 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _fit_converged(csv_text: str) -> bool:
-    for line in csv_text.splitlines():
-        if line.startswith("converged,"):
-            return line.split(",")[1] == "true"
-    return True
 
 
 def main(argv=None) -> int:
@@ -122,9 +110,9 @@ def main(argv=None) -> int:
         config = _load_config(args)
         out_path = args.out or config.output
         if args.verb == "fit":
-            text = run_fit(config, seed=args.seed)
-            _emit(text, out_path)
-            if not _fit_converged(text):
+            result = fit_scenario(config, seed=args.seed)
+            _emit(_fit_csv(config, result), out_path)
+            if not result.converged:
                 print("error: fit did not converge; parameters reported "
                       "without standard errors", file=sys.stderr)
                 return 2

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -157,7 +157,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario: built objects plus raw lab-unit provenance."""
+    """Fully resolved scenario: built objects plus lab-unit provenance."""
 
     species: AtomSpecies
     trap: TrapConfig
@@ -187,41 +187,13 @@ class ScenarioConfig:
     noise_fraction: float = 0.0
     fit_axis: str = "y"
     window: tuple[float, float] | None = None  # [s]
-    raw_items: tuple[tuple[str, str], ...] = field(default=(), compare=False)
+    # (key, value) pairs echoed as "# key=value" lines into every CSV
+    header: tuple[tuple[str, str], ...] = ()
 
-    def with_consistency_mode(self, on: bool) -> "ScenarioConfig":
-        return replace(self, consistency_mode=on)
 
-    def resolved_items(self) -> tuple[tuple[str, str], ...]:
-        """Key=value pairs echoed into every CSV header for provenance."""
-        items = [kv for kv in self.raw_items if not kv[0].startswith("scenario.")]
-        items.append(("resolved.delta_pol_Gamma", format_value(self.delta_pol)))
-        items.append(("scenario.kind", self.kind))
-        for key, value in (
-            ("duration_ms", None if self.duration is None else self.duration * 1e3),
-            ("sample_stride", self.sample_stride),
-            ("self_consistent", self.self_consistent),
-            ("consistency_mode", self.consistency_mode),
-            ("aspect_mode", self.aspect_mode if self.kind == "aspect_scan" else None),
-            ("grid_min", None if self.grid is None else self.grid.minimum),
-            ("grid_max", None if self.grid is None else self.grid.maximum),
-            ("grid_count", None if self.grid is None else self.grid.count),
-            ("grid_scale", None if self.grid is None else self.grid.scale),
-            ("kappa_y", self.kappa_y),
-            ("kappa_z", self.kappa_z if self.kind == "intensity_scan" else None),
-            ("kappa", self.kappa),
-            ("heating_power_J_per_s",
-             self.heating_power if self.kind in ("intensity_scan", "od_scan") else None),
-            ("od_ref", self.od_ref),
-            ("kappa_y_at_ref", self.kappa_y_at_ref),
-            ("kappa_at_ref", self.kappa_at_ref),
-            ("data", self.data),
-            ("noise_fraction", self.noise_fraction if self.data is None else None),
-            ("fit_axis", self.fit_axis if self.kind == "dynamics" else None),
-        ):
-            if value is not None:
-                items.append((f"scenario.{key}", format_value(value)))
-        return tuple(items)
+# each field's default (MISSING where it has none); a scenario key named
+# like a field passes straight through to it
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
 
 def format_value(value) -> str:
@@ -237,7 +209,10 @@ def format_value(value) -> str:
 
 def _parse_scalar(kind: str, text: str):
     if kind in ("float", "int"):
-        value = float(text)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError("expected a number") from None
         if not math.isfinite(value):
             raise ValueError("expected a finite number")
         if kind == "float":
@@ -264,7 +239,7 @@ def _suggest(key: str, valid) -> str:
 
 def _tokenize(text: str, errors: list) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current = None
+    current = None  # the name of the section being read
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -275,7 +250,8 @@ def _tokenize(text: str, errors: list) -> dict[str, dict[str, tuple[str, int]]]:
                 errors.append((line_no, f"unknown section '[{name}]'"))
                 current = None
                 continue
-            current = sections.setdefault(name, {})
+            current = name
+            sections.setdefault(name, {})
             continue
         if "=" not in line:
             errors.append((line_no, f"expected 'key = value', got '{line}'"))
@@ -285,15 +261,14 @@ def _tokenize(text: str, errors: list) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        section_name = next(n for n, s in sections.items() if s is current)
-        valid = _SECTIONS[section_name]
+        valid, given = _SECTIONS[current], sections[current]
         if key not in valid:
             errors.append((line_no, _suggest(key, valid)))
             continue
-        if key in current:
+        if key in given:
             errors.append((line_no, f"duplicate key '{key}'"))
             continue
-        current[key] = (value, line_no)
+        given[key] = (value, line_no)
     return sections
 
 
@@ -356,42 +331,43 @@ def parse_config(text: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
 
-    def line(section, key=None) -> int:
-        """The key's line, or the section's first when the key is absent."""
+    def line(section, *keys) -> int:
+        """The line of the first of keys the config gives, else the section's first."""
         raw = sections.get(section, {})
-        if key in raw:
-            return raw[key][1]
+        for key in keys:
+            if key in raw:
+                return raw[key][1]
         return min((v[1] for v in raw.values()), default=0)
 
-    built = {}
-    for name, presets, build in (("species", SPECIES_PRESETS, species_from_lab_units),
-                                 ("trap", TRAP_PRESETS, trap_from_lab_units)):
-        items = _merge_preset(name, presets, sections[name], typed[name], errors)
-        if items is None:
-            continue
-        missing = sorted(set(_SECTIONS[name]) - {"preset"} - set(items))
+    merged = {}
+    for name, presets in (("species", SPECIES_PRESETS), ("trap", TRAP_PRESETS)):
+        items = merged[name] = _merge_preset(name, presets, sections[name], typed[name], errors)
+        missing = items is not None and sorted(set(_SECTIONS[name]) - {"preset"} - set(items))
         if missing:
             errors.append((line(name), f"{name} is incomplete without a preset; "
                                        f"missing: {', '.join(missing)}"))
-            continue
-        try:
-            built[name] = items, build(**items)
-        except ValueError as exc:
-            errors.append((line(name), f"{name}: {exc}"))
     if errors:
         raise ConfigError(errors)
-    (species_items, species), (trap_items, trap) = built["species"], built["trap"]
+    species_items, trap_items = merged["species"], merged["trap"]
 
+    # the rules across keys, each at the line of a key the config gives
+    if species_items["j_excited"] != species_items["j_ground"] + 1:
+        errors.append((line("species", "j_excited", "j_ground"),
+                       "species: only J_excited = J_ground + 1 is supported"))
+    if abs(species_items["m_j"]) > species_items["j_ground"]:
+        errors.append((line("species", "m_j", "j_ground"),
+                       "species: |m_j| must not exceed j_ground"))
     laser_items = typed["laser"]
     detunings = [k for k in ("detuning_Gamma", "detuning_pol_Gamma") if k in laser_items]
     if "intensity_Isat" not in laser_items:
         errors.append((line("laser"), "laser.intensity_Isat is required"))
     if len(detunings) != 1:
-        errors.append((line("laser", detunings[-1] if detunings else None),
+        errors.append((line("laser", *detunings[-1:]),
                        "exactly one of laser.detuning_Gamma (laser frame) or "
                        "laser.detuning_pol_Gamma (effective, at trap bottom) is required"))
     if errors:
         raise ConfigError(errors)
+    species, trap = species_from_lab_units(**species_items), trap_from_lab_units(**trap_items)
 
     if detunings == ["detuning_pol_Gamma"]:
         delta_pol = laser_items["detuning_pol_Gamma"]
@@ -399,6 +375,10 @@ def parse_config(text: str) -> ScenarioConfig:
     else:
         laser_detuning = laser_items["detuning_Gamma"]
         delta_pol = effective_detuning(laser_detuning, trap.offset_field, species, species.m_j, +1)
+    if delta_pol >= 0:
+        errors.append((line("laser", *detunings),
+                       f"laser.{detunings[0]}: delta_pol = {format_value(delta_pol)} Gamma at the "
+                       "trap bottom must be negative; blue detuning heats instead of cooling"))
     laser = LaserConfig(
         intensity=laser_items["intensity_Isat"],
         detuning=laser_detuning,
@@ -435,7 +415,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append((line("scenario", grid_keys[0]),
                        f"scan grid incomplete; missing: {', '.join(missing)}"))
     elif grid_keys:
-        g_min, g_max, scale = scen["grid_min"], scen["grid_max"], scen.get("grid_scale", "linear")
+        g_min, g_max = scen["grid_min"], scen["grid_max"]
+        scale = scen.get("grid_scale", GridSpec.scale)
         low, high = ASPECT_RANGE
         if not g_min < g_max:
             errors.append((line("scenario", "grid_min"), "grid_min must be < grid_max"))
@@ -491,7 +472,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
 
-    raw_items = []
+    header = []
     for section_name, items in (
         ("species", species_items),
         ("trap", trap_items),
@@ -505,38 +486,53 @@ def parse_config(text: str) -> ScenarioConfig:
     ):
         for key in _SECTIONS[section_name]:
             if key in items:
-                raw_items.append((f"{section_name}.{key}", format_value(items[key])))
+                header.append((f"{section_name}.{key}", format_value(items[key])))
+
+    passed = {k: v for k, v in scen.items() if k in _FIELD_DEFAULTS}  # kind among them
+    if "heating_power_J_per_s" in scen:
+        passed["heating_power"] = scen["heating_power_J_per_s"]
+    setting = {**_FIELD_DEFAULTS, **passed}  # each field's value, given or default
+    header += [("resolved.delta_pol_Gamma", format_value(delta_pol)), ("scenario.kind", kind)]
+    for key, value in (
+        ("duration_ms", scen.get("duration_ms")),
+        ("sample_stride", setting["sample_stride"]),
+        ("self_consistent", setting["self_consistent"]),
+        ("consistency_mode", setting["consistency_mode"]),
+        ("aspect_mode", setting["aspect_mode"] if kind == "aspect_scan" else None),
+        ("grid_min", None if grid is None else grid.minimum),
+        ("grid_max", None if grid is None else grid.maximum),
+        ("grid_count", None if grid is None else grid.count),
+        ("grid_scale", None if grid is None else grid.scale),
+        ("kappa_y", setting["kappa_y"]),
+        ("kappa_z", setting["kappa_z"] if kind == "intensity_scan" else None),
+        ("kappa", setting["kappa"]),
+        ("heating_power_J_per_s",
+         setting["heating_power"] if kind in ("intensity_scan", "od_scan") else None),
+        ("od_ref", setting["od_ref"]),
+        ("kappa_y_at_ref", setting["kappa_y_at_ref"]),
+        ("kappa_at_ref", setting["kappa_at_ref"]),
+        ("data", setting["data"]),
+        ("noise_fraction", setting["noise_fraction"] if setting["data"] is None else None),
+        ("fit_axis", setting["fit_axis"] if kind == "dynamics" else None),
+    ):
+        if value is not None:
+            header.append((f"scenario.{key}", format_value(value)))
 
     return ScenarioConfig(
         species=species,
         trap=trap,
         laser=laser,
         delta_pol=delta_pol,
-        kind=kind,
-        output=scen.get("output"),
         atom_number=atom_number,
         temperatures=temperatures,
         cloud_sigma_y=None if sigma_y is None else sigma_y * 1e-6,
         cloud_sigma_z=None if sigma_z is None else sigma_z * 1e-6,
         cloud_peak_density=None if n0 is None else n0 * 1e6,
         duration=None if "duration_ms" not in scen else scen["duration_ms"] * 1e-3,
-        sample_stride=scen.get("sample_stride", 1),
-        self_consistent=scen.get("self_consistent", True),
-        consistency_mode=scen.get("consistency_mode", True),
         grid=grid,
-        aspect_mode=scen.get("aspect_mode", "fixed_n0"),
-        kappa_y=scen.get("kappa_y"),
-        kappa_z=scen.get("kappa_z", 0.0),
-        kappa=scen.get("kappa"),
-        heating_power=scen.get("heating_power_J_per_s", 0.0),
-        od_ref=scen.get("od_ref"),
-        kappa_y_at_ref=scen.get("kappa_y_at_ref"),
-        kappa_at_ref=scen.get("kappa_at_ref"),
-        data=scen.get("data"),
-        noise_fraction=scen.get("noise_fraction", 0.0),
-        fit_axis=scen.get("fit_axis", "y"),
         window=window,
-        raw_items=tuple(raw_items),
+        header=tuple(header),
+        **passed,
     )
 
 

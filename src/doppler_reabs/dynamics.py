@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from . import constants as const
-from .atoms import AtomSpecies, LaserConfig, derive_constants, effective_detuning
+from .atoms import AtomSpecies, LaserConfig, effective_detuning
 from .reabsorption import CloudShape, KappaSet, kappa_set
 from .trap import CloudState, TrapConfig, peak_density, sigma_from_temperature, trap_frequencies
 
@@ -131,17 +131,16 @@ class RateModel:
             raise ValueError(
                 "delta_pol must be negative; blue detuning heats instead of cooling"
             )
-        derived = derive_constants(species)
         gamma = species.linewidth
         lorentz = 1.0 + 4.0 * delta_pol**2
         self.drive = gamma * (-32.0 * delta_pol)
         self.intensity = laser.effective_intensity
         self.lorentz_sq = lorentz**2
-        self.recoil_per_photon = derived.recoil_energy / (const.HBAR * gamma)
+        self.recoil_per_photon = species.recoil_energy / (const.HBAR * gamma)
         self.scatter = 2.0 * self.intensity * gamma / lorentz
         self.heat_factor = 4.0 if consistency_mode else 1.0
         self.cap_z, self.cap_y = rate_caps(trap, species)
-        self.heat_scale = derived.recoil_energy / (2.0 * const.K_B)
+        self.heat_scale = species.recoil_energy / (2.0 * const.K_B)
 
     def rates(self, kappas: KappaSet) -> RateSet:
         """Per-axis cooling and heating rates for the current cloud shape."""
@@ -190,7 +189,7 @@ def steady_state(
     infinite radial value rather than a number.
     """
     factor = detuning_factor(delta_pol)
-    t_half = derive_constants(species).doppler_temperature / 2.0
+    t_half = species.doppler_temperature / 2.0
     t_z = (
         (1.0 + kappas.kappa_z + 0.4 * (1.0 + kappas.kappa))
         / (1.0 + kappas.kappa_z)
@@ -224,7 +223,6 @@ def steady_state_with_heating(
     cooling, so weak light (small intensity) cannot win against it.
     """
     factor = detuning_factor(delta_pol)
-    derived = derive_constants(species)
     if kappa_y <= 0:
         return math.inf
     if intensity <= 0:
@@ -236,11 +234,11 @@ def steady_state_with_heating(
             ).T_y_inf
         )
     # two divisions: E_r * Gamma * intensity underflows to 0 at the smallest intensities
-    extra = heating_power / (derived.recoil_energy * species.linewidth) / intensity
+    extra = heating_power / (species.recoil_energy * species.linewidth) / intensity
     return (
         (kappa_y + 0.3 * (1.0 + kappa) + extra)
         / kappa_y
-        * derived.doppler_temperature
+        * species.doppler_temperature
         / 2.0
         * factor
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import AtomSpecies, derive_constants
+from .atoms import AtomSpecies
 from .dynamics import (
     TemperatureTrace,
     detuning_factor,
@@ -244,13 +244,12 @@ def fit_intensity_scan(
     if xs.max() < 3.0 * xs.min():
         raise ValueError("intensity range must span at least a factor of 3")
 
-    derived = derive_constants(species)
-    base = derived.doppler_temperature / 2.0 * detuning_factor(delta_pol)
+    base = species.doppler_temperature / 2.0 * detuning_factor(delta_pol)
     design = np.column_stack((np.full(xs.size, 0.3 * (1.0 + kappa)), 1.0 / xs))
     y = np.array([pt.y for pt in points])
     (u, v), cov, r_weighted, r_raw, weighted = _linear_fit(points, design, y / base - 1.0, base)
 
-    power = derived.recoil_energy * species.linewidth
+    power = species.recoil_energy * species.linewidth
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa_y, heating = 1.0 / u, v * power / u
         jac = np.array([[-1.0 / u**2, 0.0], [-v * power / u**2, power / u]])
@@ -284,7 +283,7 @@ def fit_od_scan(
         raise ValueError("need at least 1 scan point")
     kappa_star = kappa_at_ref / od_ref
 
-    base = derive_constants(species).doppler_temperature / 2.0 * detuning_factor(delta_pol)
+    base = species.doppler_temperature / 2.0 * detuning_factor(delta_pol)
     column = np.array([
         steady_state_vs_od(1.0, kappa_star, pt.x, heating_power, intensity, delta_pol, species)
         for pt in points

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atoms import AtomSpecies, derive_constants
+from .atoms import AtomSpecies
 
 HALF_PI = math.pi / 2.0
 KAPPA0_PREFACTOR = 9.0 / (128.0 * math.sqrt(2.0 * math.pi))
@@ -208,7 +208,7 @@ def _closed_form_integrals(shape: CloudShape) -> tuple[float, float, float]:
 
 def kappa_set(shape: CloudShape, species: AtomSpecies) -> KappaSet:
     """Reabsorption coefficients for a cloud shape, from the closed forms."""
-    k0 = kappa0(shape.peak_density, derive_constants(species).resonant_cross_section)
+    k0 = kappa0(shape.peak_density, species.resonant_cross_section)
     radial, axial, total = _closed_form_integrals(shape)
     return KappaSet(
         kappa_y=k0 * (2.0 / math.pi) * radial,
@@ -227,5 +227,4 @@ def optical_density(shape: CloudShape, species: AtomSpecies, axis: str) -> float
     if axis not in ("y", "z"):
         raise ValueError("axis must be 'y' or 'z'")
     sigma_i = shape.sigma_y if axis == "y" else shape.sigma_z
-    cross = derive_constants(species).resonant_cross_section
-    return cross * shape.peak_density * math.sqrt(2.0 * math.pi) * sigma_i
+    return species.resonant_cross_section * shape.peak_density * math.sqrt(2.0 * math.pi) * sigma_i

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atoms import AtomSpecies, LaserConfig, derive_constants, effective_detuning
+from .atoms import AtomSpecies, LaserConfig, effective_detuning
 from .config import ScenarioConfig, format_value
 from .dynamics import (
     TemperatureTrace,
@@ -102,7 +102,7 @@ def run_steady_state(config: ScenarioConfig) -> str:
         ss.T_z_inf, ss.T_y_inf, od_y,
         rate.cool_rate_z, rate.cool_rate_y,
     )
-    return _render_csv(config.resolved_items(), columns, [row])
+    return _render_csv(config.header, columns, [row])
 
 
 def _trace_psd(sample, species: AtomSpecies) -> float:
@@ -141,7 +141,7 @@ def run_dynamics(config: ScenarioConfig) -> str:
         )
         for s in trace.samples
     ]
-    return _render_csv(config.resolved_items(), columns, rows)
+    return _render_csv(config.header, columns, rows)
 
 
 def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> CloudShape:
@@ -166,9 +166,7 @@ def run_aspect_scan(config: ScenarioConfig) -> str:
         return (alpha, ss.T_z_inf, ss.T_y_inf)
 
     rows = [point(v) for v in config.grid.values()]
-    return _render_csv(
-        config.resolved_items(), ("alpha", "T_z_inf_K", "T_y_inf_K"), rows
-    )
+    return _render_csv(config.header, ("alpha", "T_z_inf_K", "T_y_inf_K"), rows)
 
 
 def _scan_model(config: ScenarioConfig):
@@ -215,7 +213,7 @@ def run_intensity_scan(config: ScenarioConfig) -> str:
 
     rows = [point(v) for v in config.grid.values()]
     return _render_csv(
-        config.resolved_items(),
+        config.header,
         ("intensity_Isat", "T_y_inf_K", "cool_rate_y_per_s"),
         rows,
     )
@@ -225,7 +223,7 @@ def run_od_scan(config: ScenarioConfig) -> str:
     """Radial steady state across an optical-density grid."""
     model = _scan_model(config)
     rows = [(od, model(od)) for od in config.grid.values()]
-    return _render_csv(config.resolved_items(), ("od_y", "T_y_inf_K"), rows)
+    return _render_csv(config.header, ("od_y", "T_y_inf_K"), rows)
 
 
 def _synthetic_points(config: ScenarioConfig, seed: int) -> list[ScanPoint]:
@@ -252,13 +250,11 @@ def _fit_csv(config: ScenarioConfig, result: FitResult) -> str:
     rows.append(("residual_norm_K", result.residual_norm, ""))
     rows.append(("converged", result.converged, ""))
     rows.append(("iterations", result.iterations, ""))
-    return _render_csv(
-        config.resolved_items(), ("parameter", "value", "standard_error"), rows
-    )
+    return _render_csv(config.header, ("parameter", "value", "standard_error"), rows)
 
 
-def run_fit(config: ScenarioConfig, seed: int = 0) -> str:
-    """Fit the model matching the scenario kind; parameter table as CSV.
+def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
+    """Fit the model matching the scenario kind.
 
     dynamics fits an exponential to the simulated trace; the scan kinds
     fit their steady-state models to points loaded from scenario.data or,
@@ -267,10 +263,7 @@ def run_fit(config: ScenarioConfig, seed: int = 0) -> str:
     noise_fraction, which then also sets the per-point error bars).
     """
     if config.kind == "dynamics":
-        result = fit_exponential(
-            _simulate(config), axis=config.fit_axis, window=config.window
-        )
-        return _fit_csv(config, result)
+        return fit_exponential(_simulate(config), axis=config.fit_axis, window=config.window)
 
     if config.kind not in ("intensity_scan", "od_scan"):
         raise ValueError(f"scenario kind '{config.kind}' has no fit")
@@ -279,20 +272,21 @@ def run_fit(config: ScenarioConfig, seed: int = 0) -> str:
     else:
         points = _synthetic_points(config, seed)
     if config.kind == "intensity_scan":
-        result = fit_intensity_scan(
-            points, config.kappa, config.delta_pol, config.species
-        )
-    else:
-        result = fit_od_scan(
-            points,
-            config.kappa_at_ref,
-            config.od_ref,
-            config.heating_power,
-            config.laser.effective_intensity,
-            config.delta_pol,
-            config.species,
-        )
-    return _fit_csv(config, result)
+        return fit_intensity_scan(points, config.kappa, config.delta_pol, config.species)
+    return fit_od_scan(
+        points,
+        config.kappa_at_ref,
+        config.od_ref,
+        config.heating_power,
+        config.laser.effective_intensity,
+        config.delta_pol,
+        config.species,
+    )
+
+
+def run_fit(config: ScenarioConfig, seed: int = 0) -> str:
+    """Fit the model matching the scenario kind; parameter table as CSV."""
+    return _fit_csv(config, fit_scenario(config, seed))
 
 
 @dataclass(frozen=True)
@@ -362,7 +356,6 @@ def run_selfcheck() -> SelfCheckReport:
     """
     species = cr52()
     trap = stuttgart_cloverleaf()
-    derived = derive_constants(species)
     checks: list[SelfCheck] = []
 
     # trap frequencies
@@ -392,7 +385,7 @@ def run_selfcheck() -> SelfCheckReport:
     checks.append(_check_rel("sphere integral, total", total, SPHERE_INTEGRAL_TOTAL, 1e-9))
 
     # closed-form steady states
-    t_d = derived.doppler_temperature
+    t_d = species.doppler_temperature
     no_reabs = steady_state(
         KappaSet(kappa_y=0.0, kappa_z=0.0, kappa=0.0, kappa0=0.0), -0.5, species
     )

@@ -9,7 +9,6 @@ from doppler_reabs import (
     LaserConfig,
     cloud_from_temperatures,
     cr52,
-    derive_constants,
     effective_detuning,
     kappa_set,
     simulate,
@@ -25,11 +24,6 @@ def species():
 @pytest.fixture(scope="session")
 def trap():
     return stuttgart_cloverleaf()
-
-
-@pytest.fixture(scope="session")
-def derived(species):
-    return derive_constants(species)
 
 
 @pytest.fixture(scope="session")

@@ -74,20 +74,18 @@ def test_04_sphere_quadrature_matches_closed_forms():
     assert total == pytest.approx(3.733, abs=5e-4)
 
 
-def test_05_steady_state_floor_and_measured_cloud_anchors(
-    species, derived, steady_kappas
-):
+def test_05_steady_state_floor_and_measured_cloud_anchors(species, steady_kappas):
     # without reabsorption at half-linewidth detuning the axial limit is
     # exactly seven tenths of the Doppler temperature
     no_reabs = KappaSet(kappa_y=0.0, kappa_z=0.0, kappa=0.0, kappa0=0.0)
     floor = steady_state(no_reabs, -0.5, species)
     assert floor.T_z_inf == pytest.approx(
-        0.7 * derived.doppler_temperature, rel=1e-12
+        0.7 * species.doppler_temperature, rel=1e-12
     )
     # at the measured cloud, same detuning convention: the radial limit
     # sits between 2.1 and 2.5 Doppler temperatures, the axial near 88 uK
     ss = steady_state(steady_kappas, -0.5, species)
-    assert 2.1 <= ss.T_y_inf / derived.doppler_temperature <= 2.5
+    assert 2.1 <= ss.T_y_inf / species.doppler_temperature <= 2.5
     assert ss.T_z_inf == pytest.approx(88e-6, rel=0.10)
 
 

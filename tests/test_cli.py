@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from doppler_reabs import GridSpec, cli, constants, runners
+from doppler_reabs import FitResult, GridSpec, cli, constants, runners
 from doppler_reabs.cli import main
 
 DYNAMICS = """\
@@ -207,7 +207,6 @@ def test_consecutive_calls_do_not_leak_options(tmp_path):
     first_sim = run("simulate", "--config", dyn_cfg)
     assert run("fit", "--config", fit_cfg, "--seed", "3") != first_fit
     assert run("fit", "--config", fit_cfg) == first_fit
-    assert run("simulate", "--config", dyn_cfg, "--mode", "verbatim") != first_sim
     assert run("simulate", "--config", dyn_cfg) == first_sim
 
 
@@ -234,11 +233,10 @@ def test_verb_kind_mismatch_exits_1(tmp_path, capsys):
 
 def test_mode_verbatim_quarters_the_fixed_point(tmp_path):
     cfg = _write(tmp_path, "d.cfg", DYNAMICS)
+    verbatim = _write(tmp_path, "v.cfg", DYNAMICS + "consistency_mode = false\n")
     a, b = tmp_path / "cons.csv", tmp_path / "verb.csv"
     assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
-    assert main(
-        ["simulate", "--config", cfg, "--mode", "verbatim", "--out", str(b)]
-    ) == 0
+    assert main(["simulate", "--config", verbatim, "--out", str(b)]) == 0
     text_a, text_b = a.read_text(), b.read_text()
     assert _parse_csv(text_a)[0]["scenario.consistency_mode"] == "true"
     assert _parse_csv(text_b)[0]["scenario.consistency_mode"] == "false"
@@ -288,10 +286,9 @@ def test_fit_intensity_seeded_and_deterministic(tmp_path):
 
 def test_fit_nonconvergence_exits_2(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, "i.cfg", INTENSITY_FIT)
-    monkeypatch.setattr(
-        cli, "run_fit",
-        lambda config, seed=0: "parameter,value,standard_error\nconverged,false,\n",
-    )
+    unconverged = FitResult(parameters={"kappa_y": 0.11}, standard_errors=None,
+                            residual_norm=1e-6, converged=False, iterations=1)
+    monkeypatch.setattr(cli, "fit_scenario", lambda config, seed=0: unconverged)
     assert main(["fit", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert "converged,false" in captured.out

@@ -145,6 +145,9 @@ def test_type_errors_carry_value():
     )
     errors = _errors_of(text)
     assert any("expected true or false" in msg for _, msg in errors)
+    text = BASE.replace("temperature_uK = 1000", "temperature_uK = warm")
+    line = text.splitlines().index("temperature_uK = warm") + 1
+    assert (line, "cloud.temperature_uK: expected a number (got 'warm')") in _errors_of(text)
     for old, new in (
         ("intensity_Isat = 4e-3", "intensity_Isat = nan"),
         ("temperature_uK = 1000", "temperature_uK = inf"),
@@ -201,6 +204,35 @@ def test_grid_validation():
     assert (line, "scenario.grid_scale: must be one of linear, log (got 'cubic')") in errors
 
 
+BLUE = "must be negative; blue detuning heats instead of cooling"
+
+
+@pytest.mark.parametrize("old, new, at, message", [
+    ("detuning_Gamma = 7", "detuning_Gamma = 1e6", "detuning_Gamma = 1e6",
+     f"laser.detuning_Gamma: delta_pol = 999992.19333 Gamma at the trap bottom {BLUE}"),
+    ("detuning_Gamma = 7", "detuning_pol_Gamma = 0.5", "detuning_pol_Gamma = 0.5",
+     f"laser.detuning_pol_Gamma: delta_pol = 0.5 Gamma at the trap bottom {BLUE}"),
+    # a wider line shrinks the Zeeman shift in linewidths below the detuning
+    ("preset = Cr52", "preset = Cr52\nlinewidth_MHz = 1e6", "detuning_Gamma = 7",
+     f"laser.detuning_Gamma: delta_pol = 6.99996081051 Gamma at the trap bottom {BLUE}"),
+    ("preset = Cr52", "preset = Cr52\nj_ground = 1", "j_ground = 1",
+     "species: only J_excited = J_ground + 1 is supported"),
+    ("preset = Cr52", "preset = Cr52\nj_ground = 1", "j_ground = 1",
+     "species: |m_j| must not exceed j_ground"),
+    ("preset = Cr52", "preset = Cr52\nm_j = 1000", "m_j = 1000",
+     "species: |m_j| must not exceed j_ground"),
+    ("preset = Cr52", "preset = Cr52\nj_excited = 5", "j_excited = 5",
+     "species: only J_excited = J_ground + 1 is supported"),
+], ids=["detuning_Gamma", "detuning_pol_Gamma", "linewidth_MHz", "j_ground_J", "j_ground_m_j",
+        "m_j", "j_excited"])
+def test_cross_key_errors_at_a_given_key(old, new, at, message):
+    # a value inside its own range that breaks a rule across keys is
+    # rejected at the line of a key the config gives
+    text = BASE.replace(old, new)
+    line = text.splitlines().index(at) + 1
+    assert (line, message) in _errors_of(text)
+
+
 def test_grid_spec_values():
     assert GridSpec(1.0, 3.0, 3, "linear").values() == pytest.approx([1.0, 2.0, 3.0])
     assert GridSpec(1.0, 100.0, 3, "log").values() == pytest.approx([1.0, 10.0, 100.0])
@@ -208,9 +240,11 @@ def test_grid_spec_values():
 
 def test_preset_inline_override():
     base = parse_config(BASE)
+    # the doubled linewidth halves the Zeeman shift in linewidths, so a
+    # red effective detuning needs a smaller laser-frame one
     doubled = parse_config(BASE.replace(
         "preset = Cr52", "preset = Cr52\nlinewidth_MHz = 10.04"
-    ))
+    ).replace("detuning_Gamma = 7", "detuning_Gamma = 3"))
     assert doubled.species.linewidth == pytest.approx(
         2 * base.species.linewidth, rel=1e-12
     )
@@ -310,7 +344,7 @@ def test_sample_stride_validation():
 
 def test_resolved_items_echo():
     cfg = parse_config(BASE)
-    items = dict(cfg.resolved_items())
+    items = dict(cfg.header)
     assert items["scenario.kind"] == "dynamics"
     assert items["scenario.duration_ms"] == "600"
     assert items["scenario.consistency_mode"] == "true"
@@ -322,8 +356,8 @@ def test_resolved_items_echo():
     assert float(items["resolved.delta_pol_Gamma"]) == pytest.approx(
         -0.806670487, rel=1e-8
     )
-    flipped = dict(cfg.with_consistency_mode(False).resolved_items())
-    assert flipped["scenario.consistency_mode"] == "false"
+    flipped = parse_config(BASE + "consistency_mode = false\n")
+    assert dict(flipped.header)["scenario.consistency_mode"] == "false"
 
 
 def test_preset_dump_lists_both_presets():

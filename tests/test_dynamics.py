@@ -10,7 +10,6 @@ from doppler_reabs import (
     CloudShape,
     KappaSet,
     LaserConfig,
-    derive_constants,
     detuning_factor,
     kappa_set,
     rates,
@@ -94,16 +93,16 @@ def test_consistency_mode_scales_heating_only(measured_laser, species, trap):
     assert on.heat_rate_z == pytest.approx(4 * off.heat_rate_z, rel=1e-12)
 
 
-def test_steady_state_axial_floor(species, derived):
+def test_steady_state_axial_floor(species):
     ss = steady_state(NO_REABSORPTION, -0.5, species)
-    assert ss.T_z_inf == pytest.approx(0.7 * derived.doppler_temperature, rel=1e-12)
+    assert ss.T_z_inf == pytest.approx(0.7 * species.doppler_temperature, rel=1e-12)
     assert math.isinf(ss.T_y_inf)
 
 
-def test_steady_state_frozen(steady_kappas, species, derived):
+def test_steady_state_frozen(steady_kappas, species):
     ss = steady_state(steady_kappas, -0.5, species)
     assert ss.T_z_inf == pytest.approx(8.60957531e-5, rel=1e-6)
-    assert ss.T_y_inf / derived.doppler_temperature == pytest.approx(
+    assert ss.T_y_inf / species.doppler_temperature == pytest.approx(
         2.27994271, rel=1e-6
     )
 
@@ -186,10 +185,9 @@ def test_steady_state_vs_od_high_od_limit(species):
         0.11 / 4.5, 0.24 / 4.5, 1e9, 2.6e-26, 1.33e-3, -0.8, species
     )
     kappa_y_star, kappa_star = 0.11 / 4.5, 0.24 / 4.5
-    derived = derive_constants(species)
     explicit = (
         (kappa_y_star + 0.3 * kappa_star) / kappa_y_star
-        * derived.doppler_temperature / 2 * detuning_factor(-0.8)
+        * species.doppler_temperature / 2 * detuning_factor(-0.8)
     )
     assert limit == pytest.approx(explicit, rel=1e-6)
 

@@ -66,15 +66,15 @@ def test_sigma_theta_sphere_is_constant(sphere):
     assert all(v == pytest.approx(sphere.sigma_y, rel=1e-12) for v in values)
 
 
-def test_kappa0_prefactor(derived):
+def test_kappa0_prefactor(species):
     n0 = 5.6e16
-    expected = n0 * derived.resonant_cross_section * 9 / (128 * math.sqrt(2 * math.pi))
-    assert kappa0(n0, derived.resonant_cross_section) == pytest.approx(
+    expected = n0 * species.resonant_cross_section * 9 / (128 * math.sqrt(2 * math.pi))
+    assert kappa0(n0, species.resonant_cross_section) == pytest.approx(
         expected, rel=1e-12
     )
     assert KAPPA0_PREFACTOR == pytest.approx(0.0280506291, rel=1e-6)
     with pytest.raises(ValueError):
-        kappa0(-1.0, derived.resonant_cross_section)
+        kappa0(-1.0, species.resonant_cross_section)
 
 
 def test_kappa_set_frozen(steady_kappas):
@@ -95,9 +95,9 @@ def test_kappa_set_linear_in_density(steady_shape, species, steady_kappas):
     assert ks2.kappa == pytest.approx(2 * steady_kappas.kappa, rel=1e-12)
 
 
-def test_kappa_set_sphere_closed_form(sphere, species, derived):
+def test_kappa_set_sphere_closed_form(sphere, species):
     ks = kappa_set(sphere, species)
-    k0 = kappa0(sphere.peak_density, derived.resonant_cross_section)
+    k0 = kappa0(sphere.peak_density, species.resonant_cross_section)
     r = sphere.sigma_y
     assert ks.kappa_y == pytest.approx(
         k0 * r * (2 / math.pi) * SPHERE_INTEGRAL_RADIAL, rel=1e-14
@@ -106,7 +106,7 @@ def test_kappa_set_sphere_closed_form(sphere, species, derived):
     assert ks.kappa == pytest.approx(k0 * r * SPHERE_INTEGRAL_TOTAL, rel=1e-14)
 
 
-def test_kappa_set_matches_quadrature_oracle(species, derived):
+def test_kappa_set_matches_quadrature_oracle(species):
     # closed forms against adaptive quadrature over four decades of
     # aspect ratio, next to the sphere, and on both sides of
     # |e| = SERIES_CUT, with e = (sigma_y / sigma_z)^2 - 1, where the
@@ -118,7 +118,7 @@ def test_kappa_set_matches_quadrature_oracle(species, derived):
     for alpha in aspects:
         shape = CloudShape(sigma_y=3e-4, sigma_z=3e-4 * alpha, peak_density=1e16)
         ks = kappa_set(shape, species)
-        k0 = kappa0(shape.peak_density, derived.resonant_cross_section)
+        k0 = kappa0(shape.peak_density, species.resonant_cross_section)
         expected = (
             k0 * (2 / math.pi) * _angular_integral(shape, lambda t: math.sin(t) ** 2),
             k0 * _angular_integral(shape, lambda t: math.sin(t) * abs(math.cos(t))),
