@@ -139,4 +139,5 @@ __all__ = [
     "transient",
     "trap_frequencies",
     "trap_from_lab_units",
+    "zeeman_shift",
 ]

@@ -19,7 +19,7 @@ import argparse
 import functools
 import sys
 
-from .config import ConfigError, ScenarioConfig, parse_config, preset_dump
+from .config import KINDS, ConfigError, ScenarioConfig, parse_config, preset_dump
 from .runners import (
     _fit_csv,
     fit_scenario,
@@ -31,11 +31,6 @@ from .runners import (
     run_steady_state,
 )
 
-_VERB_KINDS = {
-    "simulate": ("dynamics", "steady_state"),
-    "scan": ("aspect_scan", "intensity_scan", "od_scan"),
-    "fit": ("dynamics", "intensity_scan", "od_scan"),
-}
 _RUNNERS = {
     "dynamics": run_dynamics,
     "steady_state": run_steady_state,
@@ -80,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> ScenarioConfig:
     with open(args.config, "r", encoding="utf-8") as handle:
         config = parse_config(handle.read())
-    if config.kind not in _VERB_KINDS[args.verb]:
-        allowed = ", ".join(_VERB_KINDS[args.verb])
+    if args.verb not in KINDS[config.kind].verbs:
+        allowed = ", ".join(kind for kind, row in KINDS.items() if args.verb in row.verbs)
         raise ConfigError(
             [(0, f"scenario kind '{config.kind}' does not run under "
                  f"'{args.verb}' (expected one of: {allowed})")]

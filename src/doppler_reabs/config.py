@@ -41,9 +41,39 @@ from .dynamics import MAX_STEPS, rate_caps, step_size
 from .presets import SPECIES_PRESETS, TRAP_PRESETS
 from .trap import TrapConfig, trap_from_lab_units
 
-SCENARIO_KINDS = ("dynamics", "aspect_scan", "intensity_scan", "od_scan", "steady_state")
 MAX_GRID_POINTS = 100_000  # work and memory budget of one scan
-ASPECT_RANGE = (1e-6, 1e6)  # sigma_z/sigma_y of an aspect_scan grid
+
+
+@dataclass(frozen=True)
+class ScenarioKind:
+    """What one scenario kind is: where it runs and what its config needs.
+
+    In a [cloud] value set, "temperatures" stands for temperature_uK or
+    for temperature_y_uK with temperature_z_uK.
+    """
+
+    verbs: tuple[str, ...]                    # the CLI verbs that run it
+    needs: tuple[str, ...] = ()               # the [scenario] keys it needs
+    cloud: tuple[tuple[str, ...], ...] = ()   # [cloud] value sets, any one of which will do
+    shows: tuple[str, ...] = ()               # settings its header shows at their defaults
+    scan: tuple[float, float, str] | None = None  # range and name of its grid values
+
+
+KINDS = {
+    "dynamics": ScenarioKind(("simulate", "fit"), ("duration_ms",),
+                             cloud=(("atom_number", "temperatures"),), shows=("fit_axis",)),
+    "aspect_scan": ScenarioKind(("scan",), cloud=(("atom_number", "peak_density_per_cm3"),),
+                                shows=("aspect_mode",), scan=(1e-6, 1e6, "aspect ratios")),
+    "intensity_scan": ScenarioKind(("scan", "fit"), ("kappa_y", "kappa"),
+                                   shows=("kappa_z", "heating_power_J_per_s"),
+                                   scan=(0.0, math.inf, "intensities")),
+    "od_scan": ScenarioKind(("scan", "fit"), ("kappa_y_at_ref", "kappa_at_ref", "od_ref"),
+                            shows=("heating_power_J_per_s",),
+                            scan=(0.0, math.inf, "optical densities")),
+    "steady_state": ScenarioKind(("simulate",), cloud=(
+        ("sigma_y_um", "sigma_z_um", "peak_density_per_cm3"), ("atom_number", "temperatures"))),
+}
+_ALWAYS_SHOWN = {"sample_stride", "self_consistent", "consistency_mode"}  # in every header
 
 # key -> (type, rule) under each section.  The type is "float", "int",
 # "bool" or "str"; the rule is None, an inclusive (low, high) range, "> 0"
@@ -97,25 +127,27 @@ _CLOUD_KEYS = {
     "peak_density_per_cm3": ("float", (0.0, 1e16)),
 }
 _NUMBER = ("float", None)
+_COEFFICIENT = ("float", (0.0, math.inf))
+# the header echoes scenario settings in this order
 _SCENARIO_KEYS = {
-    "kind": ("str", SCENARIO_KINDS),
+    "kind": ("str", tuple(KINDS)),
     "output": ("str", None),
     "duration_ms": ("float", (0.0, math.inf)),
     "sample_stride": ("int", (1, math.inf)),
     "self_consistent": ("bool", None),
     "consistency_mode": ("bool", None),
+    "aspect_mode": ("str", ("fixed_n0", "fixed_N")),
     "grid_min": _NUMBER,
     "grid_max": _NUMBER,
     "grid_count": ("int", (2, MAX_GRID_POINTS)),
     "grid_scale": ("str", ("linear", "log")),
-    "aspect_mode": ("str", ("fixed_n0", "fixed_N")),
-    "kappa_y": _NUMBER,
-    "kappa_z": _NUMBER,
-    "kappa": _NUMBER,
-    "heating_power_J_per_s": _NUMBER,
+    "kappa_y": _COEFFICIENT,
+    "kappa_z": _COEFFICIENT,
+    "kappa": _COEFFICIENT,
+    "heating_power_J_per_s": _COEFFICIENT,
     "od_ref": ("float", "> 0"),
-    "kappa_y_at_ref": _NUMBER,
-    "kappa_at_ref": _NUMBER,
+    "kappa_y_at_ref": _COEFFICIENT,
+    "kappa_at_ref": _COEFFICIENT,
     "data": ("str", None),
     "noise_fraction": ("float", (0.0, math.inf)),
     "fit_axis": ("str", ("z", "y")),
@@ -194,6 +226,9 @@ class ScenarioConfig:
 # each field's default (MISSING where it has none); a scenario key named
 # like a field passes straight through to it
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+# the default of each scenario setting a header can show without its key
+_DEFAULTS = {**_FIELD_DEFAULTS, "grid_scale": GridSpec.scale,
+             "heating_power_J_per_s": _FIELD_DEFAULTS["heating_power"]}
 
 
 def format_value(value) -> str:
@@ -286,6 +321,11 @@ def _check_rule(rule, value) -> None:
         low, high = rule
         raise ValueError(f"must be >= {low:g}" if high == math.inf
                          else f"must be in [{low:g}, {high:g}]")
+
+
+def _and(words) -> str:
+    """'a', 'a and b', 'a, b and c'."""
+    return " and ".join(filter(None, (", ".join(words[:-1]), words[-1])))
 
 
 def _typed_section(name, raw, errors) -> dict:
@@ -407,6 +447,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if kind is None:
         errors.append((line("scenario"), "scenario.kind is required"))
         raise ConfigError(errors)
+    row, at_kind = KINDS[kind], line("scenario", "kind")
 
     grid = None
     grid_keys = [k for k in ("grid_min", "grid_max", "grid_count", "grid_scale") if k in scen]
@@ -417,107 +458,67 @@ def parse_config(text: str) -> ScenarioConfig:
     elif grid_keys:
         g_min, g_max = scen["grid_min"], scen["grid_max"]
         scale = scen.get("grid_scale", GridSpec.scale)
-        low, high = ASPECT_RANGE
+        low, high, values = row.scan or (-math.inf, math.inf, None)
         if not g_min < g_max:
             errors.append((line("scenario", "grid_min"), "grid_min must be < grid_max"))
         elif scale == "log" and g_min <= 0:
             errors.append((line("scenario", "grid_min"), "log grids need grid_min > 0"))
-        elif kind == "aspect_scan" and not (low <= g_min and g_max <= high):
+        elif not (low <= g_min and g_max <= high):
             errors.append((line("scenario", "grid_min" if g_min < low else "grid_max"),
-                           f"aspect_scan needs grid_min and grid_max in [{low:g}, {high:g}] "
-                           "(aspect ratios)"))
+                           f"{kind} needs grid_min and grid_max in [{low:g}, {high:g}] ({values})"))
         else:
             grid = GridSpec(g_min, g_max, scen["grid_count"], scale)
 
     window = None
     if "window_min_ms" in scen or "window_max_ms" in scen:
-        window = (scen.get("window_min_ms", 0.0) * 1e-3,
-                  scen.get("window_max_ms", math.inf) * 1e-3)
+        w_min, w_max = scen.get("window_min_ms", 0.0), scen.get("window_max_ms", math.inf)
+        if not w_min < min(w_max, scen.get("duration_ms", math.inf)):
+            errors.append((line("scenario", "window_min_ms", "window_max_ms"),
+                           "window_min_ms must be < window_max_ms and < duration_ms"))
+        window = (w_min * 1e-3, w_max * 1e-3)
 
-    # per-kind requirements, at the kind's line unless they name a given key
-    def need(condition, message, at=line("scenario", "kind")):
-        if not condition:
-            errors.append((at, message))
-
-    if kind == "dynamics":
-        need("duration_ms" in scen, "dynamics needs scenario.duration_ms")
-        need(atom_number is not None and temperatures is not None,
-             "dynamics needs [cloud] atom_number and temperatures")
-    elif kind == "aspect_scan":
-        need(grid is not None, "aspect_scan needs a scan grid")
-        need(atom_number is not None and n0 is not None,
-             "aspect_scan needs [cloud] atom_number and peak_density_per_cm3")
-        need(n0 != 0, "aspect_scan needs peak_density_per_cm3 > 0",
-             line("cloud", "peak_density_per_cm3"))
-    elif kind == "intensity_scan":
-        need(grid is not None, "intensity_scan needs a scan grid")
-        need("kappa_y" in scen and "kappa" in scen,
-             "intensity_scan needs scenario.kappa_y and scenario.kappa")
-    elif kind == "od_scan":
-        need(grid is not None, "od_scan needs a scan grid")
-        need(all(k in scen for k in ("kappa_y_at_ref", "kappa_at_ref", "od_ref")),
-             "od_scan needs scenario.kappa_y_at_ref, kappa_at_ref and od_ref")
-    elif kind == "steady_state":
-        shape_given = sigma_y is not None and sigma_z is not None and n0 is not None
-        temps_given = atom_number is not None and temperatures is not None
-        need(shape_given or temps_given,
-             "steady_state needs [cloud] either sigma_y_um+sigma_z_um+peak_density_per_cm3 "
-             "or atom_number+temperatures")
+    # what the kind needs, at its line; a message is built only for a failed need
+    if row.scan and grid is None:
+        errors.append((at_kind, f"{kind} needs a scan grid"))
+    if not scen.keys() >= set(row.needs):
+        errors.append((at_kind, f"{kind} needs " + _and([f"scenario.{k}" for k in row.needs])))
+    have = cloud_items.keys() | ({"temperatures"} if temperatures else set())
+    if row.cloud and not any(map(have.issuperset, row.cloud)):
+        errors.append((at_kind, f"{kind} needs [cloud] {'either ' if len(row.cloud) > 1 else ''}"
+                                + " or ".join(_and(values) for values in row.cloud)))
+    if kind == "aspect_scan" and n0 == 0:
+        errors.append((line("cloud", "peak_density_per_cm3"),
+                       "aspect_scan needs peak_density_per_cm3 > 0"))
     if "duration_ms" in scen:
         # the capped cooling rates give the shortest step this trap can ask for
         longest = MAX_STEPS * step_size(max(rate_caps(trap, species)))
-        need(scen["duration_ms"] * 1e-3 <= longest,
-             f"duration_ms must be <= {longest * 1e3:.6g} in this trap "
-             f"(at most {MAX_STEPS} integrator steps)", line("scenario", "duration_ms"))
+        if scen["duration_ms"] * 1e-3 > longest:
+            errors.append((line("scenario", "duration_ms"),
+                           f"duration_ms must be <= {longest * 1e3:.6g} in this trap "
+                           f"(at most {MAX_STEPS} integrator steps)"))
     if errors:
         raise ConfigError(errors)
 
-    header = []
-    for section_name, items in (
-        ("species", species_items),
-        ("trap", trap_items),
-        ("laser", {
-            "intensity_Isat": laser.intensity,
-            "detuning_Gamma": laser.detuning,
-            "attenuation_factor": laser.attenuation_factor,
-            "polarization_purity": laser.polarization_purity,
-        }),
-        ("cloud", cloud_items),
-    ):
-        for key in _SECTIONS[section_name]:
-            if key in items:
-                header.append((f"{section_name}.{key}", format_value(items[key])))
+    laser_shown = {"intensity_Isat": laser.intensity, "detuning_Gamma": laser.detuning,
+                   "attenuation_factor": laser.attenuation_factor,
+                   "polarization_purity": laser.polarization_purity}
+    header = [(f"{name}.{key}", format_value(items[key]))
+              for name, items in (("species", species_items), ("trap", trap_items),
+                                  ("laser", laser_shown), ("cloud", cloud_items))
+              for key in _SECTIONS[name] if key in items]
+    header.append(("resolved.delta_pol_Gamma", format_value(delta_pol)))
+    # the scenario settings given, but output, and those shown at their defaults
+    shown = (scen.keys() | row.shows | _ALWAYS_SHOWN) - {"output"}
+    if "data" not in scen:
+        shown.add("noise_fraction")
+    if grid is not None:
+        shown.add("grid_scale")
+    header += [(f"scenario.{key}", format_value(scen[key] if key in scen else _DEFAULTS[key]))
+               for key in _SCENARIO_KEYS if key in shown]
 
     passed = {k: v for k, v in scen.items() if k in _FIELD_DEFAULTS}  # kind among them
     if "heating_power_J_per_s" in scen:
         passed["heating_power"] = scen["heating_power_J_per_s"]
-    setting = {**_FIELD_DEFAULTS, **passed}  # each field's value, given or default
-    header += [("resolved.delta_pol_Gamma", format_value(delta_pol)), ("scenario.kind", kind)]
-    for key, value in (
-        ("duration_ms", scen.get("duration_ms")),
-        ("sample_stride", setting["sample_stride"]),
-        ("self_consistent", setting["self_consistent"]),
-        ("consistency_mode", setting["consistency_mode"]),
-        ("aspect_mode", setting["aspect_mode"] if kind == "aspect_scan" else None),
-        ("grid_min", None if grid is None else grid.minimum),
-        ("grid_max", None if grid is None else grid.maximum),
-        ("grid_count", None if grid is None else grid.count),
-        ("grid_scale", None if grid is None else grid.scale),
-        ("kappa_y", setting["kappa_y"]),
-        ("kappa_z", setting["kappa_z"] if kind == "intensity_scan" else None),
-        ("kappa", setting["kappa"]),
-        ("heating_power_J_per_s",
-         setting["heating_power"] if kind in ("intensity_scan", "od_scan") else None),
-        ("od_ref", setting["od_ref"]),
-        ("kappa_y_at_ref", setting["kappa_y_at_ref"]),
-        ("kappa_at_ref", setting["kappa_at_ref"]),
-        ("data", setting["data"]),
-        ("noise_fraction", setting["noise_fraction"] if setting["data"] is None else None),
-        ("fit_axis", setting["fit_axis"] if kind == "dynamics" else None),
-    ):
-        if value is not None:
-            header.append((f"scenario.{key}", format_value(value)))
-
     return ScenarioConfig(
         species=species,
         trap=trap,

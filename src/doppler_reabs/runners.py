@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atoms import AtomSpecies, LaserConfig, effective_detuning
-from .config import ScenarioConfig, format_value
+from .config import KINDS, ScenarioConfig, format_value
 from .dynamics import (
     TemperatureTrace,
     _shape_of,
@@ -232,7 +232,7 @@ def _synthetic_points(config: ScenarioConfig, seed: int) -> list[ScanPoint]:
     points = []
     for x in config.grid.values():
         y_true = model(x)
-        if not math.isfinite(y_true):
+        if x <= 0 or not math.isfinite(y_true):  # points the fit cannot take
             continue
         noise = config.noise_fraction * rng.standard_normal() if config.noise_fraction else 0.0
         y = y_true * (1.0 + noise)
@@ -262,11 +262,10 @@ def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
     own parameter values on the scan grid (seeded noise of
     noise_fraction, which then also sets the per-point error bars).
     """
+    if "fit" not in KINDS[config.kind].verbs:
+        raise ValueError(f"scenario kind '{config.kind}' has no fit")
     if config.kind == "dynamics":
         return fit_exponential(_simulate(config), axis=config.fit_axis, window=config.window)
-
-    if config.kind not in ("intensity_scan", "od_scan"):
-        raise ValueError(f"scenario kind '{config.kind}' has no fit")
     if config.data is not None:
         points = load_scan_points(config.data)
     else:
@@ -351,8 +350,8 @@ def run_selfcheck() -> SelfCheckReport:
     """Recompute the built-in reference numbers and compare with tolerances.
 
     Uses the built-in chromium and cloverleaf presets throughout; the
-    slowest entries integrate the full cooling dynamics and together stay
-    well under two minutes.
+    slowest entries integrate the full cooling dynamics, and the whole
+    check takes on the order of 0.1 s.
     """
     species = cr52()
     trap = stuttgart_cloverleaf()

@@ -6,11 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
-from doppler_reabs import FitResult, GridSpec, cli, constants, runners
+import doppler_reabs
+from doppler_reabs import FitResult, GridSpec, cli, constants, parse_config, runners
 from doppler_reabs.cli import main
+from test_config_fuzz import CASES
 
 DYNAMICS = """\
 [species]
@@ -355,6 +358,48 @@ def test_intensity_scan_flags_divergent_points(tmp_path):
     temps = _column(out.read_text(), "T_y_inf_K")
     assert temps[0] == "divergent"
     assert float(temps[-1]) > 0
+
+
+def test_fit_skips_grid_points_the_fit_cannot_take(tmp_path, capsys):
+    # without heating the model is finite at zero intensity, where the
+    # fit's 1/I term is not; the synthetic data leave that point out
+    text = INTENSITY_FIT.replace("grid_min = 1e-4", "grid_min = 0") \
+                        .replace("grid_scale = log\n", "") \
+                        .replace("heating_power_J_per_s = 2.6e-26\n", "")
+    assert main(["fit", "--config", _write(tmp_path, "i.cfg", text)]) == 0
+    table = {row[0]: row[1] for row in _parse_csv(capsys.readouterr().out)[2]}
+    assert float(table["kappa_y"]) == pytest.approx(0.11, rel=0.05)
+
+
+def _header_as_config(header):
+    sections = {}
+    for key, value in header:
+        section, _, name = key.partition(".")
+        sections.setdefault(section, []).append(f"{name} = {value}")
+    sections.pop("resolved")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+
+
+@pytest.mark.parametrize("text", [DYNAMICS, STEADY, INTENSITY_FIT, ASPECT, OD_SCAN]
+                         + [text for _, text in CASES],
+                         ids=["dynamics", "steady", "intensity_fit", "aspect", "od_scan"]
+                         + [f"fuzz_case{i}" for i in range(len(CASES))])
+def test_header_reproduces_its_run(text):
+    # the resolved.* lines are derived, and recomputed from the header's
+    # rounded inputs, so they are left out on both sides
+    def settings(cfg):
+        header = [item for item in cfg.header if not item[0].startswith("resolved.")]
+        return (header, cfg.window, cfg.fit_axis, cfg.sample_stride, cfg.self_consistent,
+                cfg.consistency_mode)
+
+    cfg = parse_config(text)
+    assert settings(parse_config(_header_as_config(cfg.header))) == settings(cfg)
+
+
+def test_all_lists_the_public_names():
+    public = {name for name, value in vars(doppler_reabs).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(doppler_reabs.__all__) == sorted(public)
 
 
 def test_zero_duration_gives_single_row(tmp_path, capsys):

@@ -223,8 +223,19 @@ BLUE = "must be negative; blue detuning heats instead of cooling"
      "species: |m_j| must not exceed j_ground"),
     ("preset = Cr52", "preset = Cr52\nj_excited = 5", "j_excited = 5",
      "species: only J_excited = J_ground + 1 is supported"),
+    ("duration_ms = 600", "duration_ms = 600\nwindow_max_ms = 0", "window_max_ms = 0",
+     "window_min_ms must be < window_max_ms and < duration_ms"),
+    ("duration_ms = 600", "duration_ms = 600\nwindow_min_ms = 600", "window_min_ms = 600",
+     "window_min_ms must be < window_max_ms and < duration_ms"),
+    ("kind = dynamics", "kind = intensity_scan\nkappa_y = 0.11\nkappa = 0.24\n"
+     "grid_min = -1e-3\ngrid_max = 1e-2\ngrid_count = 5", "grid_min = -1e-3",
+     "intensity_scan needs grid_min and grid_max in [0, inf] (intensities)"),
+    ("kind = dynamics", "kind = od_scan\nod_ref = 4.5\nkappa_y_at_ref = 0.11\n"
+     "kappa_at_ref = 0.24\ngrid_min = -10\ngrid_max = 20\ngrid_count = 5", "grid_min = -10",
+     "od_scan needs grid_min and grid_max in [0, inf] (optical densities)"),
 ], ids=["detuning_Gamma", "detuning_pol_Gamma", "linewidth_MHz", "j_ground_J", "j_ground_m_j",
-        "m_j", "j_excited"])
+        "m_j", "j_excited", "window_max_ms", "window_min_ms", "intensity_grid_min",
+        "od_grid_min"])
 def test_cross_key_errors_at_a_given_key(old, new, at, message):
     # a value inside its own range that breaks a rule across keys is
     # rejected at the line of a key the config gives
@@ -326,6 +337,10 @@ def test_domain_and_work_budget_carry_line_numbers():
         ("temperature_uK = 1000", "temperature_uK = 1000\npeak_density_per_cm3 = -1",
          "cloud.peak_density_per_cm3: must be in [0, 1e+16] (got '-1')"),
         ("duration_ms = 600", "duration_ms = -1", "scenario.duration_ms: must be >= 0 (got '-1')"),
+        ("duration_ms = 600", "duration_ms = 600\nkappa = -1e300",
+         "scenario.kappa: must be >= 0 (got '-1e300')"),
+        ("duration_ms = 600", "duration_ms = 600\nheating_power_J_per_s = -1",
+         "scenario.heating_power_J_per_s: must be >= 0 (got '-1')"),
         # 10^6 steps of the preset trap's capped radial rate are about 45 s
         ("duration_ms = 600", "duration_ms = 46000",
          "duration_ms must be <= 45189.3 in this trap (at most 1000000 integrator steps)"),
