@@ -35,15 +35,6 @@ from .dynamics import (
     steady_state_with_heating,
     transient,
 )
-from .fitting import (
-    DegenerateDataError,
-    FitResult,
-    ScanPoint,
-    fit_exponential,
-    fit_intensity_scan,
-    fit_od_scan,
-    load_scan_points,
-)
 from .presets import SPECIES_PRESETS, TRAP_PRESETS, cr52, stuttgart_cloverleaf
 from .reabsorption import (
     CloudShape,
@@ -77,6 +68,22 @@ from .trap import (
 )
 
 __version__ = "1.0.0"
+
+# The fitting names load fitting, and with it numpy, on first use, so
+# the command line and the simulation start without numpy.
+_LAZY = {"DegenerateDataError", "FitResult", "ScanPoint", "fit_exponential",
+         "fit_intensity_scan", "fit_od_scan", "load_scan_points"}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import fitting
+        return getattr(fitting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _LAZY)
 
 __all__ = [
     "AtomSpecies",

@@ -26,6 +26,10 @@ key name; a key without its suffix is rejected, with the suffixed form
 suggested.  Unknown keys are rejected with the nearest valid key, and a
 value outside its key's declared range or words at the key's own line.
 All errors carry the offending line number and are reported together.
+
+A parsed scan grid lists its points on request (GridSpec.values): a
+linear grid in plain Python, a log grid through numpy, which is imported
+only then.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from __future__ import annotations
 import difflib
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .atoms import AtomSpecies, LaserConfig, effective_detuning, species_from_lab_units, zeeman_shift
 from .dynamics import MAX_STEPS, rate_caps, step_size
@@ -182,9 +184,25 @@ class GridSpec:
     scale: str = "linear"  # or "log"
 
     def values(self) -> list[float]:
+        """The grid's points, bit for bit those of np.linspace or np.geomspace.
+
+        A log grid calls np.geomspace: numpy's log10 and power differ from
+        libm's in the last bit, so plain Python would not match it.
+        """
+        start, stop, count = float(self.minimum), float(self.maximum), self.count
         if self.scale == "log":
-            return [float(v) for v in np.geomspace(self.minimum, self.maximum, self.count)]
-        return [float(v) for v in np.linspace(self.minimum, self.maximum, self.count)]
+            import numpy as np
+            return [float(v) for v in np.geomspace(start, stop, count)]
+        delta, div = stop - start, count - 1
+        if div <= 0:
+            return [0.0 * delta + start for _ in range(count)]
+        step = delta / div
+        if step == 0:  # numpy's branch for a denormal step
+            points = [i / div * delta + start for i in range(count)]
+        else:
+            points = [i * step + start for i in range(count)]
+        points[-1] = stop
+        return points
 
 
 @dataclass(frozen=True)
@@ -486,9 +504,15 @@ def parse_config(text: str) -> ScenarioConfig:
     if row.cloud and not any(map(have.issuperset, row.cloud)):
         errors.append((at_kind, f"{kind} needs [cloud] {'either ' if len(row.cloud) > 1 else ''}"
                                 + " or ".join(_and(values) for values in row.cloud)))
-    if kind == "aspect_scan" and n0 == 0:
-        errors.append((line("cloud", "peak_density_per_cm3"),
-                       "aspect_scan needs peak_density_per_cm3 > 0"))
+    if kind == "aspect_scan" and n0 is not None:
+        # the grid's largest sigma_y**3 (at its smallest alpha, at fixed n0), as
+        # runners._aspect_shape computes it
+        alpha = grid.minimum if grid and scen.get("aspect_mode") != "fixed_N" else 1.0
+        norm = (2.0 * math.pi) ** 1.5
+        if n0 == 0 or (atom_number or 0.0) / (norm * (n0 * 1e6) * alpha) == math.inf:
+            errors.append((line("cloud", "peak_density_per_cm3"),
+                           "aspect_scan needs peak_density_per_cm3 > 0, and large enough "
+                           "that the cloud's radius sigma_y is finite on the grid"))
     if "duration_ms" in scen:
         # the capped cooling rates give the shortest step this trap can ask for
         longest = MAX_STEPS * step_size(max(rate_caps(trap, species)))

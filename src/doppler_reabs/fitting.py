@@ -179,8 +179,8 @@ def fit_exponential(
     )
 
 
-def _linear_fit(points, design, target, scale):
-    """Weighted least squares of target ~ design @ q for the scan fits.
+def _linear_fit(points, design, y, scale):
+    """Weighted least squares of target = y/scale - 1 ~ design @ q for the scan fits.
 
     A point's residual in kelvin is scale * (design @ q - target); with
     y_err on every point it is divided by y_err.  Columns are scaled to
@@ -196,6 +196,7 @@ def _linear_fit(points, design, target, scale):
     if weighted:
         weights /= np.array([pt.y_err for pt in points])
     with np.errstate(over="ignore", invalid="ignore"):
+        target = y / scale - 1.0
         a, b = design * weights[:, None], target * weights
         norms = np.linalg.norm(a, axis=0)
     # LAPACK writes to the process's stderr when handed non-finite values
@@ -247,7 +248,7 @@ def fit_intensity_scan(
     base = species.doppler_temperature / 2.0 * detuning_factor(delta_pol)
     design = np.column_stack((np.full(xs.size, 0.3 * (1.0 + kappa)), 1.0 / xs))
     y = np.array([pt.y for pt in points])
-    (u, v), cov, r_weighted, r_raw, weighted = _linear_fit(points, design, y / base - 1.0, base)
+    (u, v), cov, r_weighted, r_raw, weighted = _linear_fit(points, design, y, base)
 
     power = species.recoil_energy * species.linewidth
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -291,9 +292,7 @@ def fit_od_scan(
     if not np.all(np.isfinite(column)):
         raise DegenerateDataError("the steady state diverges at the scan points")
     y = np.array([pt.y for pt in points])
-    (w,), cov, r_weighted, r_raw, weighted = _linear_fit(
-        points, column[:, None], y / base - 1.0, base
-    )
+    (w,), cov, r_weighted, r_raw, weighted = _linear_fit(points, column[:, None], y, base)
     with np.errstate(divide="ignore"):
         kappa_y_star, jac = 1.0 / w, np.array([[-1.0 / w**2]])
     result = _build_result(

@@ -8,14 +8,18 @@ output.  Scan rows are emitted in grid order.
 All intensities entering scan grids are normalized to saturation and are
 the values at the atoms; the [laser] attenuation_factor applies only to
 the [laser] intensity key itself.
+
+numpy and the fitting module are imported by the fit paths alone
+(fit_scenario, the synthetic scan data and selfcheck's cooling-time
+fits), and by log-scale grids (GridSpec.values), so the simulation,
+steady-state and linear-grid scan runners run without them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .atoms import AtomSpecies, LaserConfig, effective_detuning
 from .config import KINDS, ScenarioConfig, format_value
@@ -27,14 +31,6 @@ from .dynamics import (
     steady_state,
     steady_state_vs_od,
     steady_state_with_heating,
-)
-from .fitting import (
-    FitResult,
-    ScanPoint,
-    fit_exponential,
-    fit_intensity_scan,
-    fit_od_scan,
-    load_scan_points,
 )
 from .presets import cr52, stuttgart_cloverleaf
 from .reabsorption import (
@@ -53,6 +49,9 @@ from .trap import (
     thermal_debroglie_wavelength,
     trap_frequencies,
 )
+
+if TYPE_CHECKING:
+    from .fitting import FitResult, ScanPoint
 
 
 def _render_csv(header_items, columns, rows) -> str:
@@ -227,6 +226,10 @@ def run_od_scan(config: ScenarioConfig) -> str:
 
 
 def _synthetic_points(config: ScenarioConfig, seed: int) -> list[ScanPoint]:
+    import numpy as np
+
+    from .fitting import ScanPoint
+
     rng = np.random.default_rng(seed)
     model = _scan_model(config)
     points = []
@@ -236,6 +239,8 @@ def _synthetic_points(config: ScenarioConfig, seed: int) -> list[ScanPoint]:
             continue
         noise = config.noise_fraction * rng.standard_normal() if config.noise_fraction else 0.0
         y = y_true * (1.0 + noise)
+        if y <= 0:  # a draw below -1/noise_fraction; later points keep their draws
+            continue
         y_err = config.noise_fraction * y_true if config.noise_fraction else None
         points.append(ScanPoint(x=x, y=y, y_err=y_err))
     return points
@@ -262,6 +267,8 @@ def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
     own parameter values on the scan grid (seeded noise of
     noise_fraction, which then also sets the per-point error bars).
     """
+    from .fitting import fit_exponential, fit_intensity_scan, fit_od_scan, load_scan_points
+
     if "fit" not in KINDS[config.kind].verbs:
         raise ValueError(f"scenario kind '{config.kind}' has no fit")
     if config.kind == "dynamics":
@@ -353,6 +360,8 @@ def run_selfcheck() -> SelfCheckReport:
     slowest entries integrate the full cooling dynamics, and the whole
     check takes on the order of 0.1 s.
     """
+    from .fitting import fit_exponential
+
     species = cr52()
     trap = stuttgart_cloverleaf()
     checks: list[SelfCheck] = []
@@ -438,7 +447,7 @@ def run_selfcheck() -> SelfCheckReport:
     ))
 
     # aspect-ratio scan properties at fixed peak density
-    alphas = [float(a) for a in np.geomspace(0.1, 10.0, 41)]
+    alphas = [10.0 ** (-1 + i / 20) for i in range(41)]
     shapes = [_aspect_shape(1e8, 5e16, "fixed_n0", a) for a in alphas]
     states = [steady_state(kappa_set(s, species), -0.5, species) for s in shapes]
     t_y_vals = [s.T_y_inf for s in states]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import doppler_reabs
@@ -371,6 +373,39 @@ def test_fit_skips_grid_points_the_fit_cannot_take(tmp_path, capsys):
     assert float(table["kappa_y"]) == pytest.approx(0.11, rel=0.05)
 
 
+NOISY = INTENSITY_FIT.replace("noise_fraction = 0.03", "noise_fraction = 0.5")
+
+
+def _every_draw(config, seed):
+    """(x, y, y_err) at each point the fit can take, with one draw each."""
+    rng = np.random.default_rng(seed)
+    model, f = runners._scan_model(config), config.noise_fraction
+    return [(x, model(x) * (1.0 + f * rng.standard_normal()), f * model(x))
+            for x in config.grid.values() if x > 0 and math.isfinite(model(x))]
+
+
+@pytest.mark.parametrize("text", [INTENSITY_FIT, NOISY], ids=["noise_0.03", "noise_0.5"])
+def test_synthetic_data_leave_out_only_nonpositive_draws(text):
+    # a draw below -1/noise_fraction gives y <= 0, which no fit can take;
+    # that point is left out and every other point keeps its draw, so at
+    # small noise the data are what they always were
+    config = parse_config(text)
+    left_out = 0
+    for seed in range(20):
+        drawn = _every_draw(config, seed)
+        kept = [(p.x, p.y, p.y_err) for p in runners._synthetic_points(config, seed)]
+        assert kept == [point for point in drawn if point[1] > 0]
+        left_out += len(drawn) - len(kept)
+    assert (left_out > 0) == (text is NOISY)
+
+
+def test_fit_takes_large_noise_at_every_seed(tmp_path):
+    cfg, out = _write(tmp_path, "i.cfg", NOISY), str(tmp_path / "o.csv")
+    codes = [main(["fit", "--config", cfg, "--seed", str(seed), "--out", out])
+             for seed in range(20)]
+    assert codes == [0] * 20
+
+
 def _header_as_config(header):
     sections = {}
     for key, value in header:
@@ -397,9 +432,18 @@ def test_header_reproduces_its_run(text):
 
 
 def test_all_lists_the_public_names():
-    public = {name for name, value in vars(doppler_reabs).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    # the fitting names are exported lazily, so dir() lists them and
+    # vars() does not until first use
+    public = {name for name in dir(doppler_reabs) if not name.startswith("_")
+              and not isinstance(getattr(doppler_reabs, name), types.ModuleType)}
     assert sorted(doppler_reabs.__all__) == sorted(public)
+    for name in doppler_reabs.__all__:
+        assert getattr(doppler_reabs, name) is not None, name
+    namespace = {}
+    exec("from doppler_reabs import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(doppler_reabs.__all__)
+    with pytest.raises(AttributeError):
+        doppler_reabs.no_such_name
 
 
 def test_zero_duration_gives_single_row(tmp_path, capsys):
@@ -447,6 +491,37 @@ def test_cli_and_selfcheck_do_not_load_scipy():
     result = _fresh_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "False"]
+
+
+_NUMPY_AFTER_EACH = """\
+import json, sys
+import doppler_reabs.cli as cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    print(code, 'numpy' in sys.modules)
+"""
+
+
+def test_cli_runs_without_numpy_until_a_fit(tmp_path):
+    # only fits, log grids and synthetic data need numpy; a fresh
+    # interpreter running the other verbs never loads it
+    out = str(tmp_path / "out.csv")
+    runs = [("simulate", DYNAMICS),
+            ("simulate", DYNAMICS.replace("self_consistent = false", "self_consistent = true")),
+            ("simulate", STEADY),
+            ("scan", INTENSITY_FIT.replace("grid_scale = log", "grid_scale = linear")),
+            ("scan", OD_SCAN.replace("grid_scale = log\n", "")),
+            ("scan", ASPECT),
+            ("scan", INTENSITY_FIT)]  # a log grid
+    argvs = [[verb, "--config", _write(tmp_path, f"{i}.cfg", text), "--out", out]
+             for i, (verb, text) in enumerate(runs)]
+    cold, log_scan = argvs[:-1] + [["preset-dump", "--out", out]], argvs[-1]
+    fit = ["fit"] + argvs[3][1:]
+    # the last command of each run loads numpy: it is loaded on demand, not taken out
+    for argv in (cold + [fit], [log_scan], [["selfcheck", "--out", out]]):
+        result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["0 False"] * (len(argv) - 1) + ["0 True"]
 
 
 @pytest.mark.parametrize("text", [

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from doppler_reabs import (
@@ -11,6 +14,9 @@ from doppler_reabs import (
     parse_config,
     preset_dump,
 )
+from doppler_reabs.cli import main
+from test_cli import ASPECT, INTENSITY_FIT, OD_SCAN
+from test_config_fuzz import CASES, _sweep
 
 BASE = """\
 [species]
@@ -249,6 +255,38 @@ def test_grid_spec_values():
     assert GridSpec(1.0, 100.0, 3, "log").values() == pytest.approx([1.0, 10.0, 100.0])
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_linear_grid_values_match_numpy_linspace_bit_for_bit():
+    # linear grids are built without numpy, the way np.linspace builds them
+    texts = [ASPECT, INTENSITY_FIT, OD_SCAN] + [text for _, text in CASES]
+    texts += [text for _, text, *_ in _sweep()]  # extreme grid bounds among them
+    grids = set()
+    for text in texts:
+        try:
+            grid = parse_config(text).grid
+        except ConfigError:
+            continue
+        if grid is not None:
+            grids.add((grid.minimum, grid.maximum, grid.count))
+    assert len(grids) >= 15
+    grids = sorted(grids)
+    rng = random.Random(11)
+    for _ in range(400):
+        low, high = sorted(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+                           for _ in range(2))
+        grids.append((low, high, rng.randint(2, 400)))
+    # 3 denormal steps in 9 intervals: the step rounds to 0, and numpy
+    # takes its branch that scales i/div by the whole span
+    grids.append((0.0, 1.5e-323, 10))
+    assert (1.5e-323 - 0.0) / 9 == 0.0
+    for low, high, count in grids:
+        values = GridSpec(low, high, count, "linear").values()
+        assert _bits(values) == _bits(np.linspace(low, high, count)), (low, high, count)
+
+
 def test_preset_inline_override():
     base = parse_config(BASE)
     # the doubled linewidth halves the Zeeman shift in linewidths, so a
@@ -326,6 +364,36 @@ def test_per_kind_requirements():
     errors = _errors_of(_scan_scenario(aspect).replace(
         "temperature_uK = 1000", "peak_density_per_cm3 = 0"))
     assert any("aspect_scan needs peak_density_per_cm3 > 0" in msg for _, msg in errors)
+
+
+ASPECT_THIN = BASE.replace("temperature_uK = 1000", "peak_density_per_cm3 = {n0}").replace(
+    "kind = dynamics\nduration_ms = 600",
+    "kind = aspect_scan\naspect_mode = {mode}\ngrid_min = 1e-6\ngrid_max = 2\ngrid_count = 5")
+
+
+@pytest.mark.parametrize("n0, mode", [("5e-324", "fixed_n0"), ("5e-324", "fixed_N"),
+                                      ("1e-302", "fixed_n0")])
+def test_aspect_scan_rejects_a_cloud_whose_size_overflows(tmp_path, capsys, n0, mode):
+    # N/((2 pi)^1.5 n0 alpha) = sigma_y^3 overflows at the narrowest cloud:
+    # rejected at the density's line, not as an aspect ratio of nan
+    text = ASPECT_THIN.format(n0=n0, mode=mode)
+    line = text.splitlines().index(f"peak_density_per_cm3 = {n0}") + 1
+    assert (line, "aspect_scan needs peak_density_per_cm3 > 0, and large enough that "
+                  "the cloud's radius sigma_y is finite on the grid") in _errors_of(text)
+    path = tmp_path / "a.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["scan", "--config", str(path)]) == 1
+    assert f"line {line}: aspect_scan needs peak_density_per_cm3 > 0" in capsys.readouterr().err
+
+
+def test_aspect_scan_runs_a_thin_cloud_whose_size_is_finite(tmp_path, capsys):
+    # at fixed N, sigma_y^3 = N/((2 pi)^1.5 n0) does not depend on alpha,
+    # so the n0 that overflows at fixed n0 and alpha = 1e-6 still runs
+    path = tmp_path / "a.cfg"
+    path.write_text(ASPECT_THIN.format(n0="1e-302", mode="fixed_N"), encoding="utf-8")
+    assert main(["scan", "--config", str(path)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 6
 
 
 def test_domain_and_work_budget_carry_line_numbers():
