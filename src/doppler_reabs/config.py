@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .atoms import AtomSpecies, LaserConfig, effective_detuning, species_from_lab_units, zeeman_shift
 from .dynamics import MAX_STEPS, rate_caps, step_size
@@ -239,6 +239,8 @@ class ScenarioConfig:
     window: tuple[float, float] | None = None  # [s]
     # (key, value) pairs echoed as "# key=value" lines into every CSV
     header: tuple[tuple[str, str], ...] = ()
+    # the line of each [scenario] key the config gives, for errors found at run time
+    lines: dict[str, int] = field(default_factory=dict, hash=False)
 
 
 # each field's default (MISSING where it has none); a scenario key named
@@ -523,7 +525,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
 
-    laser_shown = {"intensity_Isat": laser.intensity, "detuning_Gamma": laser.detuning,
+    # the detuning as given: the other frame's value, rounded, would not reproduce it
+    laser_shown = {"intensity_Isat": laser.intensity, detunings[0]: laser_items[detunings[0]],
                    "attenuation_factor": laser.attenuation_factor,
                    "polarization_purity": laser.polarization_purity}
     header = [(f"{name}.{key}", format_value(items[key]))
@@ -557,6 +560,7 @@ def parse_config(text: str) -> ScenarioConfig:
         grid=grid,
         window=window,
         header=tuple(header),
+        lines={key: line_no for key, (_, line_no) in sections["scenario"].items()},
         **passed,
     )
 

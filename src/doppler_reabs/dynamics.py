@@ -7,10 +7,12 @@ scattered and rescattered photons.  The module provides the per-axis
 rates, closed-form steady states and transients, and time-domain runs.
 While the shape is fixed each axis obeys the linear equation
 dT/dt = S - C*T, so a frozen-shape run is its exact solution, evaluated
-at each sample in O(samples).  A self-consistent run recomputes the
-cloud shape and the reabsorption coefficients from the falling
-temperature after every step, each step advanced by that exact
-solution: first order in the shape coupling.
+at each sample in O(samples).  A self-consistent run lets the cloud
+shape and the reabsorption coefficients follow the falling temperature:
+it steps from sample to sample by the exact solution at S and C
+extrapolated to each step's midpoint (exponential Adams-Bashforth 2,
+second order), halving a step whose difference from the first-order
+step exceeds a relative TOL, and evaluates the shape once per step.
 
 Two rate conventions are exposed.  With consistency_mode the heating
 rates are scaled so that the fixed point of the differential equations
@@ -27,12 +29,17 @@ from dataclasses import dataclass
 
 from . import constants as const
 from .atoms import AtomSpecies, LaserConfig, effective_detuning
-from .reabsorption import CloudShape, KappaSet, kappa_set
-from .trap import CloudState, TrapConfig, peak_density, sigma_from_temperature, trap_frequencies
+from .reabsorption import KappaSet, _kappas
+from .trap import CloudState, TrapConfig, peak_density, trap_frequencies
 
 MAX_STEP = 2e-4          # integrator step ceiling [s]
 STEPS_PER_TIME_CONSTANT = 50
 MAX_STEPS = 10**6        # steps one run may take; parse_config enforces it
+# Local tolerance of a self-consistent step, relative to T: the bound on
+# its difference from the first-order step, which is that step's local
+# error.  Set so that the endpoint error is below the first-order
+# scheme's at every sample stride (3e-3 was not, at stride 50).
+TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,11 @@ def rate_caps(trap: TrapConfig, species: AtomSpecies) -> tuple[float, float]:
     return 2.0 * omega_z / math.pi, 2.0 * omega_y / math.pi
 
 
+def fixed_steps(duration: float, fastest_rate: float) -> int:
+    """Fixed steps of a run: step_size(fastest_rate), stretched to fill duration."""
+    return max(1, math.ceil(duration / step_size(fastest_rate)))
+
+
 def step_size(fastest_rate: float) -> float:
     """Integrator step [s] for a run whose fastest initial cooling rate is fastest_rate.
 
@@ -144,6 +156,10 @@ class RateModel:
 
     def rates(self, kappas: KappaSet) -> RateSet:
         """Per-axis cooling and heating rates for the current cloud shape."""
+        return RateSet(*self._rate_values(kappas))
+
+    def _rate_values(self, kappas: KappaSet) -> tuple[float, float, float, float, bool, bool]:
+        """The fields of rates(kappas), in RateSet's order."""
         cool_z = (
             self.drive * (1.0 + kappas.kappa_z)
             * 2.0 * self.intensity * self.recoil_per_photon / self.lorentz_sq
@@ -164,7 +180,7 @@ class RateModel:
         if capped_y:
             heat_y *= self.cap_y / cool_y
             cool_y = self.cap_y
-        return RateSet(cool_z, cool_y, heat_z, heat_y, capped_z, capped_y)
+        return cool_z, cool_y, heat_z, heat_y, capped_z, capped_y
 
 
 def rates(
@@ -278,12 +294,29 @@ def transient(T0: float, T_inf: float, tau: float, t: float) -> float:
     return T_inf + (T0 - T_inf) * math.exp(-t / tau)
 
 
-def _shape_of(state: CloudState) -> CloudShape:
-    return CloudShape(
-        sigma_y=state.sigma_y,
-        sigma_z=state.sigma_z,
-        peak_density=state.peak_density,
-    )
+class ShapeKernel:
+    """The cloud shape of one run as a function of its temperatures.
+
+    mu*curvature per axis, the atom number and the resonant cross section
+    are taken once, at construction; a call maps (T_z, T_y) to (sigma_z,
+    sigma_y, n0, kappas) by the expressions of sigma_from_temperature,
+    peak_density and kappa_set in their order, so every value is bit for
+    bit theirs.  The x axis follows T_y, as everywhere in the model.
+    """
+
+    def __init__(self, trap: TrapConfig, species: AtomSpecies, atom_number: float):
+        mu = trap.magnetic_moment
+        self.stiffness = (mu * trap.curvature_z, mu * trap.curvature_y, mu * trap.curvature_x)
+        self.atom_number = atom_number
+        self.cross_section = species.resonant_cross_section
+
+    def __call__(self, T_z: float, T_y: float) -> tuple[float, float, float, KappaSet]:
+        k_z, k_y, k_x = self.stiffness
+        sigma_z = math.sqrt(const.K_B * T_z / k_z)
+        sigma_y = math.sqrt(const.K_B * T_y / k_y)
+        sigma_x = math.sqrt(const.K_B * T_y / k_x)
+        n0 = peak_density(self.atom_number, sigma_x, sigma_y, sigma_z)
+        return sigma_z, sigma_y, n0, _kappas(sigma_y, sigma_z, n0, self.cross_section)
 
 
 def _relax(T: float, source: float, rate: float, dt: float) -> float:
@@ -296,6 +329,36 @@ def _relax(T: float, source: float, rate: float, dt: float) -> float:
     x = rate * dt
     phi = 1.0 if x == 0.0 else -math.expm1(-x) / x
     return T * math.exp(-x) + source * dt * phi
+
+
+def _second_order_step(T_z, T_y, before, now, last, span, dt):
+    """(T_z, T_y, m) after a self-consistent step of m <= span steps of dt.
+
+    before and now are (S_z, C_z, S_y, C_y) at the start of the previous
+    step, last steps of dt long, and of this one.  A try of m steps takes
+    each axis by _relax at the coefficients extrapolated linearly to the
+    try's midpoint (exponential Adams-Bashforth 2, Cox & Matthews 2002).
+    It is accepted when every extrapolated coefficient is >= 0 and it
+    differs from the first-order step (_relax at now) by at most TOL
+    relative on both axes; otherwise m is halved.  A try of one step of
+    dt is always taken: second order, or first order where an
+    extrapolated coefficient is negative, so the temperatures stay positive.
+    """
+    S_z, C_z, S_y, C_y = now
+    dS_z, dC_z, dS_y, dC_y = S_z - before[0], C_z - before[1], S_y - before[2], C_y - before[3]
+    m = span
+    while True:
+        w = 0.5 * m / last
+        mid = S_z + w * dS_z, C_z + w * dC_z, S_y + w * dS_y, C_y + w * dC_y
+        h = m * dt
+        if min(mid) >= 0.0:
+            z, y = _relax(T_z, mid[0], mid[1], h), _relax(T_y, mid[2], mid[3], h)
+            if m == 1 or (abs(z - _relax(T_z, S_z, C_z, h)) <= TOL * z
+                          and abs(y - _relax(T_y, S_y, C_y, h)) <= TOL * y):
+                return z, y, m
+        elif m == 1:
+            return _relax(T_z, S_z, C_z, h), _relax(T_y, S_y, C_y, h), 1
+        m //= 2
 
 
 def simulate(
@@ -311,16 +374,21 @@ def simulate(
 ) -> TemperatureTrace:
     """Integrate the two-temperature rate equations.
 
-    A sample follows every sample_stride fixed steps and the last one; a
-    step is at most step_size(fastest initial cooling rate), stretched
-    so that whole steps fill duration.  With a frozen shape each axis
-    obeys dT/dt = S - C*T with constant S and C, so each sample is the
-    exact solution at its time, evaluated directly: O(samples), exact
-    up to rounding.  When self_consistent is set, every step advances
-    each axis by that solution at the S and C of the step's start (the
-    temperatures stay positive at any step), then recomputes the cloud
-    sizes from the temperatures, the peak density from the constant
-    atom number, and the kappa set: first order in the shape coupling.
+    The cloud shape follows initial's temperatures and atom number
+    (ShapeKernel; x follows y).  A sample follows every sample_stride
+    fixed steps and the last one; a step is at most step_size(fastest
+    initial cooling rate), stretched so that whole steps fill duration.
+    With a frozen shape each axis obeys dT/dt = S - C*T with constant S
+    and C, so each sample is the exact solution at its time, evaluated
+    directly: O(samples), exact up to rounding.  When self_consistent is
+    set, the first fixed step is first order (_relax at the start's S
+    and C).  After it each step tries the rest of its sample interval, at
+    most twice the step before (so S and C are never extrapolated further
+    back than the previous step's start), is halved while
+    _second_order_step rejects it, but never below one fixed step, and
+    ends with one shape and kappa evaluation.  That is second order in
+    the step and costs at most one kappa per fixed step: one per fixed
+    step at sample_stride 1, about one per sample once the cloud settles.
     delta_pol defaults to the effective detuning of the stretched-state
     transition at the trap bottom.
     """
@@ -333,40 +401,37 @@ def simulate(
             laser.detuning, trap.offset_field, species, species.m_j, +1
         )
 
-    mu = trap.magnetic_moment
-    n_atoms = initial.atom_number
-    T_z, T_y = initial.T_z, initial.T_y
-    sigma_z, sigma_y = initial.sigma_z, initial.sigma_y
-    n0 = initial.peak_density
-    kappas = kappa_set(_shape_of(initial), species)
+    shape = ShapeKernel(trap, species, initial.atom_number)
     model = RateModel(laser, delta_pol, species, trap, consistency_mode)
-    rs = model.rates(kappas)
 
+    def coefficients(kappas):
+        """(S_z, C_z, S_y, C_y) of dT/dt = S - C*T on each axis."""
+        cool_z, cool_y, heat_z, heat_y, _, _ = model._rate_values(kappas)
+        return model.heat_scale * heat_z, cool_z, model.heat_scale * heat_y, cool_y
+
+    T_z, T_y = initial.T_z, initial.T_y
+    sigma_z, sigma_y, n0, kappas = shape(T_z, T_y)
     samples = [TraceSample(0.0, T_z, T_y, sigma_z, sigma_y, n0, kappas)]
     if duration == 0:
         return TemperatureTrace(samples=tuple(samples))
-    step = step_size(max(rs.cool_rate_z, rs.cool_rate_y))
-    n_steps = max(1, math.ceil(duration / step))
+    now = S_z, C_z, S_y, C_y = coefficients(kappas)
+    n_steps = fixed_steps(duration, max(C_z, C_y))
     dt = duration / n_steps
     if not self_consistent:
-        S_z, S_y = model.heat_scale * rs.heat_rate_z, model.heat_scale * rs.heat_rate_y
         for k in [*range(sample_stride, n_steps, sample_stride), n_steps]:
             t = k * dt
-            T_t = _relax(T_z, S_z, rs.cool_rate_z, t), _relax(T_y, S_y, rs.cool_rate_y, t)
+            T_t = _relax(T_z, S_z, C_z, t), _relax(T_y, S_y, C_y, t)
             samples.append(TraceSample(t, *T_t, sigma_z, sigma_y, n0, kappas))
         return TemperatureTrace(samples=tuple(samples))
-    for k in range(1, n_steps + 1):
-        rs = model.rates(kappas)
-        T_z = _relax(T_z, model.heat_scale * rs.heat_rate_z, rs.cool_rate_z, dt)
-        T_y = _relax(T_y, model.heat_scale * rs.heat_rate_y, rs.cool_rate_y, dt)
-        sigma_z = sigma_from_temperature(T_z, trap.curvature_z, mu)
-        sigma_y = sigma_from_temperature(T_y, trap.curvature_y, mu)
-        sigma_x = sigma_from_temperature(T_y, trap.curvature_x, mu)
-        n0 = peak_density(n_atoms, sigma_x, sigma_y, sigma_z)
-        kappas = kappa_set(
-            CloudShape(sigma_y=sigma_y, sigma_z=sigma_z, peak_density=n0),
-            species,
-        )
+    T_z, T_y = _relax(T_z, S_z, C_z, dt), _relax(T_y, S_y, C_y, dt)
+    k = last = 1
+    while True:
+        sigma_z, sigma_y, n0, kappas = shape(T_z, T_y)
         if k % sample_stride == 0 or k == n_steps:
             samples.append(TraceSample(k * dt, T_z, T_y, sigma_z, sigma_y, n0, kappas))
-    return TemperatureTrace(samples=tuple(samples))
+        if k == n_steps:
+            return TemperatureTrace(samples=tuple(samples))
+        before, now = now, coefficients(kappas)
+        span = min(k - k % sample_stride + sample_stride, n_steps, k + 2 * last) - k
+        T_z, T_y, last = _second_order_step(T_z, T_y, before, now, last, span, dt)
+        k += last

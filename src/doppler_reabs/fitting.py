@@ -5,9 +5,10 @@ steady-state-versus-intensity model with an unknown constant heating
 power, and the per-optical-density variant.  Every fit is a direct
 solve: the two scan models are linear after a change of variables and
 take one weighted linear least-squares solve each; the exponential is
-linear in T_inf and T0 for fixed tau, which leaves a bisection in tau
-alone.  Parameter uncertainties come from the covariance diagonal,
-carried through the exact Jacobian of each change of variables.
+linear in T_inf and T0 for fixed tau, which leaves a root search in
+tau alone (Brent's zeroin).  Parameter uncertainties come from the
+covariance diagonal, carried through the exact Jacobian of each change
+of variables.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .dynamics import (
 )
 
 EXP_TAU_BRACKET = (1e-3, 1e3)  # tau search range, in units of the sample span
+EXP_MIN_SAMPLES = 4  # an exponential fit's samples in its window, at least
 # Residual norm over data norm up to which an unweighted fit is exact but for
 # rounding: noise-free frozen traces and scans read 1e-16 to 1e-15, traces of
 # a self-consistent shape 1.6e-7 and up, scans with 0.1 % noise 6e-4.
@@ -121,6 +123,56 @@ def _project(shifted, centered, tau):
     return -b * e_mean, b, b * (b * float(de @ es) - float(centered @ es))
 
 
+def _zeroin(f, a, b, fa, fb):
+    """A root of f between a and b, where fa = f(a) < 0 < fb = f(b), and the
+    number of evaluations of f it took.
+
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse quadratic interpolation or the secant where it makes
+    progress, bisection where it does not, until the bracket around the
+    best estimate x is at most 2 * (2 eps |x| + floor) wide.  The floor,
+    eps * max(|a|, |b|), about a unit in the last place of the bracket's
+    ends, keeps a root near 0 from being pursued to the smallest floats.
+    """
+    eps = 2.0**-52
+    floor = eps * max(abs(a), abs(b))
+    c, fc = a, fa
+    d = e = b - a
+    evaluations = 0
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * eps * abs(b) + floor
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0:
+            return b, evaluations
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        evaluations += 1
+
+
 def fit_exponential(
     trace: TemperatureTrace,
     axis: str = "y",
@@ -130,9 +182,9 @@ def fit_exponential(
 
     window is an inclusive (t_min, t_max) time range; None uses the
     whole trace.  A constant trace leaves tau unidentifiable and raises.
-    For each tau, T_inf and T0 follow by linear regression; tau is found
-    by bisecting the sign of the projected gradient in log tau over
-    EXP_TAU_BRACKET times the sample span.  Without a sign change from
+    For each tau, T_inf and T0 follow by linear regression; tau is the
+    root of the projected gradient in log tau over EXP_TAU_BRACKET times
+    the sample span, found by _zeroin.  Without a sign change from
     falling to rising cost the trace does not pin tau, and the fit is
     reported unconverged at the better bracket end.
     """
@@ -141,8 +193,8 @@ def fit_exponential(
     if window is not None:
         keep = (times >= window[0]) & (times <= window[1])
         times, temps = times[keep], temps[keep]
-    if times.size < 4:
-        raise ValueError("need at least 4 samples in the fit window")
+    if times.size < EXP_MIN_SAMPLES:
+        raise ValueError(f"need at least {EXP_MIN_SAMPLES} samples in the fit window")
     if float(np.ptp(temps)) == 0.0:
         raise DegenerateDataError(
             "temperature is constant over the window; tau is unidentifiable"
@@ -150,19 +202,18 @@ def fit_exponential(
 
     shifted = times - times[0]
     centered = temps - temps.mean()
+
+    def gradient(log_tau):
+        return _project(shifted, centered, math.exp(log_tau))[2]
+
     lo, hi = (math.log(f * shifted[-1]) for f in EXP_TAU_BRACKET)
-    falls_at_lo = _project(shifted, centered, math.exp(lo))[2] < 0
-    rises_at_hi = _project(shifted, centered, math.exp(hi))[2] > 0
-    converged = falls_at_lo and rises_at_hi
-    iterations = 0
+    g_lo, g_hi = gradient(lo), gradient(hi)
+    converged = g_lo < 0 and g_hi > 0
+    evaluations = 2  # the bracket ends
     if converged:
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            iterations += 1
-            if _project(shifted, centered, math.exp(mid))[2] < 0:
-                lo = mid
-            else:
-                hi = mid
-    elif falls_at_lo:
+        lo, more = _zeroin(gradient, lo, hi, g_lo, g_hi)
+        evaluations += more
+    elif g_lo < 0:
         lo = hi  # the cost still falls at the top of the bracket
     tau = math.exp(lo)
     offset, b, _ = _project(shifted, centered, tau)
@@ -174,7 +225,7 @@ def fit_exponential(
     # T0 - T_inf = b * growth and exp(-t/tau) = e / growth
     jac = np.column_stack((1.0 - e / growth, e / growth, b * e * times / tau**2))
     return _build_result(
-        ("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau), converged, iterations,
+        ("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau), converged, evaluations,
         _inverse(jac.T @ jac), r, r, temps, weighted=False,
     )
 

@@ -157,7 +157,7 @@ def _complete_rf_rd(y: float) -> tuple[float, float]:
     return r_f, 3.0 * r_f * s / (1.0 - y)
 
 
-def _closed_form_integrals(shape: CloudShape) -> tuple[float, float, float]:
+def _closed_form_integrals(sigma_y: float, sigma_z: float) -> tuple[float, float, float]:
     """The radial, axial and total angular integrals over [0, pi] [m].
 
     The same three numbers _angular_integral gives for the projections
@@ -167,11 +167,11 @@ def _closed_form_integrals(shape: CloudShape) -> tuple[float, float, float]:
     total N0 + 2 N1 + N2 with N_k = int_0^1 u^{2k}/sqrt(1 + e u^2), and
     axial (1/2) int_0^1 (1 + v)^2/sqrt(1 + e v) dv.
     """
-    ratio = shape.sigma_y / shape.sigma_z
+    ratio = sigma_y / sigma_z
     y = ratio * ratio  # 1 + e
     if not 0.0 < y < math.inf:
         raise ValueError(
-            f"cloud aspect ratio sigma_z/sigma_y = {shape.aspect_ratio:g} is out of range"
+            f"cloud aspect ratio sigma_z/sigma_y = {sigma_z / sigma_y:g} is out of range"
         )
     e = y - 1.0
 
@@ -202,20 +202,27 @@ def _closed_form_integrals(shape: CloudShape) -> tuple[float, float, float]:
         m2 = (m0 - 2.0 * (1.0 - e) * m1) / (3.0 * e)
         m3 = (3.0 * m1 - 4.0 * (1.0 - e) * m2) / (5.0 * e)
         radial = m0 + m1 - m2 - m3
-    two_sigma = 2.0 * shape.sigma_y
+    two_sigma = 2.0 * sigma_y
     return two_sigma * radial, two_sigma * axial, two_sigma * total
 
 
-def kappa_set(shape: CloudShape, species: AtomSpecies) -> KappaSet:
-    """Reabsorption coefficients for a cloud shape, from the closed forms."""
-    k0 = kappa0(shape.peak_density, species.resonant_cross_section)
-    radial, axial, total = _closed_form_integrals(shape)
+def _kappas(sigma_y: float, sigma_z: float, peak_density: float,
+            cross_section: float) -> KappaSet:
+    """kappa_set of an unchecked shape, for a caller that has the cross section."""
+    k0 = kappa0(peak_density, cross_section)
+    radial, axial, total = _closed_form_integrals(sigma_y, sigma_z)
     return KappaSet(
         kappa_y=k0 * (2.0 / math.pi) * radial,
         kappa_z=k0 * axial,
         kappa=k0 * total,
         kappa0=k0,
     )
+
+
+def kappa_set(shape: CloudShape, species: AtomSpecies) -> KappaSet:
+    """Reabsorption coefficients for a cloud shape, from the closed forms."""
+    return _kappas(shape.sigma_y, shape.sigma_z, shape.peak_density,
+                   species.resonant_cross_section)
 
 
 def optical_density(shape: CloudShape, species: AtomSpecies, axis: str) -> float:

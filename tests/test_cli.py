@@ -420,11 +420,10 @@ def _header_as_config(header):
                          ids=["dynamics", "steady", "intensity_fit", "aspect", "od_scan"]
                          + [f"fuzz_case{i}" for i in range(len(CASES))])
 def test_header_reproduces_its_run(text):
-    # the resolved.* lines are derived, and recomputed from the header's
-    # rounded inputs, so they are left out on both sides
+    # the resolved.* lines are derived: recomputed from the header's
+    # inputs, they must come out the same
     def settings(cfg):
-        header = [item for item in cfg.header if not item[0].startswith("resolved.")]
-        return (header, cfg.window, cfg.fit_axis, cfg.sample_stride, cfg.self_consistent,
+        return (cfg.header, cfg.window, cfg.fit_axis, cfg.sample_stride, cfg.self_consistent,
                 cfg.consistency_mode)
 
     cfg = parse_config(text)
@@ -594,4 +593,23 @@ def test_work_budget_rejects_config_with_line_number(tmp_path, capsys, monkeypat
     line_no = next(n for n, l in enumerate(text.splitlines(), 1) if l.startswith(key))
     assert err.startswith("error:")
     assert f"line {line_no}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sample_stride", "1e300"), ("window_max_ms", "1e-300"), ("duration_ms", "1e-300"),
+])
+def test_short_fit_window_exits_1_at_the_key_to_change(tmp_path, capsys, key, value):
+    # the sample count is known only once the run's first step is; each
+    # config leaves fewer than 4 samples in the window and passes parsing
+    verb, text = CASES[1]
+    lines = text.splitlines()
+    line_no = next(n for n, line in enumerate(lines, 1) if line.startswith(key))
+    lines[line_no - 1] = f"{key} = {value}"
+    assert (verb, line_no) == ("fit", {"sample_stride": 20, "window_max_ms": 24,
+                                       "duration_ms": 19}[key])
+    cfg = _write(tmp_path, "short.cfg", "\n".join(lines) + "\n")
+    assert main([verb, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"line {line_no}: scenario.{key}: the fit window holds " in err
     assert "Traceback" not in err

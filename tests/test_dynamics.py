@@ -10,6 +10,7 @@ from doppler_reabs import (
     CloudShape,
     KappaSet,
     LaserConfig,
+    cloud_from_temperatures,
     detuning_factor,
     kappa_set,
     rates,
@@ -279,10 +280,10 @@ def test_frozen_and_self_consistent_runs_share_sample_times(
     assert len(frozen) == 2 if stride == 10**6 else len(frozen) > 2
 
 
-def test_frozen_run_costs_one_kappa_set_and_two_relaxations_per_sample(
+def test_frozen_run_costs_one_kappa_and_two_relaxations_per_sample(
     monkeypatch, hot_cloud, trap, species, measured_laser, delta_pol
 ):
-    calls = {"kappa_set": 0, "_relax": 0}
+    calls = {"_kappas": 0, "_relax": 0}
 
     def counting(name):
         real = getattr(dynamics, name)
@@ -300,7 +301,7 @@ def test_frozen_run_costs_one_kappa_set_and_two_relaxations_per_sample(
     )
     emitted = len(trace.samples) - 1
     assert emitted > 100
-    assert calls == {"kappa_set": 1, "_relax": 2 * emitted}
+    assert calls == {"_kappas": 1, "_relax": 2 * emitted}
 
 
 def test_zero_intensity_run_keeps_the_start_temperature(hot_cloud, trap, species, delta_pol):
@@ -377,3 +378,105 @@ def test_trace_invariants_and_stride(hot_cloud, trap, species, measured_laser):
     assert all(b > a for a, b in zip(times, times[1:]))
     gaps = [b - a for a, b in zip(times[1:-1], times[2:-1])]
     assert all(g == pytest.approx(gaps[0], rel=1e-9) for g in gaps)
+
+
+def _sc_endpoint(cloud, trap, species, laser, delta_pol, duration, stride=1):
+    last = simulate(
+        cloud, trap, species, laser, duration, sample_stride=stride, delta_pol=delta_pol,
+    ).samples[-1]
+    return last.T_z, last.T_y
+
+
+def test_self_consistent_step_is_second_order(
+    monkeypatch, hot_cloud, trap, species, measured_laser, delta_pol
+):
+    # at stride 1 every step is one fixed step long, so refining the step
+    # rule refines the scheme itself; the first-order step it replaced gave
+    # ratios of 1.99-2.03
+    def endpoint(refine):
+        monkeypatch.setattr(dynamics, "STEPS_PER_TIME_CONSTANT", 50 * refine)
+        return _sc_endpoint(hot_cloud, trap, species, measured_laser, delta_pol, 0.0064)
+
+    reference = endpoint(128)
+    errors = [
+        max(abs(a - b) / b for a, b in zip(endpoint(refine), reference))
+        for refine in (1, 2, 4, 8)
+    ]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.5 <= ratio <= 4.5 for ratio in ratios), ratios
+
+
+@pytest.mark.parametrize("duration, first_order_error", [(0.0064, 6.9e-4), (0.08, 6.2e-5)])
+def test_self_consistent_endpoint_beats_the_first_order_step_at_every_stride(
+    monkeypatch, hot_cloud, trap, species, measured_laser, delta_pol, duration,
+    first_order_error
+):
+    # first_order_error: the endpoint error of the first-order step it
+    # replaced, one fixed step at a time, the same at every stride
+    monkeypatch.setattr(dynamics, "STEPS_PER_TIME_CONSTANT", 50 * 32)
+    reference = _sc_endpoint(hot_cloud, trap, species, measured_laser, delta_pol, duration)
+    monkeypatch.undo()
+    for stride in (1, 2, 4, 10, 50, 10**6):
+        end = _sc_endpoint(hot_cloud, trap, species, measured_laser, delta_pol, duration, stride)
+        error = max(abs(a - b) / b for a, b in zip(end, reference))
+        assert error <= first_order_error, stride
+
+
+def test_self_consistent_run_settles_on_the_self_consistent_fixed_point(
+    hot_cloud, trap, species, measured_laser, delta_pol
+):
+    # T* is the temperature pair whose closed-form steady state, at the
+    # cloud shape T* itself sets, is T*; _relax keeps it fixed exactly
+    t_z, t_y = hot_cloud.T_z, hot_cloud.T_y
+    for _ in range(200):
+        cloud = cloud_from_temperatures(trap, hot_cloud.atom_number, t_y, t_y, t_z)
+        shape = CloudShape(sigma_y=cloud.sigma_y, sigma_z=cloud.sigma_z,
+                           peak_density=cloud.peak_density)
+        ss = steady_state(kappa_set(shape, species), delta_pol, species)
+        if (ss.T_z_inf, ss.T_y_inf) == (t_z, t_y):
+            break
+        t_z, t_y = ss.T_z_inf, ss.T_y_inf
+    end = _sc_endpoint(hot_cloud, trap, species, measured_laser, delta_pol, 1.0, stride=50)
+    assert end == pytest.approx((t_z, t_y), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("duration", [0.0064, 0.08])
+def test_self_consistent_run_costs_at_most_one_kappa_per_fixed_step(
+    monkeypatch, hot_cloud, trap, species, measured_laser, delta_pol, duration
+):
+    calls = [0]
+    real = dynamics._kappas
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_kappas", counting)
+
+    def kappa_count(stride):
+        calls[0] = 0
+        _sc_endpoint(hot_cloud, trap, species, measured_laser, delta_pol, duration, stride)
+        return calls[0]
+
+    # at stride 1 every fixed step is a sample: n_steps + 1 samples
+    every_step = len(simulate(hot_cloud, trap, species, measured_laser, duration,
+                              self_consistent=False, delta_pol=delta_pol).samples)
+    assert kappa_count(1) == every_step
+    counts = [kappa_count(stride) for stride in (2, 4, 10, 50, 10**6)]
+    assert all(count <= every_step for count in counts)
+    assert counts[-1] < every_step
+
+
+@pytest.mark.parametrize("self_consistent", [False, True])
+def test_every_sample_carries_the_kappa_set_of_its_shape(
+    hot_cloud, trap, species, measured_laser, delta_pol, self_consistent
+):
+    trace = simulate(
+        hot_cloud, trap, species, measured_laser, 0.02, self_consistent=self_consistent,
+        sample_stride=7, delta_pol=delta_pol,
+    )
+    for s in trace.samples:
+        shape = CloudShape(sigma_y=s.sigma_y, sigma_z=s.sigma_z, peak_density=s.peak_density)
+        assert s.kappas == kappa_set(shape, species)
+    sigmas = [(s.sigma_z, s.sigma_y) for s in trace.samples]
+    assert (len(set(sigmas)) > 1) == self_consistent

@@ -19,7 +19,15 @@ from doppler_reabs import (
     steady_state_with_heating,
     transient,
 )
+from doppler_reabs import parse_config, rates
 from doppler_reabs.dynamics import TemperatureTrace, TraceSample
+from doppler_reabs.runners import fit_scenario
+from test_cli import DYNAMICS
+
+# The root search may take at most this many gradient evaluations,
+# bracket ends included; the bisection it replaced took 55-58, and 106
+# on a decay time near 1 s.
+MAX_TAU_EVALUATIONS = 20
 
 
 def _trace(times, temps):
@@ -103,6 +111,46 @@ def test_exponential_fit_axis_selection():
     assert fit.parameters["tau"] == pytest.approx(0.05, rel=1e-6)
     with pytest.raises(DegenerateDataError):
         fit_exponential(trace, axis="y")
+
+
+@pytest.mark.parametrize("duration_ms, bisection_tau", [
+    ("60", 0.03825391923165475),
+    ("150", 0.03825391923165517),
+])
+def test_exponential_tau_of_cli_fits_pinned(duration_ms, bisection_tau):
+    # the radial fits of the tests/test_cli.py dynamics configs, against
+    # the tau that bisection in log tau down to adjacent floats found
+    config = parse_config(DYNAMICS.replace("duration_ms = 60", f"duration_ms = {duration_ms}"))
+    fit = fit_scenario(config)
+    assert fit.converged
+    assert fit.parameters["tau"] == pytest.approx(bisection_tau, rel=1e-12, abs=0)
+    assert fit.iterations <= MAX_TAU_EVALUATIONS
+
+
+@pytest.mark.parametrize("axis, bisection_tau", [
+    ("y", 0.03825391923165509),
+    ("z", 0.005899841549283594),
+])
+def test_exponential_tau_of_frozen_trace_is_the_inverse_cooling_rate(
+    frozen_run, measured_laser, delta_pol, species, trap, axis, bisection_tau
+):
+    # a frozen shape relaxes at its initial cooling rate C exactly
+    rs = rates(measured_laser, frozen_run.samples[0].kappas, delta_pol, species, trap)
+    fit = fit_exponential(frozen_run, axis=axis)
+    tau = fit.parameters["tau"]
+    assert tau == pytest.approx(bisection_tau, rel=1e-12, abs=0)
+    assert tau == pytest.approx(1.0 / getattr(rs, f"cool_rate_{axis}"), rel=1e-12, abs=0)
+    assert fit.iterations <= MAX_TAU_EVALUATIONS
+
+
+def test_exponential_tau_near_one_second_stops_at_the_bracket_floor():
+    # log tau ~ 0: a purely relative tolerance would chase the root to
+    # the smallest floats
+    times, temps = _exponential_trace(tau=1.0, n=61, t_max=3.0)
+    fit = fit_exponential(_trace(times, temps), axis="y")
+    assert fit.converged
+    assert fit.parameters["tau"] == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert fit.iterations <= MAX_TAU_EVALUATIONS
 
 
 def _intensity_points(species, noise=0.0, seed=0, n=8, lo=1e-4, hi=1e-2,
@@ -248,6 +296,7 @@ def test_exponential_straight_line_unconverged():
     assert not fit.converged
     assert fit.standard_errors is None
     assert fit.parameters["tau"] == pytest.approx(1e3 * 0.004, rel=1e-12)
+    assert fit.iterations == 2  # the gradient at the two bracket ends
 
 
 def test_scan_fits_without_physical_kappa_unconverged(species):
