@@ -11,13 +11,9 @@ presets for the chromium experiment the model was built around.
 
 from .atoms import (
     AtomSpecies,
-    DepolarizationReport,
     LaserConfig,
-    cg_squared,
-    depolarization_assessment,
     effective_detuning,
     lande_g,
-    scattering_rate,
     species_from_lab_units,
     zeeman_shift,
 )
@@ -56,10 +52,8 @@ from .runners import (
 )
 from .trap import (
     CloudState,
-    LarmorSafety,
     TrapConfig,
     cloud_from_temperatures,
-    larmor_safety,
     peak_density,
     sigma_from_temperature,
     thermal_debroglie_wavelength,
@@ -91,11 +85,9 @@ __all__ = [
     "CloudState",
     "ConfigError",
     "DegenerateDataError",
-    "DepolarizationReport",
     "FitResult",
     "GridSpec",
     "KappaSet",
-    "LarmorSafety",
     "LaserConfig",
     "RateSet",
     "ScanPoint",
@@ -107,10 +99,8 @@ __all__ = [
     "TraceSample",
     "TrapConfig",
     "TRAP_PRESETS",
-    "cg_squared",
     "cloud_from_temperatures",
     "cr52",
-    "depolarization_assessment",
     "detuning_factor",
     "effective_detuning",
     "fit_exponential",
@@ -119,7 +109,6 @@ __all__ = [
     "kappa0",
     "kappa_set",
     "lande_g",
-    "larmor_safety",
     "load_scan_points",
     "optical_density",
     "parse_config",
@@ -133,7 +122,6 @@ __all__ = [
     "run_od_scan",
     "run_selfcheck",
     "run_steady_state",
-    "scattering_rate",
     "sigma_from_temperature",
     "sigma_theta",
     "simulate",

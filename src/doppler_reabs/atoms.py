@@ -1,10 +1,9 @@
 """Atomic species data and single-transition light-atom arithmetic.
 
 Covers the closed cooling transition J -> J+1 of a spin-polarized atom:
-its recoil, Doppler and cross-section constants, Clebsch-Gordan
-branching (squared), Lande g-factors, Zeeman-shifted effective
-detunings, low-saturation scattering rates, and a pessimistic estimate
-of depolarization out of the stretched state for imperfect polarization.
+its recoil, Doppler and cross-section constants, Lande g-factors and
+Zeeman-shifted effective detunings.  The atom is assumed to stay in the
+stretched state; nothing here checks that assumption.
 """
 
 from __future__ import annotations
@@ -79,35 +78,23 @@ class LaserConfig:
     intensity is the measured single-beam intensity normalized to the
     saturation intensity; attenuation_factor divides it to give the
     intensity actually seen by the atoms; detuning is in units of Gamma,
-    before any Zeeman shift; polarization_purity is the intensity
-    fraction in the wrong polarization (0 = perfectly circular).
+    before any Zeeman shift.
     """
 
     intensity: float
     detuning: float
     attenuation_factor: float = 1.0
-    polarization_purity: float = 0.0
 
     def __post_init__(self):
         if self.intensity < 0:
             raise ValueError("intensity must be >= 0")
         if self.attenuation_factor < 1:
             raise ValueError("attenuation_factor must be >= 1")
-        if not 0.0 <= self.polarization_purity <= 1.0:
-            raise ValueError("polarization_purity must lie in [0, 1]")
 
     @property
     def effective_intensity(self) -> float:
         """Intensity at the atoms after attenuation, in saturation units."""
         return self.intensity / self.attenuation_factor
-
-
-@dataclass(frozen=True)
-class DepolarizationReport:
-    """Outcome of a depolarization assessment."""
-
-    ratio: float          # depolarizing over polarizing scattering rate
-    loss_fraction: float  # pessimistic fraction pumped out during cooling
 
 
 def species_from_lab_units(
@@ -144,24 +131,6 @@ def species_from_lab_units(
     )
 
 
-def cg_squared(j: int, m_g: int, q: int) -> float:
-    """Squared Clebsch-Gordan coefficient |<j,m_g;1,q|j+1,m_g+q>|^2.
-
-    Closed form for the J -> J+1 manifold only; q = +1, 0, -1 selects
-    sigma+, pi, sigma-.
-    """
-    if q not in (-1, 0, 1):
-        raise ValueError("q must be -1, 0 or +1")
-    if abs(m_g) > j:
-        raise ValueError("|m_g| must not exceed j")
-    if abs(m_g + q) > j + 1:
-        raise ValueError("target sublevel out of range")
-    if q == 0:
-        return ((j + 1) ** 2 - m_g**2) / ((j + 1) * (2 * j + 1))
-    # q = +1 or -1
-    return (j + q * m_g + 1) * (j + q * m_g + 2) / (2 * (j + 1) * (2 * j + 1))
-
-
 def lande_g(l: int, s: int, j: int) -> float:
     """Lande g-factor of a fine-structure level (L, S, J)."""
     if j == 0:
@@ -189,58 +158,3 @@ def effective_detuning(
     if abs(m_g) > species.j_ground or abs(m_g + q) > species.j_excited:
         raise ValueError("transition out of range")
     return laser_detuning - zeeman_shift(species, m_g, q, field)
-
-
-def scattering_rate(
-    species: AtomSpecies, intensity: float, delta_eff: float, cg2: float
-) -> float:
-    """Low-saturation photon scattering rate [1/s].
-
-    intensity is the single-beam normalized intensity; both beams of the
-    standing wave contribute, hence the factor 2I.
-    """
-    if intensity < 0:
-        raise ValueError("intensity must be >= 0")
-    return (
-        species.linewidth / 2.0 * 2.0 * intensity * cg2 / (1.0 + 4.0 * delta_eff**2)
-    )
-
-
-def depolarization_assessment(
-    species: AtomSpecies,
-    laser: LaserConfig,
-    offset_field: float,
-    cooling_duration: float,
-) -> DepolarizationReport:
-    """Estimate depolarization of the stretched state by impure light.
-
-    laser.detuning is taken as the effective detuning of the polarizing
-    sigma+ transition at the trap bottom field offset_field; the impure
-    intensity fraction drives the pi and sigma- transitions at their
-    Zeeman-shifted detunings relative to it.  The loss fraction is a
-    single-exponential survival estimate with the full depolarizing rate,
-    deliberately pessimistic.
-    """
-    if cooling_duration <= 0:
-        raise ValueError("cooling_duration must be positive")
-    m = species.m_j
-    delta_pol = laser.detuning
-    intensity = laser.effective_intensity
-    r_pol = scattering_rate(
-        species, intensity, delta_pol, cg_squared(species.j_ground, m, +1)
-    )
-    shift_pol = zeeman_shift(species, m, +1, offset_field)
-    r_dep = 0.0
-    for q in (0, -1):
-        if abs(m + q) > species.j_excited:
-            continue
-        delta_q = delta_pol + shift_pol - zeeman_shift(species, m, q, offset_field)
-        r_dep += scattering_rate(
-            species,
-            laser.polarization_purity * intensity,
-            delta_q,
-            cg_squared(species.j_ground, m, q),
-        )
-    ratio = r_dep / r_pol if r_pol > 0 else 0.0
-    loss = -math.expm1(-r_dep * cooling_duration)
-    return DepolarizationReport(ratio=ratio, loss_fraction=loss)

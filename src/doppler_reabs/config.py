@@ -114,7 +114,6 @@ _LASER_KEYS = {
     "detuning_Gamma": _DETUNING,
     "detuning_pol_Gamma": _DETUNING,
     "attenuation_factor": ("float", (1.0, 1e6)),
-    "polarization_purity": ("float", (0.0, 1.0)),
 }
 _TEMPERATURE = ("float", (1e-3, 1e7))
 _SIGMA = ("float", (1e-2, 1e7))
@@ -239,7 +238,7 @@ class ScenarioConfig:
     window: tuple[float, float] | None = None  # [s]
     # (key, value) pairs echoed as "# key=value" lines into every CSV
     header: tuple[tuple[str, str], ...] = ()
-    # the line of each [scenario] key the config gives, for errors found at run time
+    # the line of each [laser] and [scenario] key the config gives, for errors found at run time
     lines: dict[str, int] = field(default_factory=dict, hash=False)
 
 
@@ -443,7 +442,6 @@ def parse_config(text: str) -> ScenarioConfig:
         intensity=laser_items["intensity_Isat"],
         detuning=laser_detuning,
         attenuation_factor=laser_items.get("attenuation_factor", 1.0),
-        polarization_purity=laser_items.get("polarization_purity", 0.0),
     )
 
     cloud_items = typed.get("cloud", {})
@@ -527,8 +525,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     # the detuning as given: the other frame's value, rounded, would not reproduce it
     laser_shown = {"intensity_Isat": laser.intensity, detunings[0]: laser_items[detunings[0]],
-                   "attenuation_factor": laser.attenuation_factor,
-                   "polarization_purity": laser.polarization_purity}
+                   "attenuation_factor": laser.attenuation_factor}
     header = [(f"{name}.{key}", format_value(items[key]))
               for name, items in (("species", species_items), ("trap", trap_items),
                                   ("laser", laser_shown), ("cloud", cloud_items))
@@ -560,7 +557,8 @@ def parse_config(text: str) -> ScenarioConfig:
         grid=grid,
         window=window,
         header=tuple(header),
-        lines={key: line_no for key, (_, line_no) in sections["scenario"].items()},
+        lines={key: line_no for name in ("laser", "scenario")
+               for key, (_, line_no) in sections[name].items()},
         **passed,
     )
 

@@ -265,11 +265,19 @@ def _check_fit_window(config: ScenarioConfig, trace: TemperatureTrace, needed: i
     """Raise a ConfigError when a dynamics fit's window keeps fewer than
     needed samples, at the key to change: the stride when a sample at
     every fixed step would fill the window, else the window's end or
-    start where it cuts the run short, else the duration.
+    start where it cuts the run short, else the duration.  A window
+    whose temperature the light leaves constant is an error at the
+    intensity.
     """
     w_min, w_max = config.window or (0.0, math.inf)
-    kept = sum(w_min <= t <= w_max for t in trace.times())
+    temps = [T for t, T in zip(trace.times(), trace.temperatures(config.fit_axis))
+             if w_min <= t <= w_max]
+    kept = len(temps)
     if kept >= needed:
+        if min(temps) == max(temps):
+            raise ConfigError([(config.lines.get("intensity_Isat", 0),
+                                f"laser.intensity_Isat: the light leaves T_{config.fit_axis} "
+                                "constant over the fit window, so tau is unidentifiable")])
         return
     every_step = kept  # at stride 1; a run of 0 s (or of 5e-324 ms, which is 0 s) has one
     if config.duration > 0:

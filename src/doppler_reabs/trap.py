@@ -1,7 +1,6 @@
 """Harmonic magnetic trap geometry and cloud bookkeeping.
 
-Trap frequencies, the Larmor-precession safety margin for spin
-polarization, the temperature to Gaussian-size mapping of a thermal
+Trap frequencies, the temperature to Gaussian-size mapping of a thermal
 cloud, peak density and the thermal de Broglie wavelength.
 """
 
@@ -63,13 +62,6 @@ class CloudState:
             raise ValueError("peak_density must be >= 0")
 
 
-@dataclass(frozen=True)
-class LarmorSafety:
-    larmor_frequency: float  # [rad/s]
-    margin: float            # larmor over fastest trap frequency
-    safe: bool
-
-
 def trap_from_lab_units(
     curvature_x_G_per_cm2: float,
     curvature_y_G_per_cm2: float,
@@ -96,20 +88,6 @@ def trap_frequencies(trap: TrapConfig, species: AtomSpecies) -> tuple[float, flo
         math.sqrt(mu * trap.curvature_y / m),
         math.sqrt(mu * trap.curvature_z / m),
     )
-
-
-def larmor_safety(
-    trap: TrapConfig, species: AtomSpecies, margin_threshold: float = 100.0
-) -> LarmorSafety:
-    """Spin-precession margin: Larmor frequency over the fastest trap frequency.
-
-    The polarized spin follows the local field adiabatically only when
-    this margin is large; below margin_threshold the configuration is
-    flagged unsafe.
-    """
-    omega_l = trap.magnetic_moment * trap.offset_field / const.HBAR
-    margin = omega_l / max(trap_frequencies(trap, species))
-    return LarmorSafety(larmor_frequency=omega_l, margin=margin, safe=margin >= margin_threshold)
 
 
 def sigma_from_temperature(temperature: float, curvature: float, magnetic_moment: float) -> float:
@@ -155,17 +133,3 @@ def thermal_debroglie_wavelength(temperature: float, species: AtomSpecies) -> fl
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return const.PLANCK / math.sqrt(2.0 * math.pi * species.mass * const.K_B * temperature)
-
-
-__all__ = [
-    "TrapConfig",
-    "CloudState",
-    "LarmorSafety",
-    "trap_from_lab_units",
-    "trap_frequencies",
-    "larmor_safety",
-    "sigma_from_temperature",
-    "peak_density",
-    "cloud_from_temperatures",
-    "thermal_debroglie_wavelength",
-]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import doppler_reabs
-from doppler_reabs import FitResult, GridSpec, cli, constants, parse_config, runners
+from doppler_reabs import FitResult, GridSpec, cli, config, constants, parse_config, runners
 from doppler_reabs.cli import main
 from test_config_fuzz import CASES
 
@@ -313,6 +313,32 @@ def test_fit_unidentifiable_decay_time_exits_2(tmp_path, capsys):
     assert "did not converge" in captured.err
 
 
+# for each [laser] key, the line of DYNAMICS it replaces and an in-range
+# value unlike DYNAMICS's own; the detunings are one setting in two frames
+_LASER_CHANGES = {
+    "intensity_Isat": ("intensity_Isat = 4e-3", "intensity_Isat = 8e-3"),
+    "detuning_Gamma": ("detuning_Gamma = 7", "detuning_Gamma = 6"),
+    "detuning_pol_Gamma": ("detuning_Gamma = 7", "detuning_pol_Gamma = -0.5"),
+    "attenuation_factor": ("attenuation_factor = 3", "attenuation_factor = 2"),
+}
+
+
+def test_every_laser_key_changes_the_run(tmp_path, capsys):
+    # a key that is parsed and echoed but changes no number suggests a
+    # model it does not have; a new key without an entry fails here
+    def data_rows(text):
+        assert main(["simulate", "--config", _write(tmp_path, "k.cfg", text)]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+
+    base = data_rows(DYNAMICS)
+    for key in config._LASER_KEYS:
+        assert key in _LASER_CHANGES, f"no changed value for [laser] {key}"
+        line, changed = _LASER_CHANGES[key]
+        assert line in DYNAMICS.splitlines(), key
+        assert data_rows(DYNAMICS.replace(line, changed)) != base, key
+
+
 def test_od_scan_cools_with_optical_density(tmp_path):
     cfg = _write(tmp_path, "o.cfg", OD_SCAN)
     out = tmp_path / "od.csv"
@@ -569,6 +595,21 @@ def test_preset_dump(capsys):
     assert "Cr52" in out
     assert "stuttgart_cloverleaf" in out
     assert "curvature_z_G_per_cm2" in out
+
+
+@pytest.mark.parametrize("value", ["0", "5e-324"])
+def test_light_that_cannot_cool_fails_the_fit_at_the_intensity(tmp_path, capsys, value):
+    # the run is valid but its temperature never moves, so the fit has no
+    # decay time to find; the error names the intensity, not the fit
+    verb, text = CASES[1]
+    line_no = 9
+    assert text.splitlines()[line_no - 1] == "intensity_Isat = 4e-3"
+    cfg = _write(tmp_path, "dark.cfg", text.replace("intensity_Isat = 4e-3",
+                                                    f"intensity_Isat = {value}"))
+    assert main([verb, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"line {line_no}: laser.intensity_Isat: the light leaves T_z constant " in err
+    assert "Traceback" not in err
 
 
 def _refuse_to_run(*args, **kwargs):

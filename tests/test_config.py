@@ -329,11 +329,15 @@ def test_per_axis_temperatures():
         BASE.replace("temperature_uK = 1000", "temperature_y_uK = 900")
     )
     assert any("per-axis temperatures need both" in msg for _, msg in errors)
-    # the model ties x to y, so x has no key of its own
-    text = BASE.replace("temperature_uK = 1000", "temperature_uK = 1000\ntemperature_x_uK = 4000")
-    line = text.splitlines().index("temperature_x_uK = 4000") + 1
-    assert any(ln == line and msg.startswith("unknown key 'temperature_x_uK'")
-               for ln, msg in _errors_of(text))
+    # the model ties x to y, so x has no key of its own; it takes the
+    # light as purely circular, so the light's purity has none either
+    for after, given in (("temperature_uK = 1000", "temperature_x_uK = 4000"),
+                         ("attenuation_factor = 3", "polarization_purity = 0.1")):
+        text = BASE.replace(after, f"{after}\n{given}")
+        line = text.splitlines().index(given) + 1
+        key = given.partition(" =")[0]
+        assert any(ln == line and msg.startswith(f"unknown key '{key}'")
+                   for ln, msg in _errors_of(text)), given
 
 
 def test_per_kind_requirements():

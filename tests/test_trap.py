@@ -1,4 +1,4 @@
-"""Trap frequencies, Larmor margin, cloud geometry and phase-space density."""
+"""Trap frequencies, cloud geometry and phase-space density."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from doppler_reabs import (
     cloud_from_temperatures,
     constants,
-    larmor_safety,
     peak_density,
     sigma_from_temperature,
     thermal_debroglie_wavelength,
@@ -45,17 +44,6 @@ def test_trap_validation():
         trap_from_lab_units(750.0, 750.0, -110.0, 28.0, 6.0)
     with pytest.raises(ValueError):
         trap_from_lab_units(750.0, 750.0, 110.0, 0.0, 6.0)
-
-
-def test_larmor_margin_frozen(trap, species):
-    safety = larmor_safety(trap, species)
-    assert safety.larmor_frequency == pytest.approx(1.47740881e9, rel=1e-6)
-    assert safety.margin == pytest.approx(2125136.68, rel=1e-6)
-    assert safety.safe
-
-
-def test_larmor_threshold(trap, species):
-    assert not larmor_safety(trap, species, margin_threshold=1e7).safe
 
 
 def test_sigma_temperature_roundtrip(trap):
