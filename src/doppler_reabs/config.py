@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, fields
 from .atoms import AtomSpecies, LaserConfig, effective_detuning, species_from_lab_units, zeeman_shift
 from .dynamics import MAX_STEPS, rate_caps, step_size
 from .presets import SPECIES_PRESETS, TRAP_PRESETS
+from .reabsorption import _aspect_shape
 from .trap import TrapConfig, trap_from_lab_units
 
 MAX_GRID_POINTS = 100_000  # work and memory budget of one scan
@@ -63,19 +64,19 @@ class ScenarioKind:
 
 KINDS = {
     "dynamics": ScenarioKind(("simulate", "fit"), ("duration_ms",),
-                             cloud=(("atom_number", "temperatures"),), shows=("fit_axis",)),
+                             cloud=(("atom_number", "temperatures"),),
+                             shows=("sample_stride", "self_consistent", "fit_axis")),
     "aspect_scan": ScenarioKind(("scan",), cloud=(("atom_number", "peak_density_per_cm3"),),
                                 shows=("aspect_mode",), scan=(1e-6, 1e6, "aspect ratios")),
     "intensity_scan": ScenarioKind(("scan", "fit"), ("kappa_y", "kappa"),
-                                   shows=("kappa_z", "heating_power_J_per_s"),
+                                   shows=("heating_power_J_per_s", "noise_fraction"),
                                    scan=(0.0, math.inf, "intensities")),
     "od_scan": ScenarioKind(("scan", "fit"), ("kappa_y_at_ref", "kappa_at_ref", "od_ref"),
-                            shows=("heating_power_J_per_s",),
+                            shows=("heating_power_J_per_s", "noise_fraction"),
                             scan=(0.0, math.inf, "optical densities")),
     "steady_state": ScenarioKind(("simulate",), cloud=(
         ("sigma_y_um", "sigma_z_um", "peak_density_per_cm3"), ("atom_number", "temperatures"))),
 }
-_ALWAYS_SHOWN = {"sample_stride", "self_consistent", "consistency_mode"}  # in every header
 
 # key -> (type, rule) under each section.  The type is "float", "int",
 # "bool" or "str"; the rule is None, an inclusive (low, high) range, "> 0"
@@ -136,7 +137,6 @@ _SCENARIO_KEYS = {
     "duration_ms": ("float", (0.0, math.inf)),
     "sample_stride": ("int", (1, math.inf)),
     "self_consistent": ("bool", None),
-    "consistency_mode": ("bool", None),
     "aspect_mode": ("str", ("fixed_n0", "fixed_N")),
     "grid_min": _NUMBER,
     "grid_max": _NUMBER,
@@ -222,7 +222,6 @@ class ScenarioConfig:
     duration: float | None = None        # [s]
     sample_stride: int = 1
     self_consistent: bool = True
-    consistency_mode: bool = True
     grid: GridSpec | None = None
     aspect_mode: str = "fixed_n0"
     kappa_y: float | None = None
@@ -291,8 +290,9 @@ def _suggest(key: str, valid) -> str:
     return f"unknown key '{key}'"
 
 
-def _tokenize(text: str, errors: list) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _tokenize(text: str, errors: list) -> tuple[dict, dict[str, int]]:
+    """(key -> (value, line) under each section, the line of each section's header)."""
+    sections, headers = {}, {}
     current = None  # the name of the section being read
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -306,6 +306,7 @@ def _tokenize(text: str, errors: list) -> dict[str, dict[str, tuple[str, int]]]:
                 continue
             current = name
             sections.setdefault(name, {})
+            headers.setdefault(name, line_no)
             continue
         if "=" not in line:
             errors.append((line_no, f"expected 'key = value', got '{line}'"))
@@ -323,7 +324,7 @@ def _tokenize(text: str, errors: list) -> dict[str, dict[str, tuple[str, int]]]:
             errors.append((line_no, f"duplicate key '{key}'"))
             continue
         given[key] = (value, line_no)
-    return sections
+    return sections, headers
 
 
 def _check_rule(rule, value) -> None:
@@ -378,7 +379,7 @@ def _merge_preset(name, presets, raw, typed, errors):
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config; raises ConfigError with all problems."""
     errors: list[tuple[int, str]] = []
-    sections = _tokenize(text, errors)
+    sections, headers = _tokenize(text, errors)
 
     for required in ("species", "trap", "laser", "scenario"):
         if required not in sections:
@@ -391,12 +392,12 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(errors)
 
     def line(section, *keys) -> int:
-        """The line of the first of keys the config gives, else the section's first."""
+        """The line of the first of keys given, else of the section's first key or header."""
         raw = sections.get(section, {})
         for key in keys:
             if key in raw:
                 return raw[key][1]
-        return min((v[1] for v in raw.values()), default=0)
+        return min((v[1] for v in raw.values()), default=headers.get(section, 0))
 
     merged = {}
     for name, presets in (("species", SPECIES_PRESETS), ("trap", TRAP_PRESETS)):
@@ -505,11 +506,11 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append((at_kind, f"{kind} needs [cloud] {'either ' if len(row.cloud) > 1 else ''}"
                                 + " or ".join(_and(values) for values in row.cloud)))
     if kind == "aspect_scan" and n0 is not None:
-        # the grid's largest sigma_y**3 (at its smallest alpha, at fixed n0), as
-        # runners._aspect_shape computes it
-        alpha = grid.minimum if grid and scen.get("aspect_mode") != "fixed_N" else 1.0
-        norm = (2.0 * math.pi) ** 1.5
-        if n0 == 0 or (atom_number or 0.0) / (norm * (n0 * 1e6) * alpha) == math.inf:
+        # the grid's largest sigma_y (at its smallest alpha, at fixed n0)
+        alpha = grid.minimum if grid else 1.0
+        mode = scen.get("aspect_mode", _DEFAULTS["aspect_mode"])
+        if n0 == 0 or (atom_number is not None and
+                       _aspect_shape(atom_number, n0 * 1e6, mode, alpha).sigma_y == math.inf):
             errors.append((line("cloud", "peak_density_per_cm3"),
                            "aspect_scan needs peak_density_per_cm3 > 0, and large enough "
                            "that the cloud's radius sigma_y is finite on the grid"))
@@ -532,9 +533,9 @@ def parse_config(text: str) -> ScenarioConfig:
               for key in _SECTIONS[name] if key in items]
     header.append(("resolved.delta_pol_Gamma", format_value(delta_pol)))
     # the scenario settings given, but output, and those shown at their defaults
-    shown = (scen.keys() | row.shows | _ALWAYS_SHOWN) - {"output"}
-    if "data" not in scen:
-        shown.add("noise_fraction")
+    shown = (scen.keys() | row.shows) - {"output"}
+    if "data" in scen and "noise_fraction" not in scen:  # it only draws synthetic data
+        shown.discard("noise_fraction")
     if grid is not None:
         shown.add("grid_scale")
     header += [(f"scenario.{key}", format_value(scen[key] if key in scen else _DEFAULTS[key]))

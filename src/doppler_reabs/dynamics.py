@@ -14,12 +14,9 @@ extrapolated to each step's midpoint (exponential Adams-Bashforth 2,
 second order), halving a step whose difference from the first-order
 step exceeds a relative TOL, and evaluates the shape once per step.
 
-Two rate conventions are exposed.  With consistency_mode the heating
-rates are scaled so that the fixed point of the differential equations
-coincides with the closed-form steady-state expressions; without it the
-rate coefficients are used verbatim, which reproduces the measured
-cooling-time scale but settles a factor 4 colder than the closed forms.
-Every result should state which mode produced it.
+The heating rates carry a factor 4 over the quoted rate coefficients,
+which puts the fixed point of the rate equations on the closed-form
+steady states; the quoted coefficients used verbatim would settle 4x lower.
 """
 
 from __future__ import annotations
@@ -133,12 +130,12 @@ def step_size(fastest_rate: float) -> float:
 
 class RateModel:
     """The rates of one run: the constants are taken once, at construction,
-    and rates(kappas) adds the cloud shape.  heat_scale = E_r/(2 k_B) [K]
-    turns a heating rate into the source term of dT/dt.
+    and _rate_values(kappas) adds the cloud shape.  heat_scale =
+    E_r/(2 k_B) [K] turns a heating rate into the source term of dT/dt.
     """
 
     def __init__(self, laser: LaserConfig, delta_pol: float, species: AtomSpecies,
-                 trap: TrapConfig, consistency_mode: bool = True):
+                 trap: TrapConfig):
         if delta_pol >= 0:
             raise ValueError(
                 "delta_pol must be negative; blue detuning heats instead of cooling"
@@ -150,16 +147,11 @@ class RateModel:
         self.lorentz_sq = lorentz**2
         self.recoil_per_photon = species.recoil_energy / (const.HBAR * gamma)
         self.scatter = 2.0 * self.intensity * gamma / lorentz
-        self.heat_factor = 4.0 if consistency_mode else 1.0
         self.cap_z, self.cap_y = rate_caps(trap, species)
         self.heat_scale = species.recoil_energy / (2.0 * const.K_B)
 
-    def rates(self, kappas: KappaSet) -> RateSet:
-        """Per-axis cooling and heating rates for the current cloud shape."""
-        return RateSet(*self._rate_values(kappas))
-
     def _rate_values(self, kappas: KappaSet) -> tuple[float, float, float, float, bool, bool]:
-        """The fields of rates(kappas), in RateSet's order."""
+        """The fields of rates(...) at this cloud shape, in RateSet's order."""
         cool_z = (
             self.drive * (1.0 + kappas.kappa_z)
             * 2.0 * self.intensity * self.recoil_per_photon / self.lorentz_sq
@@ -168,10 +160,8 @@ class RateModel:
             self.drive * kappas.kappa_y
             * 2.0 * self.intensity * self.recoil_per_photon / self.lorentz_sq
         )
-        heat_z = ((1.0 + kappas.kappa_z) + 0.4 * (1.0 + kappas.kappa)) * self.scatter
-        heat_y = (kappas.kappa_y + 0.3 * (1.0 + kappas.kappa)) * self.scatter
-        heat_z *= self.heat_factor
-        heat_y *= self.heat_factor
+        heat_z = ((1.0 + kappas.kappa_z) + 0.4 * (1.0 + kappas.kappa)) * self.scatter * 4.0
+        heat_y = (kappas.kappa_y + 0.3 * (1.0 + kappas.kappa)) * self.scatter * 4.0
         capped_z = cool_z > self.cap_z
         capped_y = cool_y > self.cap_y
         if capped_z:
@@ -189,10 +179,9 @@ def rates(
     delta_pol: float,
     species: AtomSpecies,
     trap: TrapConfig,
-    consistency_mode: bool = True,
 ) -> RateSet:
     """Per-axis cooling and heating rates for the current cloud shape."""
-    return RateModel(laser, delta_pol, species, trap, consistency_mode).rates(kappas)
+    return RateSet(*RateModel(laser, delta_pol, species, trap)._rate_values(kappas))
 
 
 def steady_state(
@@ -368,7 +357,6 @@ def simulate(
     laser: LaserConfig,
     duration: float,
     self_consistent: bool = True,
-    consistency_mode: bool = True,
     sample_stride: int = 1,
     delta_pol: float | None = None,
 ) -> TemperatureTrace:
@@ -402,7 +390,7 @@ def simulate(
         )
 
     shape = ShapeKernel(trap, species, initial.atom_number)
-    model = RateModel(laser, delta_pol, species, trap, consistency_mode)
+    model = RateModel(laser, delta_pol, species, trap)
 
     def coefficients(kappas):
         """(S_z, C_z, S_y, C_y) of dT/dt = S - C*T on each axis."""

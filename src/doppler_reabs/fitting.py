@@ -354,16 +354,13 @@ def fit_od_scan(
     return result
 
 
-def load_scan_points(source) -> list[ScanPoint]:
-    """Read scan points from CSV text or a path; columns x, y and optional y_err.
+def load_scan_points(path) -> list[ScanPoint]:
+    """Read scan points from a CSV file; columns x, y and optional y_err.
 
     Lines starting with # are ignored, matching the trace CSV format.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     rows = [
         line for line in text.splitlines()
         if line.strip() and not line.lstrip().startswith("#")

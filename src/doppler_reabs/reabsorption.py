@@ -70,6 +70,17 @@ class CloudShape:
         return self.sigma_z / self.sigma_y
 
 
+def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> CloudShape:
+    norm = (2.0 * math.pi) ** 1.5
+    if aspect_mode == "fixed_n0":
+        sigma_y = (n / (norm * n0_ref * alpha)) ** (1.0 / 3.0)
+        n0 = n0_ref
+    else:  # fixed_N: keep the alpha = 1 radius, let density dilute
+        sigma_y = (n / (norm * n0_ref)) ** (1.0 / 3.0)
+        n0 = n0_ref / alpha
+    return CloudShape(sigma_y=sigma_y, sigma_z=alpha * sigma_y, peak_density=n0)
+
+
 @dataclass(frozen=True)
 class KappaSet:
     """Effective reabsorbed-photon numbers per incident laser photon."""

@@ -39,6 +39,7 @@ from .reabsorption import (
     SPHERE_INTEGRAL_AXIAL,
     SPHERE_INTEGRAL_RADIAL,
     SPHERE_INTEGRAL_TOTAL,
+    _aspect_shape,
     _closed_form_integrals,
     kappa_set,
     optical_density,
@@ -87,10 +88,7 @@ def run_steady_state(config: ScenarioConfig) -> str:
     shape = _steady_shape(config)
     kappas = kappa_set(shape, config.species)
     ss = steady_state(kappas, config.delta_pol, config.species)
-    rate = rates(
-        config.laser, kappas, config.delta_pol, config.species, config.trap,
-        config.consistency_mode,
-    )
+    rate = rates(config.laser, kappas, config.delta_pol, config.species, config.trap)
     od_y = optical_density(shape, config.species, "y")
     columns = (
         "sigma_z_m", "sigma_y_m", "n0_per_m3",
@@ -122,7 +120,6 @@ def _simulate(config: ScenarioConfig) -> TemperatureTrace:
         config.laser,
         config.duration,
         self_consistent=config.self_consistent,
-        consistency_mode=config.consistency_mode,
         sample_stride=config.sample_stride,
         delta_pol=config.delta_pol,
     )
@@ -144,17 +141,6 @@ def run_dynamics(config: ScenarioConfig) -> str:
         for s in trace.samples
     ]
     return _render_csv(config.header, columns, rows)
-
-
-def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> CloudShape:
-    norm = (2.0 * math.pi) ** 1.5
-    if aspect_mode == "fixed_n0":
-        sigma_y = (n / (norm * n0_ref * alpha)) ** (1.0 / 3.0)
-        n0 = n0_ref
-    else:  # fixed_N: keep the alpha = 1 radius, let density dilute
-        sigma_y = (n / (norm * n0_ref)) ** (1.0 / 3.0)
-        n0 = n0_ref / alpha
-    return CloudShape(sigma_y=sigma_y, sigma_z=alpha * sigma_y, peak_density=n0)
 
 
 def run_aspect_scan(config: ScenarioConfig) -> str:
@@ -205,10 +191,7 @@ def run_intensity_scan(config: ScenarioConfig) -> str:
         t_inf = model(intensity)
         if intensity > 0:
             laser = replace(config.laser, intensity=intensity, attenuation_factor=1.0)
-            rate = rates(
-                laser, kappas, config.delta_pol, config.species, config.trap,
-                config.consistency_mode,
-            ).cool_rate_y
+            rate = rates(laser, kappas, config.delta_pol, config.species, config.trap).cool_rate_y
         else:
             rate = 0.0
         return (intensity, t_inf, rate)
@@ -282,7 +265,7 @@ def _check_fit_window(config: ScenarioConfig, trace: TemperatureTrace, needed: i
     every_step = kept  # at stride 1; a run of 0 s (or of 5e-324 ms, which is 0 s) has one
     if config.duration > 0:
         rs = rates(config.laser, trace.samples[0].kappas, config.delta_pol, config.species,
-                   config.trap, config.consistency_mode)
+                   config.trap)
         dt = config.duration / fixed_steps(config.duration, max(rs.cool_rate_z, rs.cool_rate_y))
         every_step = math.floor(min(w_max, config.duration) / dt) - math.ceil(w_min / dt) + 1
     if every_step >= needed:

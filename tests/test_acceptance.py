@@ -142,7 +142,7 @@ def test_08_radial_cooling_rate_linear_in_intensity(
     ys = np.array([
         rates(
             LaserConfig(intensity=x, detuning=0.0, attenuation_factor=1.0),
-            steady_kappas, delta_pol, species, trap, True,
+            steady_kappas, delta_pol, species, trap,
         ).cool_rate_y
         for x in xs
     ])

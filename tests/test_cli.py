@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -236,22 +237,6 @@ def test_verb_kind_mismatch_exits_1(tmp_path, capsys):
     assert "does not run under 'simulate'" in capsys.readouterr().err
 
 
-def test_mode_verbatim_quarters_the_fixed_point(tmp_path):
-    cfg = _write(tmp_path, "d.cfg", DYNAMICS)
-    verbatim = _write(tmp_path, "v.cfg", DYNAMICS + "consistency_mode = false\n")
-    a, b = tmp_path / "cons.csv", tmp_path / "verb.csv"
-    assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["simulate", "--config", verbatim, "--out", str(b)]) == 0
-    text_a, text_b = a.read_text(), b.read_text()
-    assert _parse_csv(text_a)[0]["scenario.consistency_mode"] == "true"
-    assert _parse_csv(text_b)[0]["scenario.consistency_mode"] == "false"
-    # after ten axial time constants the two conventions sit on their
-    # respective fixed points, a factor of four apart
-    t_cons = float(_column(text_a, "T_z_K")[-1])
-    t_verb = float(_column(text_b, "T_z_K")[-1])
-    assert t_cons / t_verb == pytest.approx(4.0, rel=0.01)
-
-
 def test_fit_dynamics_recovers_decay_time(tmp_path):
     text = DYNAMICS.replace("duration_ms = 60", "duration_ms = 150")
     cfg = _write(tmp_path, "d.cfg", text)
@@ -337,6 +322,48 @@ def test_every_laser_key_changes_the_run(tmp_path, capsys):
         line, changed = _LASER_CHANGES[key]
         assert line in DYNAMICS.splitlines(), key
         assert data_rows(DYNAMICS.replace(line, changed)) != base, key
+
+
+# an in-range value unlike the default of each [scenario] setting that
+# a header shows without its key
+_SETTING_CHANGES = {
+    "sample_stride": "3",
+    "self_consistent": "false",
+    "fit_axis": "z",
+    "aspect_mode": "fixed_N",
+    "heating_power_J_per_s": "2.6e-26",
+    "noise_fraction": "0.03",
+    "grid_scale": "log",
+}
+
+
+@pytest.mark.parametrize("text", [DYNAMICS, STEADY, INTENSITY_FIT, ASPECT, OD_SCAN],
+                         ids=["dynamics", "steady_state", "intensity_scan", "aspect_scan",
+                              "od_scan"])
+def test_every_setting_a_header_shows_changes_the_run(tmp_path, capsys, text):
+    # a header line at a default claims a setting the run reads: set to
+    # another value, it must change the data rows of a verb of its kind;
+    # a setting shown without an entry fails here
+    def data_rows(verb, text):
+        assert main([verb, "--config", _write(tmp_path, "s.cfg", text)]) == 0, text
+        return [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+
+    # each setting that has a default is left at it
+    defaulted = {key for key in config._SCENARIO_KEYS
+                 if config._DEFAULTS.get(key, dataclasses.MISSING)
+                 not in (None, dataclasses.MISSING)}
+    base = "".join(line + "\n" for line in text.splitlines()
+                   if line.partition(" =")[0] not in defaulted)
+    cfg = parse_config(base)
+    verbs = config.KINDS[cfg.kind].verbs
+    shown = [key.partition(".")[2] for key, _ in cfg.header if key.startswith("scenario.")]
+    at_default = [key for key in shown if key in defaulted]
+    rows = {verb: data_rows(verb, base) for verb in verbs}
+    for key in at_default:
+        assert key in _SETTING_CHANGES, f"no changed value for scenario.{key}"
+        changed = base + f"{key} = {_SETTING_CHANGES[key]}\n"  # [scenario] comes last
+        assert any(data_rows(verb, changed) != rows[verb] for verb in verbs), key
 
 
 def test_od_scan_cools_with_optical_density(tmp_path):
@@ -449,8 +476,7 @@ def test_header_reproduces_its_run(text):
     # the resolved.* lines are derived: recomputed from the header's
     # inputs, they must come out the same
     def settings(cfg):
-        return (cfg.header, cfg.window, cfg.fit_axis, cfg.sample_stride, cfg.self_consistent,
-                cfg.consistency_mode)
+        return cfg.header, cfg.window, cfg.fit_axis, cfg.sample_stride, cfg.self_consistent
 
     cfg = parse_config(text)
     assert settings(parse_config(_header_as_config(cfg.header))) == settings(cfg)
@@ -501,6 +527,15 @@ def _fresh_python(*args):
         [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
+
+
+def test_module_entry_point_runs_the_cli():
+    result = _fresh_python("-m", "doppler_reabs", "preset-dump")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == config.preset_dump()
+    result = _fresh_python("-m", "doppler_reabs")
+    assert result.returncode == 2
+    assert "required: verb" in result.stderr
 
 
 def test_cli_and_selfcheck_do_not_load_scipy():

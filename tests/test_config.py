@@ -57,7 +57,6 @@ def test_minimal_valid_config():
     assert cfg.laser.attenuation_factor == pytest.approx(3.0)
     assert cfg.delta_pol == pytest.approx(-0.806670487, rel=1e-8)
     assert cfg.self_consistent is True
-    assert cfg.consistency_mode is True
     assert cfg.sample_stride == 1
     assert cfg.species.name == "Cr52"
 
@@ -154,6 +153,9 @@ def test_type_errors_carry_value():
     text = BASE.replace("temperature_uK = 1000", "temperature_uK = warm")
     line = text.splitlines().index("temperature_uK = warm") + 1
     assert (line, "cloud.temperature_uK: expected a number (got 'warm')") in _errors_of(text)
+    text = BASE.replace("temperature_uK = 1000", "temperature_uK 1000")
+    line = text.splitlines().index("temperature_uK 1000") + 1
+    assert (line, "expected 'key = value', got 'temperature_uK 1000'") in _errors_of(text)
     for old, new in (
         ("intensity_Isat = 4e-3", "intensity_Isat = nan"),
         ("temperature_uK = 1000", "temperature_uK = inf"),
@@ -239,12 +241,20 @@ BLUE = "must be negative; blue detuning heats instead of cooling"
     ("kind = dynamics", "kind = od_scan\nod_ref = 4.5\nkappa_y_at_ref = 0.11\n"
      "kappa_at_ref = 0.24\ngrid_min = -10\ngrid_max = 20\ngrid_count = 5", "grid_min = -10",
      "od_scan needs grid_min and grid_max in [0, inf] (optical densities)"),
+    # a required key missing from an empty section is reported at its header
+    ("kind = dynamics\nduration_ms = 600\n", "", "[scenario]", "scenario.kind is required"),
+    ("intensity_Isat = 4e-3\ndetuning_Gamma = 7\nattenuation_factor = 3\n", "", "[laser]",
+     "laser.intensity_Isat is required"),
+    ("intensity_Isat = 4e-3\ndetuning_Gamma = 7\nattenuation_factor = 3\n", "", "[laser]",
+     "exactly one of laser.detuning_Gamma (laser frame) or "
+     "laser.detuning_pol_Gamma (effective, at trap bottom) is required"),
 ], ids=["detuning_Gamma", "detuning_pol_Gamma", "linewidth_MHz", "j_ground_J", "j_ground_m_j",
         "m_j", "j_excited", "window_max_ms", "window_min_ms", "intensity_grid_min",
-        "od_grid_min"])
+        "od_grid_min", "empty_scenario", "empty_laser_intensity", "empty_laser_detuning"])
 def test_cross_key_errors_at_a_given_key(old, new, at, message):
     # a value inside its own range that breaks a rule across keys is
-    # rejected at the line of a key the config gives
+    # rejected at the line of a key the config gives, or of the section
+    # header when the section gives none
     text = BASE.replace(old, new)
     line = text.splitlines().index(at) + 1
     assert (line, message) in _errors_of(text)
@@ -434,7 +444,7 @@ def test_resolved_items_echo():
     items = dict(cfg.header)
     assert items["scenario.kind"] == "dynamics"
     assert items["scenario.duration_ms"] == "600"
-    assert items["scenario.consistency_mode"] == "true"
+    assert items["scenario.sample_stride"] == "1"
     assert items["scenario.fit_axis"] == "y"
     assert items["laser.detuning_Gamma"] == "7"
     assert items["laser.attenuation_factor"] == "3"
@@ -443,8 +453,14 @@ def test_resolved_items_echo():
     assert float(items["resolved.delta_pol_Gamma"]) == pytest.approx(
         -0.806670487, rel=1e-8
     )
-    flipped = parse_config(BASE + "consistency_mode = false\n")
-    assert dict(flipped.header)["scenario.consistency_mode"] == "false"
+    # noise_fraction only draws synthetic points: beside a data file it
+    # shows only when given
+    with_data = INTENSITY_FIT.replace("noise_fraction = 0.03\n", "data = points.csv\n")
+    assert "scenario.noise_fraction" not in dict(parse_config(with_data).header)
+    # the heating has one convention, so the key that chose one is gone
+    for value in ("true", "false"):
+        text = BASE + f"consistency_mode = {value}\n"
+        assert _errors_of(text) == [(len(text.splitlines()), "unknown key 'consistency_mode'")]
 
 
 def test_preset_dump_lists_both_presets():

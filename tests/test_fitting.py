@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
@@ -279,14 +277,16 @@ def test_scan_point_validation():
         ScanPoint(x=1.0, y=1e-4, y_err=0.0)
 
 
-def test_load_scan_points_roundtrip():
-    text = "# provenance line\nx,y,y_err\n0.001,0.0003,1e-5\n0.01,0.0002,\n"
-    points = load_scan_points(io.StringIO(text))
+def test_load_scan_points_roundtrip(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("# provenance line\nx,y,y_err\n0.001,0.0003,1e-5\n0.01,0.0002,\n")
+    points = load_scan_points(path)
     assert len(points) == 2
     assert points[0].y_err == pytest.approx(1e-5)
     assert points[1].y_err is None
+    path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
-        load_scan_points(io.StringIO("a,b\n1,2\n"))
+        load_scan_points(path)
 
 
 def test_exponential_straight_line_unconverged():
