@@ -41,8 +41,8 @@ from dataclasses import dataclass, field, fields
 from .atoms import AtomSpecies, LaserConfig, effective_detuning, species_from_lab_units, zeeman_shift
 from .dynamics import MAX_STEPS, rate_caps, step_size
 from .presets import SPECIES_PRESETS, TRAP_PRESETS
-from .reabsorption import _aspect_shape
-from .trap import TrapConfig, trap_from_lab_units
+from .reabsorption import CloudShape, _aspect_shape
+from .trap import CloudState, TrapConfig, cloud_from_temperatures, trap_from_lab_units
 
 MAX_GRID_POINTS = 100_000  # work and memory budget of one scan
 
@@ -57,7 +57,8 @@ class ScenarioKind:
 
     verbs: tuple[str, ...]                    # the CLI verbs that run it
     needs: tuple[str, ...] = ()               # the [scenario] keys it needs
-    cloud: tuple[tuple[str, ...], ...] = ()   # [cloud] value sets, any one of which will do
+    # [cloud] value sets; the first complete one is the run's cloud
+    cloud: tuple[tuple[str, ...], ...] = ()
     shows: tuple[str, ...] = ()               # settings its header shows at their defaults
     scan: tuple[float, float, str] | None = None  # range and name of its grid values
 
@@ -214,10 +215,9 @@ class ScenarioConfig:
     delta_pol: float
     kind: str
     output: str | None = None
+    # the run's cloud, from the first [cloud] value set of its kind the config completes
+    cloud: CloudState | CloudShape | None = None
     atom_number: float | None = None
-    temperatures: tuple[float, float, float] | None = None  # (T_y, T_y, T_z) [K]
-    cloud_sigma_y: float | None = None   # [m]
-    cloud_sigma_z: float | None = None
     cloud_peak_density: float | None = None  # [1/m^3]
     duration: float | None = None        # [s]
     sample_stride: int = 1
@@ -449,16 +449,11 @@ def parse_config(text: str) -> ScenarioConfig:
     atom_number = cloud_items.get("atom_number")
     t_y = cloud_items.get("temperature_y_uK", cloud_items.get("temperature_uK"))
     t_z = cloud_items.get("temperature_z_uK", cloud_items.get("temperature_uK"))
-    temperatures = None
-    if t_y is not None and t_z is not None:
-        temperatures = (t_y * 1e-6, t_y * 1e-6, t_z * 1e-6)
-    elif t_y is not None or t_z is not None:
+    if (t_y is None) != (t_z is None):
         given = "temperature_y_uK" if t_y is not None else "temperature_z_uK"
         errors.append((line("cloud", given),
                        "per-axis temperatures need both temperature_y_uK and temperature_z_uK "
                        "(or an isotropic temperature_uK)"))
-    sigma_y = cloud_items.get("sigma_y_um")
-    sigma_z = cloud_items.get("sigma_z_um")
     n0 = cloud_items.get("peak_density_per_cm3")
 
     scen = typed["scenario"]
@@ -501,8 +496,9 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append((at_kind, f"{kind} needs a scan grid"))
     if not scen.keys() >= set(row.needs):
         errors.append((at_kind, f"{kind} needs " + _and([f"scenario.{k}" for k in row.needs])))
-    have = cloud_items.keys() | ({"temperatures"} if temperatures else set())
-    if row.cloud and not any(map(have.issuperset, row.cloud)):
+    have = cloud_items.keys() | ({"temperatures"} if None not in (t_y, t_z) else set())
+    values_used = next(filter(have.issuperset, row.cloud), ())
+    if row.cloud and not values_used:
         errors.append((at_kind, f"{kind} needs [cloud] {'either ' if len(row.cloud) > 1 else ''}"
                                 + " or ".join(_and(values) for values in row.cloud)))
     if kind == "aspect_scan" and n0 is not None:
@@ -523,6 +519,13 @@ def parse_config(text: str) -> ScenarioConfig:
                            f"(at most {MAX_STEPS} integrator steps)"))
     if errors:
         raise ConfigError(errors)
+
+    cloud = None  # an aspect scan builds its clouds from atom_number and the peak density
+    if "temperatures" in values_used:
+        cloud = cloud_from_temperatures(trap, atom_number, t_y * 1e-6, t_y * 1e-6, t_z * 1e-6)
+    elif "sigma_y_um" in values_used:
+        cloud = CloudShape(sigma_y=cloud_items["sigma_y_um"] * 1e-6,
+                           sigma_z=cloud_items["sigma_z_um"] * 1e-6, peak_density=n0 * 1e6)
 
     # the detuning as given: the other frame's value, rounded, would not reproduce it
     laser_shown = {"intensity_Isat": laser.intensity, detunings[0]: laser_items[detunings[0]],
@@ -549,10 +552,8 @@ def parse_config(text: str) -> ScenarioConfig:
         trap=trap,
         laser=laser,
         delta_pol=delta_pol,
+        cloud=cloud,
         atom_number=atom_number,
-        temperatures=temperatures,
-        cloud_sigma_y=None if sigma_y is None else sigma_y * 1e-6,
-        cloud_sigma_z=None if sigma_z is None else sigma_z * 1e-6,
         cloud_peak_density=None if n0 is None else n0 * 1e6,
         duration=None if "duration_ms" not in scen else scen["duration_ms"] * 1e-3,
         grid=grid,

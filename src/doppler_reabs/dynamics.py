@@ -184,13 +184,24 @@ def rates(
     return RateSet(*RateModel(laser, delta_pol, species, trap)._rate_values(kappas))
 
 
+def _radial_steady_state(
+    kappa_y: float, kappa: float, extra: float, t_half: float, factor: float
+) -> float:
+    """Radial steady state [K]; extra is an outside heating power over
+    E_r * Gamma * intensity.  inf where kappa_y <= 0: only reabsorbed light
+    cools the radial axis."""
+    if kappa_y <= 0:
+        return math.inf
+    return (kappa_y + 0.3 * (1.0 + kappa) + extra) / kappa_y * t_half * factor
+
+
 def steady_state(
     kappas: KappaSet, delta_pol: float, species: AtomSpecies
 ) -> SteadyState:
     """Closed-form steady-state temperatures.
 
     Without reabsorption the radial axis receives no cooling at all and
-    its temperature grows without bound; kappa_y = 0 therefore yields an
+    its temperature grows without bound; kappa_y <= 0 therefore yields an
     infinite radial value rather than a number.
     """
     factor = detuning_factor(delta_pol)
@@ -201,15 +212,7 @@ def steady_state(
         * t_half
         * factor
     )
-    if kappas.kappa_y == 0.0:
-        t_y = math.inf
-    else:
-        t_y = (
-            (kappas.kappa_y + 0.3 * (1.0 + kappas.kappa))
-            / kappas.kappa_y
-            * t_half
-            * factor
-        )
+    t_y = _radial_steady_state(kappas.kappa_y, kappas.kappa, 0.0, t_half, factor)
     return SteadyState(T_z_inf=t_z, T_y_inf=t_y)
 
 
@@ -228,25 +231,12 @@ def steady_state_with_heating(
     cooling, so weak light (small intensity) cannot win against it.
     """
     factor = detuning_factor(delta_pol)
-    if kappa_y <= 0:
-        return math.inf
-    if intensity <= 0:
-        return math.inf if heating_power > 0 else (
-            steady_state(
-                KappaSet(kappa_y=kappa_y, kappa_z=0.0, kappa=kappa, kappa0=0.0),
-                delta_pol,
-                species,
-            ).T_y_inf
-        )
-    # two divisions: E_r * Gamma * intensity underflows to 0 at the smallest intensities
-    extra = heating_power / (species.recoil_energy * species.linewidth) / intensity
-    return (
-        (kappa_y + 0.3 * (1.0 + kappa) + extra)
-        / kappa_y
-        * species.doppler_temperature
-        / 2.0
-        * factor
-    )
+    if intensity <= 0:  # no light: any heating wins
+        extra = math.inf if heating_power > 0 else 0.0
+    else:
+        # two divisions: E_r * Gamma * intensity underflows to 0 at the smallest intensities
+        extra = heating_power / (species.recoil_energy * species.linewidth) / intensity
+    return _radial_steady_state(kappa_y, kappa, extra, species.doppler_temperature / 2.0, factor)
 
 
 def steady_state_vs_od(

@@ -45,7 +45,6 @@ from .reabsorption import (
     optical_density,
 )
 from .trap import (
-    CloudState,
     cloud_from_temperatures,
     thermal_debroglie_wavelength,
     trap_frequencies,
@@ -63,29 +62,9 @@ def _render_csv(header_items, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _initial_cloud(config: ScenarioConfig) -> CloudState:
-    t_x, t_y, t_z = config.temperatures
-    return cloud_from_temperatures(
-        config.trap, config.atom_number, t_x, t_y, t_z
-    )
-
-
-def _steady_shape(config: ScenarioConfig) -> CloudShape:
-    if config.cloud_sigma_y is not None:
-        return CloudShape(
-            sigma_y=config.cloud_sigma_y,
-            sigma_z=config.cloud_sigma_z,
-            peak_density=config.cloud_peak_density,
-        )
-    cloud = _initial_cloud(config)
-    return CloudShape(
-        sigma_y=cloud.sigma_y, sigma_z=cloud.sigma_z, peak_density=cloud.peak_density
-    )
-
-
 def run_steady_state(config: ScenarioConfig) -> str:
     """Closed-form steady state for one cloud shape: one CSV row."""
-    shape = _steady_shape(config)
+    shape = config.cloud
     kappas = kappa_set(shape, config.species)
     ss = steady_state(kappas, config.delta_pol, config.species)
     rate = rates(config.laser, kappas, config.delta_pol, config.species, config.trap)
@@ -114,7 +93,7 @@ def _trace_psd(sample, species: AtomSpecies) -> float:
 
 def _simulate(config: ScenarioConfig) -> TemperatureTrace:
     return simulate(
-        _initial_cloud(config),
+        config.cloud,
         config.trap,
         config.species,
         config.laser,
@@ -304,21 +283,26 @@ def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
         trace = _simulate(config)
         _check_fit_window(config, trace, EXP_MIN_SAMPLES)
         return fit_exponential(trace, axis=config.fit_axis, window=config.window)
+
+    def fit(points: list[ScanPoint]) -> FitResult:
+        if config.kind == "intensity_scan":
+            return fit_intensity_scan(points, config.kappa, config.delta_pol, config.species)
+        return fit_od_scan(
+            points,
+            config.kappa_at_ref,
+            config.od_ref,
+            config.heating_power,
+            config.laser.effective_intensity,
+            config.delta_pol,
+            config.species,
+        )
+
     if config.data is not None:
-        points = load_scan_points(config.data)
-    else:
-        points = _synthetic_points(config, seed)
-    if config.kind == "intensity_scan":
-        return fit_intensity_scan(points, config.kappa, config.delta_pol, config.species)
-    return fit_od_scan(
-        points,
-        config.kappa_at_ref,
-        config.od_ref,
-        config.heating_power,
-        config.laser.effective_intensity,
-        config.delta_pol,
-        config.species,
-    )
+        return fit(load_scan_points(config.data))
+    try:  # synthetic points come from the config's own values, so their failure is its own
+        return fit(_synthetic_points(config, seed))
+    except ValueError as exc:
+        raise ConfigError([(config.lines.get("kind", 0), f"scenario.kind: {exc}")]) from exc
 
 
 def run_fit(config: ScenarioConfig, seed: int = 0) -> str:

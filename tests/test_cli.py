@@ -674,6 +674,7 @@ def test_work_budget_rejects_config_with_line_number(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("key, value", [
     ("sample_stride", "1e300"), ("window_max_ms", "1e-300"), ("duration_ms", "1e-300"),
+    ("window_min_ms", "7.99"),
 ])
 def test_short_fit_window_exits_1_at_the_key_to_change(tmp_path, capsys, key, value):
     # the sample count is known only once the run's first step is; each
@@ -682,10 +683,69 @@ def test_short_fit_window_exits_1_at_the_key_to_change(tmp_path, capsys, key, va
     lines = text.splitlines()
     line_no = next(n for n, line in enumerate(lines, 1) if line.startswith(key))
     lines[line_no - 1] = f"{key} = {value}"
+    if key == "window_min_ms":  # a window that ends before the run would name its end
+        lines[line_no] = "window_max_ms = 8"
     assert (verb, line_no) == ("fit", {"sample_stride": 20, "window_max_ms": 24,
-                                       "duration_ms": 19}[key])
+                                       "duration_ms": 19, "window_min_ms": 23}[key])
     cfg = _write(tmp_path, "short.cfg", "\n".join(lines) + "\n")
     assert main([verb, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert f"line {line_no}: scenario.{key}: the fit window holds " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("partial", [
+    "sigma_y_um = 410", "sigma_y_um = 410\npeak_density_per_cm3 = 5.6e10",
+], ids=["sigma_y", "sigma_y_and_density"])
+def test_steady_state_runs_from_its_complete_cloud_value_set(tmp_path, capsys, partial):
+    # the temperature set is complete and the sigma set is not: the run
+    # uses the complete one, and the partial keys are only echoed
+    complete = STEADY.replace("sigma_y_um = 410\nsigma_z_um = 700\npeak_density_per_cm3 = 5.6e10",
+                              "atom_number = 1e8\ntemperature_y_uK = 1000\ntemperature_z_uK = 800")
+
+    def data_rows(text):
+        assert main(["simulate", "--config", _write(tmp_path, "s.cfg", text)]) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+
+    mixed = complete.replace("temperature_z_uK = 800", f"temperature_z_uK = 800\n{partial}")
+    assert data_rows(mixed) == data_rows(complete)
+
+
+def test_scan_fit_from_a_data_file_recovers_its_parameters(tmp_path, capsys):
+    config = parse_config(INTENSITY_FIT)
+    model = runners._scan_model(config)
+    data = tmp_path / "points.csv"
+    data.write_text("x,y\n" + "".join(f"{x!r},{model(x)!r}\n" for x in config.grid.values()))
+    text = INTENSITY_FIT.replace("noise_fraction = 0.03", f"data = {data}")
+    assert main(["fit", "--config", _write(tmp_path, "f.cfg", text)]) == 0
+    table = {row[0]: row[1] for row in _parse_csv(capsys.readouterr().out)[2]}
+    assert float(table["kappa_y"]) == pytest.approx(0.11, rel=1e-9)
+    assert float(table["heating_power"]) == pytest.approx(2.6e-26, rel=1e-9)
+
+
+@pytest.mark.parametrize("text, old, new", [
+    (INTENSITY_FIT, "kappa_y = 0.11", "kappa_y = 0"),
+    (CASES[5][1], "intensity_Isat = 4e-3", "intensity_Isat = 0"),  # an OD fit with heating
+    (INTENSITY_FIT, "noise_fraction = 0.03", "noise_fraction = 5e-324"),
+    (INTENSITY_FIT, "noise_fraction = 0.03", "noise_fraction = 1e300"),
+], ids=["all_points_diverge", "od_fit_without_light", "noise_underflows", "noise_overflows"])
+def test_synthetic_scan_fit_that_cannot_be_fit_exits_1_at_the_kind(tmp_path, capsys, text, old,
+                                                                  new):
+    # the points are drawn from the config's own values, so the config is at fault
+    text = text.replace(old, new)
+    assert main(["fit", "--config", _write(tmp_path, "f.cfg", text)]) == 1
+    line_no = next(n for n, line in enumerate(text.splitlines(), 1) if line.startswith("kind"))
+    err = capsys.readouterr().err
+    assert f"line {line_no}: scenario.kind: " in err
+    assert "Traceback" not in err
+
+
+def test_arithmetic_error_exits_1_with_the_numeric_range_message(tmp_path, capsys,
+                                                                 monkeypatch):
+    def overflow(config):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli._RUNNERS, "steady_state", overflow)
+    assert main(["simulate", "--config", _write(tmp_path, "s.cfg", STEADY)]) == 1
+    assert capsys.readouterr().err == (
+        "error: input out of the model's numeric range: math range error\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import tempfile
 
 from hypothesis import given, settings, strategies as st
@@ -101,6 +102,17 @@ grid_min = 1
 grid_max = 20
 grid_count = 5
 """),
+    # the run's cloud is the complete temperature set; sigma_y_um is echoed, not used
+    ("simulate", PREAMBLE + """
+[cloud]
+atom_number = 1e8
+temperature_y_uK = 1000
+temperature_z_uK = 800
+sigma_y_um = 410
+
+[scenario]
+kind = steady_state
+"""),
 )
 
 EDGE_VALUES = (
@@ -182,6 +194,8 @@ def test_edge_sweep_rejects_each_bad_value_at_its_own_line(tmp_path):
         case = f"{verb}: {section}.{key} = {value}"
         assert code in (0, 1, 2, 3), case
         assert "numeric range" not in err.getvalue(), case
+        if code == 1:  # the config is at fault, so the error names its line
+            assert re.search(r"line \d+: ", err.getvalue()), case
         if _breaks_rule(*_SECTIONS[section][key], float(value)):
             assert code == 1, case
             assert f"line {line_no}: {section}.{key}: " in err.getvalue(), case
