@@ -29,7 +29,6 @@ from .dynamics import (
     steady_state,
     steady_state_vs_od,
     steady_state_with_heating,
-    transient,
 )
 from .presets import SPECIES_PRESETS, TRAP_PRESETS, cr52, stuttgart_cloverleaf
 from .reabsorption import (
@@ -38,7 +37,6 @@ from .reabsorption import (
     kappa0,
     kappa_set,
     optical_density,
-    sigma_theta,
 )
 from .runners import (
     SelfCheckReport,
@@ -123,7 +121,6 @@ __all__ = [
     "run_selfcheck",
     "run_steady_state",
     "sigma_from_temperature",
-    "sigma_theta",
     "simulate",
     "species_from_lab_units",
     "steady_state",
@@ -131,7 +128,6 @@ __all__ = [
     "steady_state_with_heating",
     "stuttgart_cloverleaf",
     "thermal_debroglie_wavelength",
-    "transient",
     "trap_frequencies",
     "trap_from_lab_units",
     "zeeman_shift",

@@ -9,8 +9,8 @@ Verbs:
 
 Scenario configs are sectioned key=value text (see parse_config).  CSV
 goes to --out when given, else to the path in scenario.output, else to
-stdout.  Exit codes: 0 success, 1 invalid input, 2 fit that did not
-converge, 3 selfcheck failure.
+stdout.  Exit codes: 0 success, 1 invalid input (usage errors too),
+2 fit that did not converge, 3 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -40,9 +40,17 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as invalid input (its subparsers share the class)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 @functools.cache  # parse_args returns a fresh namespace, so calls can share one parser
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doppler-reabs",
         description="Doppler cooling of dense spin-polarized clouds: "
                     "simulation, scans and parameter fits.",

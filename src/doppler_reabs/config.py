@@ -34,7 +34,6 @@ only then.
 
 from __future__ import annotations
 
-import difflib
 import math
 from dataclasses import dataclass, field, fields
 
@@ -225,7 +224,6 @@ class ScenarioConfig:
     grid: GridSpec | None = None
     aspect_mode: str = "fixed_n0"
     kappa_y: float | None = None
-    kappa_z: float = 0.0
     kappa: float | None = None
     heating_power: float = 0.0           # [J/s]
     od_ref: float | None = None
@@ -284,6 +282,7 @@ def _suggest(key: str, valid) -> str:
     suffixed = sorted(k for k in valid if k.startswith(key + "_"))
     if suffixed:
         return f"key '{key}' is missing its unit suffix; use '{suffixed[0]}'"
+    import difflib  # loaded only for an unknown key
     close = difflib.get_close_matches(key, valid, n=1)
     if close:
         return f"unknown key '{key}'; did you mean '{close[0]}'?"

@@ -4,7 +4,7 @@ Axial cooling comes from the standing wave along z; radial cooling
 exists only because rescattered photons carry momentum sideways, so its
 rate is proportional to kappa_y.  Heating comes from recoil of all
 scattered and rescattered photons.  The module provides the per-axis
-rates, closed-form steady states and transients, and time-domain runs.
+rates, closed-form steady states, and time-domain runs.
 While the shape is fixed each axis obeys the linear equation
 dT/dt = S - C*T, so a frozen-shape run is its exact solution, evaluated
 at each sample in O(samples).  A self-consistent run lets the cloud
@@ -81,6 +81,7 @@ class TemperatureTrace:
     """Time-ordered record of an integration run."""
 
     samples: tuple[TraceSample, ...]
+    step: float = 0.0  # the run's fixed step [s]; 0 for a run of 0 s
 
     def __post_init__(self):
         times = [s.t for s in self.samples]
@@ -109,11 +110,6 @@ def rate_caps(trap: TrapConfig, species: AtomSpecies) -> tuple[float, float]:
     """Bandwidth caps (axial, radial) of the damping rates, 2*omega_i/pi [1/s]."""
     _, omega_y, omega_z = trap_frequencies(trap, species)
     return 2.0 * omega_z / math.pi, 2.0 * omega_y / math.pi
-
-
-def fixed_steps(duration: float, fastest_rate: float) -> int:
-    """Fixed steps of a run: step_size(fastest_rate), stretched to fill duration."""
-    return max(1, math.ceil(duration / step_size(fastest_rate)))
 
 
 def step_size(fastest_rate: float) -> float:
@@ -266,13 +262,6 @@ def steady_state_vs_od(
     )
 
 
-def transient(T0: float, T_inf: float, tau: float, t: float) -> float:
-    """Exponential relaxation T(t) between T0 and T_inf [K]."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return T_inf + (T0 - T_inf) * math.exp(-t / tau)
-
-
 class ShapeKernel:
     """The cloud shape of one run as a function of its temperatures.
 
@@ -355,20 +344,20 @@ def simulate(
     The cloud shape follows initial's temperatures and atom number
     (ShapeKernel; x follows y).  A sample follows every sample_stride
     fixed steps and the last one; a step is at most step_size(fastest
-    initial cooling rate), stretched so that whole steps fill duration.
-    With a frozen shape each axis obeys dT/dt = S - C*T with constant S
-    and C, so each sample is the exact solution at its time, evaluated
-    directly: O(samples), exact up to rounding.  When self_consistent is
-    set, the first fixed step is first order (_relax at the start's S
-    and C).  After it each step tries the rest of its sample interval, at
-    most twice the step before (so S and C are never extrapolated further
-    back than the previous step's start), is halved while
-    _second_order_step rejects it, but never below one fixed step, and
-    ends with one shape and kappa evaluation.  That is second order in
-    the step and costs at most one kappa per fixed step: one per fixed
-    step at sample_stride 1, about one per sample once the cloud settles.
-    delta_pol defaults to the effective detuning of the stretched-state
-    transition at the trap bottom.
+    initial cooling rate), stretched so that whole steps fill duration
+    (the trace's step).  With a frozen shape each axis obeys dT/dt =
+    S - C*T with constant S and C, so each sample is the exact solution
+    at its time, evaluated directly: O(samples), exact up to rounding.
+    When self_consistent is set, the first fixed step is first order
+    (_relax at the start's S and C).  After it each step tries the rest
+    of its sample interval, at most twice the step before (so S and C
+    are never extrapolated further back than the previous step's start),
+    is halved while _second_order_step rejects it, but never below one
+    fixed step, and ends with one shape and kappa evaluation.  That is
+    second order in the step and costs at most one kappa per fixed step:
+    one per fixed step at sample_stride 1, about one per sample once the
+    cloud settles.  delta_pol defaults to the effective detuning of the
+    stretched-state transition at the trap bottom.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -393,14 +382,14 @@ def simulate(
     if duration == 0:
         return TemperatureTrace(samples=tuple(samples))
     now = S_z, C_z, S_y, C_y = coefficients(kappas)
-    n_steps = fixed_steps(duration, max(C_z, C_y))
+    n_steps = max(1, math.ceil(duration / step_size(max(C_z, C_y))))
     dt = duration / n_steps
     if not self_consistent:
         for k in [*range(sample_stride, n_steps, sample_stride), n_steps]:
             t = k * dt
             T_t = _relax(T_z, S_z, C_z, t), _relax(T_y, S_y, C_y, t)
             samples.append(TraceSample(t, *T_t, sigma_z, sigma_y, n0, kappas))
-        return TemperatureTrace(samples=tuple(samples))
+        return TemperatureTrace(samples=tuple(samples), step=dt)
     T_z, T_y = _relax(T_z, S_z, C_z, dt), _relax(T_y, S_y, C_y, dt)
     k = last = 1
     while True:
@@ -408,7 +397,7 @@ def simulate(
         if k % sample_stride == 0 or k == n_steps:
             samples.append(TraceSample(k * dt, T_z, T_y, sigma_z, sigma_y, n0, kappas))
         if k == n_steps:
-            return TemperatureTrace(samples=tuple(samples))
+            return TemperatureTrace(samples=tuple(samples), step=dt)
         before, now = now, coefficients(kappas)
         span = min(k - k % sample_stride + sample_stride, n_steps, k + 2 * last) - k
         T_z, T_y, last = _second_order_step(T_z, T_y, before, now, last, span, dt)

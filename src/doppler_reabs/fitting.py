@@ -67,25 +67,26 @@ class FitResult:
     iterations: int
 
 
-def _build_result(names, p, converged, iterations, cov, r_weighted, r_raw, y, weighted):
+def _build_result(names, p, converged, iterations, cov, r, y, weighted):
     """FitResult with standard errors from the covariance diagonal.
 
-    cov is the unscaled covariance (J^T J)^-1 of the weighted residuals;
-    without error bars it is scaled by the residual variance.  A
-    singular or indefinite covariance gives NaN errors; an unconverged
-    fit gives none, and so does an unweighted fit that matches the data
-    y exactly (EXACT_FIT_REL), whose residual variance is rounding noise.
+    r holds the residuals in kelvin.  cov is the unscaled covariance
+    (J^T J)^-1 of the weighted residuals; without error bars, whose
+    weights are 1, it is scaled by the variance of r.  A singular or
+    indefinite covariance gives NaN errors; an unconverged fit gives
+    none, and so does an unweighted fit that matches the data y exactly
+    (EXACT_FIT_REL), whose residual variance is rounding noise.
     """
-    residual_norm = math.hypot(*r_raw.tolist())
+    residual_norm = math.hypot(*r.tolist())
     exact = not weighted and residual_norm <= EXACT_FIT_REL * math.hypot(*y.tolist())
     errors = None
     if converged and not exact:
         errors = {name: math.nan for name in names}
         if cov is not None:
             if not weighted:
-                dof = r_weighted.size - len(names)
+                dof = r.size - len(names)
                 if dof > 0:
-                    cov = cov * float(r_weighted @ r_weighted) / dof
+                    cov = cov * float(r @ r) / dof
             diag = np.diag(cov)
             if np.all(diag >= 0):
                 errors = {name: float(s) for name, s in zip(names, np.sqrt(diag))}
@@ -226,7 +227,7 @@ def fit_exponential(
     jac = np.column_stack((1.0 - e / growth, e / growth, b * e * times / tau**2))
     return _build_result(
         ("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau), converged, evaluations,
-        _inverse(jac.T @ jac), r, r, temps, weighted=False,
+        _inverse(jac.T @ jac), r, temps, weighted=False,
     )
 
 
@@ -234,10 +235,10 @@ def _linear_fit(points, design, y, scale):
     """Weighted least squares of target = y/scale - 1 ~ design @ q for the scan fits.
 
     A point's residual in kelvin is scale * (design @ q - target); with
-    y_err on every point it is divided by y_err.  Columns are scaled to
+    y_err on every point the solve divides it by y_err.  Columns are scaled to
     unit norm before the solve, so parameters many decades apart keep
-    full precision.  Returns (q, unscaled covariance of q, weighted
-    residuals, raw residuals [K], weighted).
+    full precision.  Returns (q, unscaled covariance of q, residuals [K],
+    weighted).
     """
     has_err = [pt.y_err is not None for pt in points]
     if any(has_err) and not all(has_err):
@@ -261,8 +262,7 @@ def _linear_fit(points, design, y, scale):
     cov = _inverse((a / norms).T @ (a / norms))
     if cov is not None:
         cov = cov / np.outer(norms, norms)
-    raw = scale * (design @ q - target)
-    return q, cov, weights / scale * raw, raw, weighted
+    return q, cov, scale * (design @ q - target), weighted
 
 
 def _mapped(cov, jac):
@@ -299,7 +299,7 @@ def fit_intensity_scan(
     base = species.doppler_temperature / 2.0 * detuning_factor(delta_pol)
     design = np.column_stack((np.full(xs.size, 0.3 * (1.0 + kappa)), 1.0 / xs))
     y = np.array([pt.y for pt in points])
-    (u, v), cov, r_weighted, r_raw, weighted = _linear_fit(points, design, y, base)
+    (u, v), cov, r, weighted = _linear_fit(points, design, y, base)
 
     power = species.recoil_energy * species.linewidth
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -307,7 +307,7 @@ def fit_intensity_scan(
         jac = np.array([[-1.0 / u**2, 0.0], [-v * power / u**2, power / u]])
     return _build_result(
         ("kappa_y", "heating_power"), (kappa_y, heating), bool(u > 0), 1,
-        _mapped(cov, jac), r_weighted, r_raw, y, weighted,
+        _mapped(cov, jac), r, y, weighted,
     )
 
 
@@ -343,12 +343,12 @@ def fit_od_scan(
     if not np.all(np.isfinite(column)):
         raise DegenerateDataError("the steady state diverges at the scan points")
     y = np.array([pt.y for pt in points])
-    (w,), cov, r_weighted, r_raw, weighted = _linear_fit(points, column[:, None], y, base)
+    (w,), cov, r, weighted = _linear_fit(points, column[:, None], y, base)
     with np.errstate(divide="ignore"):
         kappa_y_star, jac = 1.0 / w, np.array([[-1.0 / w**2]])
     result = _build_result(
         ("kappa_y_star",), (kappa_y_star,), bool(w > 0), 1,
-        _mapped(cov, jac), r_weighted, r_raw, y, weighted,
+        _mapped(cov, jac), r, y, weighted,
     )
     result.parameters["kappa_star"] = kappa_star
     return result

@@ -64,11 +64,6 @@ class CloudShape:
         if self.peak_density < 0:
             raise ValueError("peak_density must be >= 0")
 
-    @property
-    def aspect_ratio(self) -> float:
-        """Elongation along the cooling axis, sigma_z / sigma_y."""
-        return self.sigma_z / self.sigma_y
-
 
 def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> CloudShape:
     norm = (2.0 * math.pi) ** 1.5
@@ -91,19 +86,6 @@ class KappaSet:
     kappa0: float  # column prefactor [1/m]
 
 
-def sigma_theta(shape: CloudShape, theta: float) -> float:
-    """Cloud size along a direction at angle theta from the trap axis [m].
-
-    Polar chord of the ellipse with axial semi-axis sigma_z and radial
-    semi-axis sigma_y; symmetric under theta -> pi - theta.
-    """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return 1.0 / math.sqrt(c * c / shape.sigma_z**2 + s * s / shape.sigma_y**2)
-
-
 def kappa0(n0: float, cross_section: float) -> float:
     """Column prefactor of the reabsorption integrals [1/m]."""
     if n0 < 0:
@@ -120,8 +102,10 @@ def _angular_integral(shape: CloudShape, projection) -> float:
 
     # All integrands are symmetric about pi/2, so integrate half the range.
     def integrand(theta: float) -> float:
-        c = math.cos(theta)
-        return (1.0 + c * c) ** 2 * sigma_theta(shape, theta) * projection(theta)
+        # the cloud's size along theta: the polar chord of its ellipse
+        c, s = math.cos(theta), math.sin(theta)
+        chord = 1.0 / math.sqrt(c * c / shape.sigma_z**2 + s * s / shape.sigma_y**2)
+        return (1.0 + c * c) ** 2 * chord * projection(theta)
 
     value, _ = quad(integrand, 0.0, HALF_PI, **_QUAD_OPTS)
     return 2.0 * value

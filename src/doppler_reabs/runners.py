@@ -25,7 +25,6 @@ from .atoms import AtomSpecies, LaserConfig, effective_detuning
 from .config import KINDS, ConfigError, ScenarioConfig, format_value
 from .dynamics import (
     TemperatureTrace,
-    fixed_steps,
     rates,
     simulate,
     steady_state,
@@ -160,10 +159,7 @@ def _scan_model(config: ScenarioConfig):
 
 def run_intensity_scan(config: ScenarioConfig) -> str:
     """Radial steady state and cooling rate across an intensity grid."""
-    kappas = KappaSet(
-        kappa_y=config.kappa_y, kappa_z=config.kappa_z, kappa=config.kappa,
-        kappa0=0.0,
-    )
+    kappas = KappaSet(kappa_y=config.kappa_y, kappa_z=0.0, kappa=config.kappa, kappa0=0.0)
     model = _scan_model(config)
 
     def point(intensity: float):
@@ -223,29 +219,17 @@ def _fit_csv(config: ScenarioConfig, result: FitResult) -> str:
     return _render_csv(config.header, ("parameter", "value", "standard_error"), rows)
 
 
-def _check_fit_window(config: ScenarioConfig, trace: TemperatureTrace, needed: int) -> None:
-    """Raise a ConfigError when a dynamics fit's window keeps fewer than
-    needed samples, at the key to change: the stride when a sample at
-    every fixed step would fill the window, else the window's end or
-    start where it cuts the run short, else the duration.  A window
-    whose temperature the light leaves constant is an error at the
-    intensity.
+def _short_window(config: ScenarioConfig, trace: TemperatureTrace, needed: int) -> ConfigError:
+    """The error of a dynamics fit whose window keeps fewer than needed
+    samples, at the key to change: the stride when a sample at every
+    fixed step would fill the window, else the window's end or start
+    where it cuts the run short, else the duration.
     """
     w_min, w_max = config.window or (0.0, math.inf)
-    temps = [T for t, T in zip(trace.times(), trace.temperatures(config.fit_axis))
-             if w_min <= t <= w_max]
-    kept = len(temps)
-    if kept >= needed:
-        if min(temps) == max(temps):
-            raise ConfigError([(config.lines.get("intensity_Isat", 0),
-                                f"laser.intensity_Isat: the light leaves T_{config.fit_axis} "
-                                "constant over the fit window, so tau is unidentifiable")])
-        return
+    kept = sum(w_min <= t <= w_max for t in trace.times())
+    dt = trace.step
     every_step = kept  # at stride 1; a run of 0 s (or of 5e-324 ms, which is 0 s) has one
-    if config.duration > 0:
-        rs = rates(config.laser, trace.samples[0].kappas, config.delta_pol, config.species,
-                   config.trap)
-        dt = config.duration / fixed_steps(config.duration, max(rs.cool_rate_z, rs.cool_rate_y))
+    if dt > 0:
         every_step = math.floor(min(w_max, config.duration) / dt) - math.ceil(w_min / dt) + 1
     if every_step >= needed:
         key = "sample_stride"
@@ -255,9 +239,9 @@ def _check_fit_window(config: ScenarioConfig, trace: TemperatureTrace, needed: i
         key = "window_min_ms"
     else:
         key = "duration_ms"
-    raise ConfigError([(config.lines.get(key, 0),
-                        f"scenario.{key}: the fit window holds {kept} sample(s); "
-                        f"an exponential fit needs at least {needed}")])
+    return ConfigError([(config.lines.get(key, 0),
+                         f"scenario.{key}: the fit window holds {kept} sample(s); "
+                         f"an exponential fit needs at least {needed}")])
 
 
 def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
@@ -271,6 +255,7 @@ def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
     """
     from .fitting import (
         EXP_MIN_SAMPLES,
+        DegenerateDataError,
         fit_exponential,
         fit_intensity_scan,
         fit_od_scan,
@@ -281,8 +266,14 @@ def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
         raise ValueError(f"scenario kind '{config.kind}' has no fit")
     if config.kind == "dynamics":
         trace = _simulate(config)
-        _check_fit_window(config, trace, EXP_MIN_SAMPLES)
-        return fit_exponential(trace, axis=config.fit_axis, window=config.window)
+        try:
+            return fit_exponential(trace, axis=config.fit_axis, window=config.window)
+        except DegenerateDataError as exc:  # a ValueError, so caught first
+            message = (f"laser.intensity_Isat: the light leaves T_{config.fit_axis} "
+                       "constant over the fit window, so tau is unidentifiable")
+            raise ConfigError([(config.lines.get("intensity_Isat", 0), message)]) from exc
+        except ValueError as exc:  # fewer than EXP_MIN_SAMPLES in the window
+            raise _short_window(config, trace, EXP_MIN_SAMPLES) from exc
 
     def fit(points: list[ScanPoint]) -> FitResult:
         if config.kind == "intensity_scan":

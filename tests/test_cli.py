@@ -533,9 +533,13 @@ def test_module_entry_point_runs_the_cli():
     result = _fresh_python("-m", "doppler_reabs", "preset-dump")
     assert result.returncode == 0, result.stderr
     assert result.stdout == config.preset_dump()
+    # a usage error is invalid input, exit 1; exit 2 is a fit that did not converge
     result = _fresh_python("-m", "doppler_reabs")
-    assert result.returncode == 2
+    assert result.returncode == 1
     assert "required: verb" in result.stderr
+    result = _fresh_python("-m", "doppler_reabs", "fit")
+    assert result.returncode == 1
+    assert "error: the following arguments are required: --config" in result.stderr
 
 
 def test_cli_and_selfcheck_do_not_load_scipy():
@@ -582,6 +586,20 @@ def test_cli_runs_without_numpy_until_a_fit(tmp_path):
         result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["0 False"] * (len(argv) - 1) + ["0 True"]
+
+
+def test_cli_loads_difflib_only_for_an_unknown_key(tmp_path):
+    # difflib serves only the "did you mean" of an unknown key
+    code = (
+        "import sys, doppler_reabs.cli as cli\n"
+        "print('difflib' in sys.modules)\n"
+        "print(cli.main(['simulate', '--config', sys.argv[1]]))\n"
+        "print('difflib' in sys.modules)\n"
+    )
+    cfg = _write(tmp_path, "s.cfg", STEADY.replace("kind = steady_state", "kindd = steady_state"))
+    result = _fresh_python("-c", code, cfg)
+    assert result.stdout.split() == ["False", "1", "True"]
+    assert "unknown key 'kindd'; did you mean 'kind'?" in result.stderr
 
 
 @pytest.mark.parametrize("text", [
@@ -672,10 +690,13 @@ def test_work_budget_rejects_config_with_line_number(tmp_path, capsys, monkeypat
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [
+SHORT_WINDOWS = [
     ("sample_stride", "1e300"), ("window_max_ms", "1e-300"), ("duration_ms", "1e-300"),
     ("window_min_ms", "7.99"),
-])
+]
+
+
+@pytest.mark.parametrize("key, value", SHORT_WINDOWS)
 def test_short_fit_window_exits_1_at_the_key_to_change(tmp_path, capsys, key, value):
     # the sample count is known only once the run's first step is; each
     # config leaves fewer than 4 samples in the window and passes parsing
@@ -692,6 +713,18 @@ def test_short_fit_window_exits_1_at_the_key_to_change(tmp_path, capsys, key, va
     err = capsys.readouterr().err
     assert f"line {line_no}: scenario.{key}: the fit window holds " in err
     assert "Traceback" not in err
+
+
+def _no_rates(*args, **kwargs):
+    raise AssertionError("a fit worked out the run's rates again")
+
+
+@pytest.mark.parametrize("key, value", SHORT_WINDOWS)
+def test_short_fit_window_takes_the_step_from_the_trace(tmp_path, capsys, monkeypatch, key,
+                                                        value):
+    # the fit's window is checked by the fit, with the step the run took
+    monkeypatch.setattr(runners, "rates", _no_rates)
+    test_short_fit_window_exits_1_at_the_key_to_change(tmp_path, capsys, key, value)
 
 
 @pytest.mark.parametrize("partial", [

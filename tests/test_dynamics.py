@@ -18,7 +18,6 @@ from doppler_reabs import (
     steady_state,
     steady_state_vs_od,
     steady_state_with_heating,
-    transient,
     trap_from_lab_units,
 )
 from doppler_reabs import dynamics
@@ -188,31 +187,25 @@ def test_steady_state_vs_od_high_od_limit(species):
     assert limit == pytest.approx(explicit, rel=1e-6)
 
 
-def test_transient_endpoints_and_frozen_value():
-    assert transient(1e-3, 334e-6, 0.05, 0.0) == pytest.approx(1e-3, rel=1e-15)
-    assert transient(1e-3, 334e-6, 0.05, 10.0) == pytest.approx(334e-6, rel=1e-12)
-    assert transient(1e-3, 334e-6, 0.05, 0.05) == pytest.approx(
-        5.79007708e-4, rel=1e-6
-    )
-    with pytest.raises(ValueError):
-        transient(1e-3, 334e-6, 0.0, 0.01)
-
-
-def test_transient_satisfies_ode():
-    t0, t_inf, tau = 1e-3, 334e-6, 0.05
-    for i in range(10):
-        t = 0.013 * (i + 1)
-        h = 1e-6 * tau
-        derivative = (transient(t0, t_inf, tau, t + h) - transient(t0, t_inf, tau, t - h)) / (2 * h)
-        expected = -(transient(t0, t_inf, tau, t) - t_inf) / tau
-        assert derivative == pytest.approx(expected, rel=1e-6)
-
-
 def test_simulate_zero_duration(hot_cloud, trap, species, measured_laser):
     trace = simulate(hot_cloud, trap, species, measured_laser, 0.0)
     assert len(trace.samples) == 1
     assert trace.samples[0].T_z == hot_cloud.T_z
     assert trace.samples[0].sigma_y == hot_cloud.sigma_y
+
+
+@pytest.mark.parametrize("self_consistent", [False, True], ids=["frozen", "self_consistent"])
+def test_trace_records_its_fixed_step(hot_cloud, trap, species, measured_laser,
+                                      self_consistent):
+    # at stride 1 every fixed step ends in a sample, at k steps of the
+    # recorded step; a run of 0 s takes no step
+    trace = simulate(hot_cloud, trap, species, measured_laser, 0.02,
+                     self_consistent=self_consistent)
+    assert trace.step > 0
+    assert [s.t for s in trace.samples] == [k * trace.step for k in range(len(trace.samples))]
+    zero = simulate(hot_cloud, trap, species, measured_laser, 0.0,
+                    self_consistent=self_consistent)
+    assert zero.step == 0.0
 
 
 def test_simulate_rejects_bad_arguments(hot_cloud, trap, species, measured_laser):
@@ -251,9 +244,10 @@ def test_frozen_run_follows_exact_transient(
     # at its own time, so it sits on the closed-form transient up to
     # rounding (abs=0: pytest's default absolute slack is a relative
     # 1e-9 at these temperatures)
+    tau_z, tau_y = 1 / rs.cool_rate_z, 1 / rs.cool_rate_y
     for sample in frozen_run.samples:
-        expected_z = transient(1e-3, ss.T_z_inf, 1 / rs.cool_rate_z, sample.t)
-        expected_y = transient(1e-3, ss.T_y_inf, 1 / rs.cool_rate_y, sample.t)
+        expected_z = ss.T_z_inf + (1e-3 - ss.T_z_inf) * math.exp(-sample.t / tau_z)
+        expected_y = ss.T_y_inf + (1e-3 - ss.T_y_inf) * math.exp(-sample.t / tau_y)
         assert sample.T_z == pytest.approx(expected_z, rel=4e-15, abs=0)
         assert sample.T_y == pytest.approx(expected_y, rel=4e-15, abs=0)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from doppler_reabs import (
     load_scan_points,
     steady_state_vs_od,
     steady_state_with_heating,
-    transient,
 )
 from doppler_reabs import parse_config, rates
 from doppler_reabs.dynamics import TemperatureTrace, TraceSample
@@ -41,7 +42,7 @@ def _trace(times, temps):
 
 def _exponential_trace(t0=1e-3, t_inf=334e-6, tau=0.05, n=50, t_max=0.25):
     times = np.linspace(0.0, t_max, n)
-    return times, np.array([transient(t0, t_inf, tau, t) for t in times])
+    return times, np.array([t_inf + (t0 - t_inf) * math.exp(-t / tau) for t in times])
 
 
 def test_exponential_noiseless_recovery():

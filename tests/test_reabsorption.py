@@ -11,7 +11,6 @@ from doppler_reabs import (
     kappa0,
     kappa_set,
     optical_density,
-    sigma_theta,
 )
 from doppler_reabs.reabsorption import (
     KAPPA0_PREFACTOR,
@@ -47,23 +46,6 @@ def test_sphere_closed_form_values():
     assert SPHERE_INTEGRAL_RADIAL == pytest.approx(2.553, abs=5e-4)
     assert SPHERE_INTEGRAL_AXIAL == pytest.approx(2.333, abs=5e-4)
     assert SPHERE_INTEGRAL_TOTAL == pytest.approx(3.733, abs=5e-4)
-
-
-def test_sigma_theta_geometry(steady_shape):
-    assert sigma_theta(steady_shape, 0.0) == pytest.approx(steady_shape.sigma_z)
-    assert sigma_theta(steady_shape, math.pi / 2) == pytest.approx(steady_shape.sigma_y)
-    assert sigma_theta(steady_shape, math.pi) == pytest.approx(steady_shape.sigma_z)
-    for theta in (0.2, 0.7, 1.3):
-        assert sigma_theta(steady_shape, theta) == pytest.approx(
-            sigma_theta(steady_shape, math.pi - theta), rel=1e-12
-        )
-    with pytest.raises(ValueError):
-        sigma_theta(steady_shape, -0.1)
-
-
-def test_sigma_theta_sphere_is_constant(sphere):
-    values = [sigma_theta(sphere, t) for t in (0.0, 0.5, 1.0, 1.5)]
-    assert all(v == pytest.approx(sphere.sigma_y, rel=1e-12) for v in values)
 
 
 def test_kappa0_prefactor(species):
@@ -182,7 +164,7 @@ def test_kappa_elongation_shifts_weight(species):
     ks_round = kappa_set(round_cloud, species)
     ks_long = kappa_set(long_cloud, species)
     assert ks_long.kappa_y > ks_round.kappa_y
-    assert long_cloud.aspect_ratio == pytest.approx(10.0)
+    assert long_cloud.sigma_z / long_cloud.sigma_y == pytest.approx(10.0)
 
 
 def test_optical_density_frozen(steady_shape, species):
