@@ -53,8 +53,8 @@ from .trap import (
     TrapConfig,
     cloud_from_temperatures,
     peak_density,
-    sigma_from_temperature,
     thermal_debroglie_wavelength,
+    thermal_shape,
     trap_frequencies,
     trap_from_lab_units,
 )
@@ -120,7 +120,6 @@ __all__ = [
     "run_od_scan",
     "run_selfcheck",
     "run_steady_state",
-    "sigma_from_temperature",
     "simulate",
     "species_from_lab_units",
     "steady_state",
@@ -128,6 +127,7 @@ __all__ = [
     "steady_state_with_heating",
     "stuttgart_cloverleaf",
     "thermal_debroglie_wavelength",
+    "thermal_shape",
     "trap_frequencies",
     "trap_from_lab_units",
     "zeeman_shift",

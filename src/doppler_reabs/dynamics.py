@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import constants as const
 from .atoms import AtomSpecies, LaserConfig, effective_detuning
 from .reabsorption import KappaSet, _kappas
-from .trap import CloudState, TrapConfig, peak_density, trap_frequencies
+from .trap import CloudState, TrapConfig, thermal_shape, trap_frequencies
 
 MAX_STEP = 2e-4          # integrator step ceiling [s]
 STEPS_PER_TIME_CONSTANT = 50
@@ -262,31 +262,6 @@ def steady_state_vs_od(
     )
 
 
-class ShapeKernel:
-    """The cloud shape of one run as a function of its temperatures.
-
-    mu*curvature per axis, the atom number and the resonant cross section
-    are taken once, at construction; a call maps (T_z, T_y) to (sigma_z,
-    sigma_y, n0, kappas) by the expressions of sigma_from_temperature,
-    peak_density and kappa_set in their order, so every value is bit for
-    bit theirs.  The x axis follows T_y, as everywhere in the model.
-    """
-
-    def __init__(self, trap: TrapConfig, species: AtomSpecies, atom_number: float):
-        mu = trap.magnetic_moment
-        self.stiffness = (mu * trap.curvature_z, mu * trap.curvature_y, mu * trap.curvature_x)
-        self.atom_number = atom_number
-        self.cross_section = species.resonant_cross_section
-
-    def __call__(self, T_z: float, T_y: float) -> tuple[float, float, float, KappaSet]:
-        k_z, k_y, k_x = self.stiffness
-        sigma_z = math.sqrt(const.K_B * T_z / k_z)
-        sigma_y = math.sqrt(const.K_B * T_y / k_y)
-        sigma_x = math.sqrt(const.K_B * T_y / k_x)
-        n0 = peak_density(self.atom_number, sigma_x, sigma_y, sigma_z)
-        return sigma_z, sigma_y, n0, _kappas(sigma_y, sigma_z, n0, self.cross_section)
-
-
 def _relax(T: float, source: float, rate: float, dt: float) -> float:
     """T after dt of dT/dt = source - rate*T with source and rate held fixed.
 
@@ -342,7 +317,7 @@ def simulate(
     """Integrate the two-temperature rate equations.
 
     The cloud shape follows initial's temperatures and atom number
-    (ShapeKernel; x follows y).  A sample follows every sample_stride
+    (thermal_shape; x follows y).  A sample follows every sample_stride
     fixed steps and the last one; a step is at most step_size(fastest
     initial cooling rate), stretched so that whole steps fill duration
     (the trace's step).  With a frozen shape each axis obeys dT/dt =
@@ -368,8 +343,13 @@ def simulate(
             laser.detuning, trap.offset_field, species, species.m_j, +1
         )
 
-    shape = ShapeKernel(trap, species, initial.atom_number)
     model = RateModel(laser, delta_pol, species, trap)
+    cross_section = species.resonant_cross_section
+
+    def shape(T_z, T_y):
+        """(sigma_z, sigma_y, n0, kappas) of the cloud at T_z and T_y."""
+        sigma_y, sigma_z, n0 = thermal_shape(trap, initial.atom_number, T_y, T_z)
+        return sigma_z, sigma_y, n0, _kappas(sigma_y, sigma_z, n0, cross_section)
 
     def coefficients(kappas):
         """(S_z, C_z, S_y, C_y) of dT/dt = S - C*T on each axis."""

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .atoms import AtomSpecies
+from .trap import TWO_PI_CUBED_SQRT
 
 HALF_PI = math.pi / 2.0
 KAPPA0_PREFACTOR = 9.0 / (128.0 * math.sqrt(2.0 * math.pi))
@@ -66,12 +67,11 @@ class CloudShape:
 
 
 def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> CloudShape:
-    norm = (2.0 * math.pi) ** 1.5
     if aspect_mode == "fixed_n0":
-        sigma_y = (n / (norm * n0_ref * alpha)) ** (1.0 / 3.0)
+        sigma_y = (n / (TWO_PI_CUBED_SQRT * n0_ref * alpha)) ** (1.0 / 3.0)
         n0 = n0_ref
     else:  # fixed_N: keep the alpha = 1 radius, let density dilute
-        sigma_y = (n / (norm * n0_ref)) ** (1.0 / 3.0)
+        sigma_y = (n / (TWO_PI_CUBED_SQRT * n0_ref)) ** (1.0 / 3.0)
         n0 = n0_ref / alpha
     return CloudShape(sigma_y=sigma_y, sigma_z=alpha * sigma_y, peak_density=n0)
 

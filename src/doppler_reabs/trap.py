@@ -1,7 +1,8 @@
 """Harmonic magnetic trap geometry and cloud bookkeeping.
 
-Trap frequencies, the temperature to Gaussian-size mapping of a thermal
-cloud, peak density and the thermal de Broglie wavelength.
+Trap frequencies, the one map from a thermal cloud's temperatures to
+its Gaussian sizes and peak density (thermal_shape), and the thermal de
+Broglie wavelength.
 """
 
 from __future__ import annotations
@@ -40,23 +41,21 @@ class TrapConfig:
 
 @dataclass(frozen=True)
 class CloudState:
-    """Thermal cloud in the trap: atom number, temperatures, sizes, density."""
+    """Thermal cloud in the trap: atom number, temperatures, sizes, density (x follows y)."""
 
     atom_number: float
-    T_x: float        # [K]
-    T_y: float
+    T_y: float        # [K]
     T_z: float
-    sigma_x: float    # Gaussian standard deviation [m]
-    sigma_y: float
+    sigma_y: float    # Gaussian standard deviation [m]
     sigma_z: float
     peak_density: float  # [1/m^3]
 
     def __post_init__(self):
         if self.atom_number <= 0:
             raise ValueError("atom_number must be positive")
-        if min(self.T_x, self.T_y, self.T_z) <= 0:
+        if min(self.T_y, self.T_z) <= 0:
             raise ValueError("temperatures must be positive")
-        if min(self.sigma_x, self.sigma_y, self.sigma_z) <= 0:
+        if min(self.sigma_y, self.sigma_z) <= 0:
             raise ValueError("cloud sizes must be positive")
         if self.peak_density < 0:
             raise ValueError("peak_density must be >= 0")
@@ -90,18 +89,24 @@ def trap_frequencies(trap: TrapConfig, species: AtomSpecies) -> tuple[float, flo
     )
 
 
-def sigma_from_temperature(temperature: float, curvature: float, magnetic_moment: float) -> float:
-    """Gaussian cloud size along one axis for a thermal cloud [m]."""
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
-    if curvature <= 0 or magnetic_moment <= 0:
-        raise ValueError("curvature and magnetic_moment must be positive")
-    return math.sqrt(const.K_B * temperature / (magnetic_moment * curvature))
-
-
 def peak_density(atom_number: float, sigma_x: float, sigma_y: float, sigma_z: float) -> float:
     """Peak density of a Gaussian cloud [1/m^3]."""
     return atom_number / (TWO_PI_CUBED_SQRT * sigma_x * sigma_y * sigma_z)
+
+
+def thermal_shape(
+    trap: TrapConfig, atom_number: float, T_y: float, T_z: float
+) -> tuple[float, float, float]:
+    """(sigma_y, sigma_z, peak_density) of a thermal cloud at T_y and T_z.
+
+    Equipartition on each axis, k_B*T = mu*curvature*sigma^2; the x axis
+    follows T_y.  The one map from temperatures to a cloud's shape.
+    """
+    mu = trap.magnetic_moment
+    sigma_z = math.sqrt(const.K_B * T_z / (mu * trap.curvature_z))
+    sigma_y = math.sqrt(const.K_B * T_y / (mu * trap.curvature_y))
+    sigma_x = math.sqrt(const.K_B * T_y / (mu * trap.curvature_x))
+    return sigma_y, sigma_z, peak_density(atom_number, sigma_x, sigma_y, sigma_z)
 
 
 def cloud_from_temperatures(
@@ -111,21 +116,12 @@ def cloud_from_temperatures(
     T_y: float,
     T_z: float,
 ) -> CloudState:
-    """CloudState in thermal equilibrium with the trap at the given temperatures."""
-    mu = trap.magnetic_moment
-    sx = sigma_from_temperature(T_x, trap.curvature_x, mu)
-    sy = sigma_from_temperature(T_y, trap.curvature_y, mu)
-    sz = sigma_from_temperature(T_z, trap.curvature_z, mu)
-    return CloudState(
-        atom_number=atom_number,
-        T_x=T_x,
-        T_y=T_y,
-        T_z=T_z,
-        sigma_x=sx,
-        sigma_y=sy,
-        sigma_z=sz,
-        peak_density=peak_density(atom_number, sx, sy, sz),
-    )
+    """CloudState in thermal equilibrium with the trap; the model ties T_x to T_y."""
+    if T_x != T_y:
+        raise ValueError("T_x must equal T_y: the model ties the x axis to y")
+    if min(T_y, T_z) <= 0:
+        raise ValueError("temperatures must be positive")
+    return CloudState(atom_number, T_y, T_z, *thermal_shape(trap, atom_number, T_y, T_z))
 
 
 def thermal_debroglie_wavelength(temperature: float, species: AtomSpecies) -> float:

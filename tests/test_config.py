@@ -51,7 +51,7 @@ def test_minimal_valid_config():
     assert cfg.kind == "dynamics"
     assert cfg.duration == pytest.approx(0.6)
     assert cfg.atom_number == pytest.approx(1e8)
-    assert (cfg.cloud.T_x, cfg.cloud.T_y, cfg.cloud.T_z) == pytest.approx((1e-3, 1e-3, 1e-3))
+    assert (cfg.cloud.T_y, cfg.cloud.T_z) == pytest.approx((1e-3, 1e-3))
     assert cfg.laser.intensity == pytest.approx(4e-3)
     assert cfg.laser.detuning == pytest.approx(7.0)
     assert cfg.laser.attenuation_factor == pytest.approx(3.0)
@@ -328,13 +328,13 @@ def test_per_axis_temperatures():
         "temperature_y_uK = 900\ntemperature_z_uK = 100",
     )
     cfg = parse_config(text)
-    assert (cfg.cloud.T_x, cfg.cloud.T_y, cfg.cloud.T_z) == pytest.approx((9e-4, 9e-4, 1e-4))
+    assert (cfg.cloud.T_y, cfg.cloud.T_z) == pytest.approx((9e-4, 1e-4))
     text = BASE.replace(
         "temperature_uK = 1000",
         "temperature_uK = 1000\ntemperature_z_uK = 123",
     )
     cfg = parse_config(text)
-    assert (cfg.cloud.T_x, cfg.cloud.T_y, cfg.cloud.T_z) == pytest.approx((1e-3, 1e-3, 1.23e-4))
+    assert (cfg.cloud.T_y, cfg.cloud.T_z) == pytest.approx((1e-3, 1.23e-4))
     errors = _errors_of(
         BASE.replace("temperature_uK = 1000", "temperature_y_uK = 900")
     )

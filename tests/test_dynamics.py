@@ -18,6 +18,7 @@ from doppler_reabs import (
     steady_state,
     steady_state_vs_od,
     steady_state_with_heating,
+    thermal_shape,
     trap_from_lab_units,
 )
 from doppler_reabs import dynamics
@@ -192,6 +193,22 @@ def test_simulate_zero_duration(hot_cloud, trap, species, measured_laser):
     assert len(trace.samples) == 1
     assert trace.samples[0].T_z == hot_cloud.T_z
     assert trace.samples[0].sigma_y == hot_cloud.sigma_y
+    # an anisotropic cloud's shape is the run's first sample, bit for bit
+    cloud = cloud_from_temperatures(trap, 1e8, 9e-4, 9e-4, 1e-4)
+    first = simulate(cloud, trap, species, measured_laser, 0.0).samples[0]
+    assert (first.sigma_y, first.sigma_z, first.peak_density) == (
+        cloud.sigma_y, cloud.sigma_z, cloud.peak_density)
+
+
+def test_self_consistent_shape_is_the_thermal_shape(trap, species, measured_laser):
+    # every sample's shape and kappas are those of the public functions, exactly
+    cloud = cloud_from_temperatures(trap, 1e8, 9e-4, 9e-4, 1e-4)
+    trace = simulate(cloud, trap, species, measured_laser, 0.02, sample_stride=1)
+    assert len(trace.samples) > 100
+    for s in trace.samples:
+        assert (s.sigma_y, s.sigma_z, s.peak_density) == thermal_shape(trap, 1e8, s.T_y, s.T_z)
+        shape = CloudShape(sigma_y=s.sigma_y, sigma_z=s.sigma_z, peak_density=s.peak_density)
+        assert s.kappas == kappa_set(shape, species)
 
 
 @pytest.mark.parametrize("self_consistent", [False, True], ids=["frozen", "self_consistent"])

@@ -10,8 +10,8 @@ from doppler_reabs import (
     cloud_from_temperatures,
     constants,
     peak_density,
-    sigma_from_temperature,
     thermal_debroglie_wavelength,
+    thermal_shape,
     trap_frequencies,
     trap_from_lab_units,
 )
@@ -50,26 +50,17 @@ def test_sigma_temperature_roundtrip(trap):
     # equipartition: mu * curvature * sigma^2 = k_B * T
     mu = trap.magnetic_moment
     for temperature in (1e-6, 120e-6, 1e-3):
-        sigma = sigma_from_temperature(temperature, trap.curvature_z, mu)
-        back = mu * trap.curvature_z * sigma**2 / constants.K_B
+        sigma_y, sigma_z, _ = thermal_shape(trap, 1e8, 2.0 * temperature, temperature)
+        back = mu * trap.curvature_z * sigma_z**2 / constants.K_B
         assert back == pytest.approx(temperature, rel=1e-12)
+        back = mu * trap.curvature_y * sigma_y**2 / constants.K_B
+        assert back == pytest.approx(2.0 * temperature, rel=1e-12)
 
 
 def test_sigma_frozen_at_1mK(trap):
-    mu = trap.magnetic_moment
-    assert sigma_from_temperature(1e-3, trap.curvature_y, mu) == pytest.approx(
-        5.75177121e-4, rel=1e-6
-    )
-    assert sigma_from_temperature(1e-3, trap.curvature_z, mu) == pytest.approx(
-        1.50188227e-3, rel=1e-6
-    )
-
-
-def test_sigma_validation(trap):
-    with pytest.raises(ValueError):
-        sigma_from_temperature(-1e-6, trap.curvature_z, trap.magnetic_moment)
-    with pytest.raises(ValueError):
-        sigma_from_temperature(1e-4, 0.0, trap.magnetic_moment)
+    sigma_y, sigma_z, _ = thermal_shape(trap, 1e8, 1e-3, 1e-3)
+    assert sigma_y == pytest.approx(5.75177121e-4, rel=1e-6)
+    assert sigma_z == pytest.approx(1.50188227e-3, rel=1e-6)
 
 
 def test_peak_density_frozen(hot_cloud):
@@ -82,14 +73,14 @@ def test_peak_density_scaling():
     assert peak_density(1e8, 2e-4, 1e-4, 1e-4) == pytest.approx(n1 / 2, rel=1e-12)
 
 
-def test_cloud_from_temperatures_consistency(trap, hot_cloud):
-    mu = trap.magnetic_moment
-    assert hot_cloud.sigma_x == pytest.approx(
-        sigma_from_temperature(1e-3, trap.curvature_x, mu), rel=1e-12
-    )
-    assert hot_cloud.peak_density == pytest.approx(
-        peak_density(1e8, hot_cloud.sigma_x, hot_cloud.sigma_y, hot_cloud.sigma_z),
-        rel=1e-12,
+def test_cloud_from_temperatures_consistency(trap):
+    # the x axis follows T_y, through curvature_x
+    cloud = cloud_from_temperatures(trap, 1e8, 9e-4, 9e-4, 1e-4)
+    shape = (cloud.sigma_y, cloud.sigma_z, cloud.peak_density)
+    assert shape == thermal_shape(trap, 1e8, 9e-4, 1e-4)
+    sigma_x = math.sqrt(constants.K_B * 9e-4 / (trap.magnetic_moment * trap.curvature_x))
+    assert cloud.peak_density == pytest.approx(
+        peak_density(1e8, sigma_x, cloud.sigma_y, cloud.sigma_z), rel=1e-12
     )
 
 
@@ -117,7 +108,14 @@ def test_debroglie_frozen(species):
 
 
 def test_cloud_validation(trap):
-    with pytest.raises(ValueError):
-        cloud_from_temperatures(trap, 0.0, 1e-3, 1e-3, 1e-3)
-    with pytest.raises(ValueError):
-        cloud_from_temperatures(trap, 1e8, 1e-3, -1e-3, 1e-3)
+    for args in (
+        (0.0, 1e-3, 1e-3, 1e-3),     # no atoms
+        (1e8, 2e-3, 1e-3, 1e-3),     # T_x != T_y: the model ties x to y
+        (1e8, 1e-3, 1e-3, 0.0),      # T_z = 0
+        (1e8, 0.0, 0.0, 1e-3),       # T_y = 0
+        (1e8, 1e-3, -1e-3, 1e-3),    # a negative T_y, also != T_x
+        (1e8, -1e-3, -1e-3, 1e-3),
+        (1e8, 1e-3, 1e-3, -1e-3),
+    ):
+        with pytest.raises(ValueError):
+            cloud_from_temperatures(trap, *args)
