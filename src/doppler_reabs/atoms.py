@@ -9,33 +9,30 @@ stretched state; nothing here checks that assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import constants as const
 
 
-@dataclass(frozen=True)
-class AtomSpecies:
+class AtomSpecies(namedtuple("AtomSpecies", (
+    "name",
+    "mass",                  # [kg]
+    "wavelength",            # [m]
+    "linewidth",             # Gamma [rad/s]
+    "saturation_intensity",  # [W/m^2]
+    "j_ground", "j_excited", "l_ground", "s_ground", "l_excited", "s_excited",
+    "m_j",                   # polarized ground sublevel
+))):
     """Transition and mass data for one cooling transition.
 
     The model is restricted to J_excited = J_ground + 1; the atom is
     assumed polarized in the ground sublevel m_j.
     """
 
-    name: str
-    mass: float                  # [kg]
-    wavelength: float            # [m]
-    linewidth: float             # Gamma [rad/s]
-    saturation_intensity: float  # [W/m^2]
-    j_ground: int
-    j_excited: int
-    l_ground: int
-    s_ground: int
-    l_excited: int
-    s_excited: int
-    m_j: int                     # polarized ground sublevel
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mass <= 0 or self.wavelength <= 0 or self.linewidth <= 0:
             raise ValueError("mass, wavelength and linewidth must be positive")
         if self.saturation_intensity <= 0:
@@ -46,6 +43,7 @@ class AtomSpecies:
             raise ValueError("only J_excited = J_ground + 1 is supported")
         if abs(self.m_j) > self.j_ground:
             raise ValueError("|m_j| must not exceed j_ground")
+        return self
 
     @property
     def g_ground(self) -> float:
@@ -71,8 +69,8 @@ class AtomSpecies:
         return 6.0 * math.pi * (self.wavelength / (2.0 * math.pi)) ** 2
 
 
-@dataclass(frozen=True)
-class LaserConfig:
+class LaserConfig(namedtuple("LaserConfig", "intensity detuning attenuation_factor",
+                             defaults=(1.0,))):
     """Cooling light parameters.
 
     intensity is the measured single-beam intensity normalized to the
@@ -81,15 +79,15 @@ class LaserConfig:
     before any Zeeman shift.
     """
 
-    intensity: float
-    detuning: float
-    attenuation_factor: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.intensity < 0:
             raise ValueError("intensity must be >= 0")
         if self.attenuation_factor < 1:
             raise ValueError("attenuation_factor must be >= 1")
+        return self
 
     @property
     def effective_intensity(self) -> float:

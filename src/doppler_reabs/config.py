@@ -35,31 +35,31 @@ only then.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
-from .atoms import AtomSpecies, LaserConfig, effective_detuning, species_from_lab_units, zeeman_shift
+from .atoms import LaserConfig, effective_detuning, species_from_lab_units, zeeman_shift
 from .dynamics import MAX_STEPS, rate_caps, step_size
 from .presets import SPECIES_PRESETS, TRAP_PRESETS
 from .reabsorption import CloudShape, _aspect_shape
-from .trap import CloudState, TrapConfig, cloud_from_temperatures, trap_from_lab_units
+from .trap import cloud_from_temperatures, trap_from_lab_units
 
 MAX_GRID_POINTS = 100_000  # work and memory budget of one scan
 
 
-@dataclass(frozen=True)
-class ScenarioKind:
+class ScenarioKind(namedtuple("ScenarioKind", (
+    "verbs",  # the CLI verbs that run it
+    "needs",  # the [scenario] keys it needs
+    "cloud",  # [cloud] value sets; the first complete one is the run's cloud
+    "shows",  # settings its header shows at their defaults
+    "scan",   # (low, high, name) of its grid values, or None
+), defaults=((), (), (), None))):
     """What one scenario kind is: where it runs and what its config needs.
 
     In a [cloud] value set, "temperatures" stands for temperature_uK or
     for temperature_y_uK with temperature_z_uK.
     """
 
-    verbs: tuple[str, ...]                    # the CLI verbs that run it
-    needs: tuple[str, ...] = ()               # the [scenario] keys it needs
-    # [cloud] value sets; the first complete one is the run's cloud
-    cloud: tuple[tuple[str, ...], ...] = ()
-    shows: tuple[str, ...] = ()               # settings its header shows at their defaults
-    scan: tuple[float, float, str] | None = None  # range and name of its grid values
+    __slots__ = ()
 
 
 KINDS = {
@@ -173,14 +173,10 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(lines))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Scan grid over the scenario variable."""
+class GridSpec(namedtuple("GridSpec", "minimum maximum count scale", defaults=("linear",))):
+    """Scan grid over the scenario variable; scale is "linear" or "log"."""
 
-    minimum: float
-    maximum: float
-    count: int
-    scale: str = "linear"  # or "log"
+    __slots__ = ()
 
     def values(self) -> list[float]:
         """The grid's points, bit for bit those of np.linspace or np.geomspace.
@@ -204,46 +200,46 @@ class GridSpec:
         return points
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+# ScenarioConfig's fields after species, trap, laser, delta_pol and kind,
+# each with its default; a scenario key named like one passes straight through to it
+_FIELD_DEFAULTS = {
+    "output": None,
+    # the run's cloud, a CloudState or CloudShape from the first [cloud]
+    # value set of its kind the config completes
+    "cloud": None,
+    "atom_number": None,
+    "cloud_peak_density": None,  # [1/m^3]
+    "duration": None,            # [s]
+    "sample_stride": 1, "self_consistent": True,
+    "grid": None,                # GridSpec
+    "aspect_mode": "fixed_n0", "kappa_y": None, "kappa": None,
+    "heating_power": 0.0,        # [J/s]
+    "od_ref": None, "kappa_y_at_ref": None, "kappa_at_ref": None,
+    "data": None, "noise_fraction": 0.0, "fit_axis": "y",
+    "window": None,              # (start, end) [s]
+    # (key, value) pairs echoed as "# key=value" lines into every CSV
+    "header": (),
+    # the line of each [laser] and [scenario] key the config gives, for
+    # errors found at run time; a fresh {} when not given
+    "lines": None,
+}
+
+
+class ScenarioConfig(namedtuple("ScenarioConfig", (
+        "species", "trap", "laser", "delta_pol", "kind", *_FIELD_DEFAULTS),
+        defaults=_FIELD_DEFAULTS.values())):
     """Fully resolved scenario: built objects plus lab-unit provenance."""
 
-    species: AtomSpecies
-    trap: TrapConfig
-    laser: LaserConfig
-    delta_pol: float
-    kind: str
-    output: str | None = None
-    # the run's cloud, from the first [cloud] value set of its kind the config completes
-    cloud: CloudState | CloudShape | None = None
-    atom_number: float | None = None
-    cloud_peak_density: float | None = None  # [1/m^3]
-    duration: float | None = None        # [s]
-    sample_stride: int = 1
-    self_consistent: bool = True
-    grid: GridSpec | None = None
-    aspect_mode: str = "fixed_n0"
-    kappa_y: float | None = None
-    kappa: float | None = None
-    heating_power: float = 0.0           # [J/s]
-    od_ref: float | None = None
-    kappa_y_at_ref: float | None = None
-    kappa_at_ref: float | None = None
-    data: str | None = None
-    noise_fraction: float = 0.0
-    fit_axis: str = "y"
-    window: tuple[float, float] | None = None  # [s]
-    # (key, value) pairs echoed as "# key=value" lines into every CSV
-    header: tuple[tuple[str, str], ...] = ()
-    # the line of each [laser] and [scenario] key the config gives, for errors found at run time
-    lines: dict[str, int] = field(default_factory=dict, hash=False)
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        if len(args) < len(cls._fields):
+            kwargs.setdefault("lines", {})
+        return super().__new__(cls, *args, **kwargs)
 
 
-# each field's default (MISSING where it has none); a scenario key named
-# like a field passes straight through to it
-_FIELD_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 # the default of each scenario setting a header can show without its key
-_DEFAULTS = {**_FIELD_DEFAULTS, "grid_scale": GridSpec.scale,
+_DEFAULTS = {**_FIELD_DEFAULTS, "grid_scale": GridSpec._field_defaults["scale"],
              "heating_power_J_per_s": _FIELD_DEFAULTS["heating_power"]}
 
 
@@ -470,7 +466,7 @@ def parse_config(text: str) -> ScenarioConfig:
                        f"scan grid incomplete; missing: {', '.join(missing)}"))
     elif grid_keys:
         g_min, g_max = scen["grid_min"], scen["grid_max"]
-        scale = scen.get("grid_scale", GridSpec.scale)
+        scale = scen.get("grid_scale", _DEFAULTS["grid_scale"])
         low, high, values = row.scan or (-math.inf, math.inf, None)
         if not g_min < g_max:
             errors.append((line("scenario", "grid_min"), "grid_min must be < grid_max"))
@@ -504,8 +500,13 @@ def parse_config(text: str) -> ScenarioConfig:
         # the grid's largest sigma_y (at its smallest alpha, at fixed n0)
         alpha = grid.minimum if grid else 1.0
         mode = scen.get("aspect_mode", _DEFAULTS["aspect_mode"])
-        if n0 == 0 or (atom_number is not None and
-                       _aspect_shape(atom_number, n0 * 1e6, mode, alpha).sigma_y == math.inf):
+        fits = n0 > 0
+        if fits and atom_number is not None:
+            try:
+                _aspect_shape(atom_number, n0 * 1e6, mode, alpha)
+            except ValueError:  # CloudShape refuses an infinite sigma_y
+                fits = False
+        if not fits:
             errors.append((line("cloud", "peak_density_per_cm3"),
                            "aspect_scan needs peak_density_per_cm3 > 0, and large enough "
                            "that the cloud's radius sigma_y is finite on the grid"))
@@ -543,7 +544,7 @@ def parse_config(text: str) -> ScenarioConfig:
     header += [(f"scenario.{key}", format_value(scen[key] if key in scen else _DEFAULTS[key]))
                for key in _SCENARIO_KEYS if key in shown]
 
-    passed = {k: v for k, v in scen.items() if k in _FIELD_DEFAULTS}  # kind among them
+    passed = {k: v for k, v in scen.items() if k in _FIELD_DEFAULTS}
     if "heating_power_J_per_s" in scen:
         passed["heating_power"] = scen["heating_power_J_per_s"]
     return ScenarioConfig(
@@ -551,6 +552,7 @@ def parse_config(text: str) -> ScenarioConfig:
         trap=trap,
         laser=laser,
         delta_pol=delta_pol,
+        kind=kind,
         cloud=cloud,
         atom_number=atom_number,
         cloud_peak_density=None if n0 is None else n0 * 1e6,

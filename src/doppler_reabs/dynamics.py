@@ -22,7 +22,7 @@ steady states; the quoted coefficients used verbatim would settle 4x lower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import constants as const
 from .atoms import AtomSpecies, LaserConfig, effective_detuning
@@ -39,8 +39,8 @@ MAX_STEPS = 10**6        # steps one run may take; parse_config enforces it
 TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class RateSet:
+class RateSet(namedtuple("RateSet", (
+        "cool_rate_z", "cool_rate_y", "heat_rate_z", "heat_rate_y", "capped_z", "capped_y"))):
     """Cooling and heating rates per axis [1/s].
 
     Cooling rates are capped at 2*omega_i/pi (the cloud cannot relax
@@ -49,46 +49,41 @@ class RateSet:
     the approach without moving the equilibrium, and the flag is set.
     """
 
-    cool_rate_z: float
-    cool_rate_y: float
-    heat_rate_z: float
-    heat_rate_y: float
-    capped_z: bool
-    capped_y: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(namedtuple("SteadyState", "T_z_inf T_y_inf")):
     """Steady-state temperatures [K]; inf marks a divergent axis."""
 
-    T_z_inf: float
-    T_y_inf: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    t: float            # [s]
-    T_z: float          # [K]
-    T_y: float
-    sigma_z: float      # [m]
-    sigma_y: float
-    peak_density: float  # [1/m^3]
-    kappas: KappaSet
+class TraceSample(namedtuple("TraceSample", (
+    "t",                    # [s]
+    "T_z", "T_y",           # [K]
+    "sigma_z", "sigma_y",   # [m]
+    "peak_density",         # [1/m^3]
+    "kappas",               # KappaSet
+))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TemperatureTrace:
+class TemperatureTrace(namedtuple("TemperatureTrace", (
+    "samples",  # tuple of TraceSample
+    "step",     # the run's fixed step [s]; 0 for a run of 0 s
+), defaults=(0.0,))):
     """Time-ordered record of an integration run."""
 
-    samples: tuple[TraceSample, ...]
-    step: float = 0.0  # the run's fixed step [s]; 0 for a run of 0 s
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         times = [s.t for s in self.samples]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("sample times must be strictly increasing")
         if any(s.T_z <= 0 or s.T_y <= 0 for s in self.samples):
             raise ValueError("temperatures must stay positive")
+        return self
 
     def times(self) -> list[float]:
         return [s.t for s in self.samples]

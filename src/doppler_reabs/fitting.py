@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,32 +39,35 @@ class DegenerateDataError(ValueError):
     """The data cannot identify the model parameters."""
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(namedtuple("ScanPoint", (
+    "x",      # scan variable (intensity or optical density)
+    "y",      # temperature [K]
+    "y_err",  # its error bar [K], or None
+), defaults=(None,))):
     """One measured point of a parameter scan."""
 
-    x: float                 # scan variable (intensity or optical density)
-    y: float                 # temperature [K]
-    y_err: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.x <= 0:
             raise ValueError("x must be positive")
         if self.y <= 0:
             raise ValueError("y must be positive")
         if self.y_err is not None and self.y_err <= 0:
             raise ValueError("y_err must be positive when given")
+        return self
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(namedtuple("FitResult", (
+    "parameters",       # {name: value}
+    "standard_errors",  # {name: error}, or None
+    "residual_norm",    # euclidean norm of unweighted residuals [K]
+    "converged", "iterations",
+))):
     """Parameters of a least-squares fit, converged or not."""
 
-    parameters: dict[str, float]
-    standard_errors: dict[str, float] | None
-    residual_norm: float     # euclidean norm of unweighted residuals [K]
-    converged: bool
-    iterations: int
+    __slots__ = ()
 
 
 def _build_result(names, p, converged, iterations, cov, r, y, weighted):

@@ -24,7 +24,7 @@ imports scipy only when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .atoms import AtomSpecies
 from .trap import TWO_PI_CUBED_SQRT
@@ -51,19 +51,24 @@ _SERIES_TERMS = 20
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=200)
 
 
-@dataclass(frozen=True)
-class CloudShape:
+class CloudShape(namedtuple("CloudShape", (
+    "sigma_y",       # radial standard deviation [m]
+    "sigma_z",       # axial standard deviation [m]
+    "peak_density",  # [1/m^3]
+))):
     """Gaussian cloud sizes and peak density entering the reabsorption integrals."""
 
-    sigma_y: float       # radial standard deviation [m]
-    sigma_z: float       # axial standard deviation [m]
-    peak_density: float  # [1/m^3]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sigma_y <= 0 or self.sigma_z <= 0:
             raise ValueError("cloud sizes must be positive")
         if self.peak_density < 0:
             raise ValueError("peak_density must be >= 0")
+        if not all(map(math.isfinite, self)):
+            raise ValueError("cloud sizes and peak_density must be finite")
+        return self
 
 
 def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> CloudShape:
@@ -76,14 +81,13 @@ def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> Cl
     return CloudShape(sigma_y=sigma_y, sigma_z=alpha * sigma_y, peak_density=n0)
 
 
-@dataclass(frozen=True)
-class KappaSet:
+class KappaSet(namedtuple("KappaSet", (
+    "kappa_y", "kappa_z", "kappa",
+    "kappa0",  # column prefactor [1/m]
+))):
     """Effective reabsorbed-photon numbers per incident laser photon."""
 
-    kappa_y: float
-    kappa_z: float
-    kappa: float
-    kappa0: float  # column prefactor [1/m]
+    __slots__ = ()
 
 
 def kappa0(n0: float, cross_section: float) -> float:

@@ -18,8 +18,7 @@ steady-state and linear-grid scan runners run without them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .atoms import AtomSpecies, LaserConfig, effective_detuning
 from .config import KINDS, ConfigError, ScenarioConfig, format_value
@@ -48,9 +47,6 @@ from .trap import (
     thermal_debroglie_wavelength,
     trap_frequencies,
 )
-
-if TYPE_CHECKING:
-    from .fitting import FitResult, ScanPoint
 
 
 def _render_csv(header_items, columns, rows) -> str:
@@ -165,7 +161,7 @@ def run_intensity_scan(config: ScenarioConfig) -> str:
     def point(intensity: float):
         t_inf = model(intensity)
         if intensity > 0:
-            laser = replace(config.laser, intensity=intensity, attenuation_factor=1.0)
+            laser = LaserConfig(intensity, config.laser.detuning, 1.0)
             rate = rates(laser, kappas, config.delta_pol, config.species, config.trap).cool_rate_y
         else:
             rate = 0.0
@@ -301,18 +297,12 @@ def run_fit(config: ScenarioConfig, seed: int = 0) -> str:
     return _fit_csv(config, fit_scenario(config, seed))
 
 
-@dataclass(frozen=True)
-class SelfCheck:
-    name: str
-    expected: str
-    actual: str
-    tolerance: str
-    passed: bool
+class SelfCheck(namedtuple("SelfCheck", "name expected actual tolerance passed")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SelfCheckReport:
-    checks: tuple[SelfCheck, ...]
+class SelfCheckReport(namedtuple("SelfCheckReport", "checks")):  # checks: tuple of SelfCheck
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

@@ -8,7 +8,7 @@ Broglie wavelength.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import constants as const
 from .atoms import AtomSpecies
@@ -16,41 +16,39 @@ from .atoms import AtomSpecies
 TWO_PI_CUBED_SQRT = (2.0 * math.pi) ** 1.5
 
 
-@dataclass(frozen=True)
-class TrapConfig:
+class TrapConfig(namedtuple("TrapConfig", (
+        "curvature_x", "curvature_y", "curvature_z", "offset_field", "magnetic_moment"))):
     """Harmonic magnetic trap: field curvatures, offset field, moment.
 
     Curvatures are in T/m^2 (numerically equal to G/cm^2), offset_field
     in T, magnetic_moment in J/T.
     """
 
-    curvature_x: float
-    curvature_y: float
-    curvature_z: float
-    offset_field: float
-    magnetic_moment: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.curvature_x, self.curvature_y, self.curvature_z) <= 0:
             raise ValueError("curvatures must be positive")
         if self.offset_field <= 0:
             raise ValueError("offset_field must be positive")
         if self.magnetic_moment <= 0:
             raise ValueError("magnetic_moment must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class CloudState:
+class CloudState(namedtuple("CloudState", (
+    "atom_number",
+    "T_y", "T_z",          # [K]
+    "sigma_y", "sigma_z",  # Gaussian standard deviations [m]
+    "peak_density",        # [1/m^3]
+))):
     """Thermal cloud in the trap: atom number, temperatures, sizes, density (x follows y)."""
 
-    atom_number: float
-    T_y: float        # [K]
-    T_z: float
-    sigma_y: float    # Gaussian standard deviation [m]
-    sigma_z: float
-    peak_density: float  # [1/m^3]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.atom_number <= 0:
             raise ValueError("atom_number must be positive")
         if min(self.T_y, self.T_z) <= 0:
@@ -59,6 +57,9 @@ class CloudState:
             raise ValueError("cloud sizes must be positive")
         if self.peak_density < 0:
             raise ValueError("peak_density must be >= 0")
+        if not all(map(math.isfinite, (self.sigma_y, self.sigma_z, self.peak_density))):
+            raise ValueError("cloud sizes and peak_density must be finite")
+        return self
 
 
 def trap_from_lab_units(
@@ -101,12 +102,17 @@ def thermal_shape(
 
     Equipartition on each axis, k_B*T = mu*curvature*sigma^2; the x axis
     follows T_y.  The one map from temperatures to a cloud's shape.
+    ValueError where a temperature is so small that the cloud's volume
+    underflows to 0.
     """
     mu = trap.magnetic_moment
     sigma_z = math.sqrt(const.K_B * T_z / (mu * trap.curvature_z))
     sigma_y = math.sqrt(const.K_B * T_y / (mu * trap.curvature_y))
     sigma_x = math.sqrt(const.K_B * T_y / (mu * trap.curvature_x))
-    return sigma_y, sigma_z, peak_density(atom_number, sigma_x, sigma_y, sigma_z)
+    try:
+        return sigma_y, sigma_z, peak_density(atom_number, sigma_x, sigma_y, sigma_z)
+    except ZeroDivisionError:
+        raise ValueError("temperatures too small: the cloud's volume underflows to 0") from None
 
 
 def cloud_from_temperatures(

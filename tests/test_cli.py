@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -351,8 +350,7 @@ def test_every_setting_a_header_shows_changes_the_run(tmp_path, capsys, text):
 
     # each setting that has a default is left at it
     defaulted = {key for key in config._SCENARIO_KEYS
-                 if config._DEFAULTS.get(key, dataclasses.MISSING)
-                 not in (None, dataclasses.MISSING)}
+                 if key in config._DEFAULTS and config._DEFAULTS[key] is not None}
     base = "".join(line + "\n" for line in text.splitlines()
                    if line.partition(" =")[0] not in defaulted)
     cfg = parse_config(base)
@@ -586,6 +584,38 @@ def test_cli_runs_without_numpy_until_a_fit(tmp_path):
         result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["0 False"] * (len(argv) - 1) + ["0 True"]
+
+
+_LOADED_AFTER_EACH = """\
+import json, sys
+sys.path[:0] = json.loads(sys.argv[1])
+import doppler_reabs.cli as cli
+names = ('dataclasses', 'inspect', 'typing', 'numpy')
+print(*[name for name in names if name in sys.modules])
+for argv in json.loads(sys.argv[2]):
+    print(cli.main(argv), *[name for name in names if name in sys.modules])
+"""
+
+
+def test_cli_loads_no_dataclasses_inspect_or_typing(tmp_path):
+    # under -S no site hook loads them first; the package's value types
+    # are named tuples, and annotations are never evaluated
+    out = str(tmp_path / "out.csv")
+    sc = _write(tmp_path, "sc.cfg", DYNAMICS.replace("self_consistent = false",
+                                                     "self_consistent = true"))
+    runs = [["simulate", "--config", sc, "--out", out], ["fit", "--config", sc, "--out", out]]
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    numpy_root = os.path.dirname(os.path.dirname(np.__file__))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED_AFTER_EACH,
+         json.dumps([package_root, numpy_root]), json.dumps(runs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    cold, simulated, fitted = result.stdout.splitlines()
+    assert (cold, simulated) == ("", "0")
+    # numpy, which the fit loads, imports inspect and typing itself
+    assert fitted.split()[0] == "0" and "numpy" in fitted and "dataclasses" not in fitted
 
 
 def test_cli_loads_difflib_only_for_an_unknown_key(tmp_path):

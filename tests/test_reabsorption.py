@@ -191,3 +191,7 @@ def test_cloud_shape_validation():
         CloudShape(sigma_y=0.0, sigma_z=1e-4, peak_density=1e16)
     with pytest.raises(ValueError):
         CloudShape(sigma_y=1e-4, sigma_z=1e-4, peak_density=-1.0)
+    for values in ((1e-3, 1e-3, math.inf), (math.inf, 1e-3, 1.0), (1e-3, math.inf, 1.0),
+                   (1e-3, math.nan, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            CloudShape(*values)

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from doppler_reabs import (
+    CloudState,
     cloud_from_temperatures,
     constants,
     peak_density,
@@ -116,6 +117,14 @@ def test_cloud_validation(trap):
         (1e8, 1e-3, -1e-3, 1e-3),    # a negative T_y, also != T_x
         (1e8, -1e-3, -1e-3, 1e-3),
         (1e8, 1e-3, 1e-3, -1e-3),
+        # positive, but so small that the cloud degenerates
+        (1e8, 5e-324, 5e-324, 1e-3),  # sigma_y and sigma_x underflow to 0
+        (1e8, 1e-3, 1e-3, 5e-324),    # sigma_z underflows to 0
+        (1e8, 1e-300, 1e-300, 1e-3),  # the peak density overflows to inf
     ):
         with pytest.raises(ValueError):
             cloud_from_temperatures(trap, *args)
+    with pytest.raises(ValueError):
+        thermal_shape(trap, 1e8, 1e-3, 5e-324)
+    with pytest.raises(ValueError):
+        CloudState(1e8, 1e-3, 1e-3, 4.1e-4, 7e-4, math.inf)
