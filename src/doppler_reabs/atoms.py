@@ -30,18 +30,19 @@ class AtomSpecies(namedtuple("AtomSpecies", (
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.mass <= 0 or self.wavelength <= 0 or self.linewidth <= 0:
+        if not (self.mass > 0 and self.wavelength > 0 and self.linewidth > 0):
             raise ValueError("mass, wavelength and linewidth must be positive")
-        if self.saturation_intensity <= 0:
+        if not self.saturation_intensity > 0:
             raise ValueError("saturation_intensity must be positive")
-        if self.j_ground < 0:
+        if not self.j_ground >= 0:
             raise ValueError("j_ground must be >= 0")
         if self.j_excited != self.j_ground + 1:
             raise ValueError("only J_excited = J_ground + 1 is supported")
-        if abs(self.m_j) > self.j_ground:
+        if not abs(self.m_j) <= self.j_ground:
             raise ValueError("|m_j| must not exceed j_ground")
         return self
 
@@ -80,12 +81,13 @@ class LaserConfig(namedtuple("LaserConfig", "intensity detuning attenuation_fact
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.intensity < 0:
+        if not self.intensity >= 0:
             raise ValueError("intensity must be >= 0")
-        if self.attenuation_factor < 1:
+        if not self.attenuation_factor >= 1:
             raise ValueError("attenuation_factor must be >= 1")
         return self
 

@@ -1,22 +1,18 @@
-"""Command-line front end.
+"""Command-line front end: doppler-reabs <verb> [--flag VALUE ...].
 
-Verbs:
-  simulate     dynamics and steady_state scenarios
-  scan         aspect_scan, intensity_scan and od_scan scenarios
-  fit          parameter estimation for dynamics and scan models
-  selfcheck    recompute the built-in reference numbers
-  preset-dump  print the built-in presets in config format
-
-Scenario configs are sectioned key=value text (see parse_config).  CSV
-goes to --out when given, else to the path in scenario.output, else to
-stdout.  Exit codes: 0 success, 1 invalid input (usage errors too),
-2 fit that did not converge, 3 selfcheck failure.
+The verbs are simulate (dynamics and steady_state scenarios), scan
+(aspect, intensity and OD scans), fit (parameter estimation), selfcheck
+(recompute the built-in reference numbers) and preset-dump (the presets
+in config format).  `_VERBS` gives each verb its flags and their
+metavars; --config, where a verb takes it, is required.  Scenario
+configs are sectioned key=value text (see parse_config).  CSV goes to
+--out when given, else to the path in scenario.output, else to stdout.
+Exit codes: 0 success, 1 invalid input (usage errors too), 2 fit that
+did not converge, 3 selfcheck failure.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
 
 from .config import KINDS, ConfigError, ScenarioConfig, parse_config, preset_dump
@@ -39,55 +35,49 @@ _RUNNERS = {
     "od_scan": run_od_scan,
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, as invalid input (its subparsers share the class)."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"error: {message}\n")
-
-
-@functools.cache  # parse_args returns a fresh namespace, so calls can share one parser
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="doppler-reabs",
-        description="Doppler cooling of dense spin-polarized clouds: "
-                    "simulation, scans and parameter fits.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_config_verb(name, help_text, with_seed=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="scenario config file")
-        p.add_argument("--out", help="output CSV path (default: scenario.output or stdout)")
-        if with_seed:
-            p.add_argument(
-                "--seed", type=int, default=0,
-                help="RNG seed for synthetic fit data (default 0)",
-            )
-        return p
-
-    add_config_verb("simulate", "run a dynamics or steady_state scenario")
-    add_config_verb("scan", "run an aspect, intensity or optical-density scan")
-    add_config_verb("fit", "fit model parameters for a scenario", with_seed=True)
-
-    p_check = sub.add_parser("selfcheck", help="verify the built-in anchor numbers")
-    p_check.add_argument("--out", help="write the report here instead of stdout")
-
-    p_dump = sub.add_parser("preset-dump", help="print the built-in presets")
-    p_dump.add_argument("--out", help="write the presets here instead of stdout")
-    return parser
+_VERBS = {
+    "simulate": {"--config": "FILE", "--out": "CSV"},
+    "scan": {"--config": "FILE", "--out": "CSV"},
+    "fit": {"--config": "FILE", "--out": "CSV", "--seed": "N"},
+    "selfcheck": {"--out": "FILE"},
+    "preset-dump": {"--out": "FILE"},
+}
+_FLAGS = {verb: " ".join(f"{flag} {meta}" if flag == "--config" else f"[{flag} {meta}]"
+                         for flag, meta in flags.items()) for verb, flags in _VERBS.items()}
+_SYNOPSIS = "\n".join(f"doppler-reabs {verb:<11} {flags}" for verb, flags in _FLAGS.items())
 
 
-def _load_config(args) -> ScenarioConfig:
-    with open(args.config, "r", encoding="utf-8") as handle:
+def _parse(argv: list[str]) -> tuple[str, dict[str, str], int]:
+    """The verb, its {flag: value} and the seed; ValueError for a malformed argv."""
+    verb, *words = argv or [""]
+    if verb not in _VERBS:
+        raise ValueError(f"invalid verb '{verb}' (choose from {', '.join(_VERBS)})" if verb
+                         else "the following arguments are required: verb")
+    flags, opts, words = _VERBS[verb], {}, iter(words)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            raise ValueError(f"unrecognized argument '{word}' (expected {', '.join(flags)})")
+        # without "=", the value is the next word, unless that is a flag
+        if not eq and (value := next(words, "--")).startswith("--"):
+            raise ValueError(f"argument {flag}: expected one argument")
+        opts[flag] = value  # a repeated flag keeps its last value
+    if "--config" in flags and "--config" not in opts:
+        raise ValueError("the following arguments are required: --config")
+    try:
+        return verb, opts, int(opts.get("--seed", 0))
+    except ValueError:
+        raise ValueError(f"argument --seed: invalid int value: {opts['--seed']!r}") from None
+
+
+def _load_config(verb: str, path: str) -> ScenarioConfig:
+    with open(path, "r", encoding="utf-8") as handle:
         config = parse_config(handle.read())
-    if args.verb not in KINDS[config.kind].verbs:
-        allowed = ", ".join(kind for kind, row in KINDS.items() if args.verb in row.verbs)
+    if verb not in KINDS[config.kind].verbs:
+        allowed = ", ".join(kind for kind, row in KINDS.items() if verb in row.verbs)
         raise ConfigError(
             [(0, f"scenario kind '{config.kind}' does not run under "
-                 f"'{args.verb}' (expected one of: {allowed})")]
+                 f"'{verb}' (expected one of: {allowed})")]
         )
     return config
 
@@ -101,19 +91,29 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_SYNOPSIS)
+        return 0
     try:
-        if args.verb == "selfcheck":
+        verb, opts, seed = _parse(argv)
+    except ValueError as exc:  # the given verb's usage, else every verb's
+        usage = next((f"doppler-reabs {verb} {_FLAGS[verb]}"
+                      for verb in argv[:1] if verb in _FLAGS), _SYNOPSIS)
+        print(f"usage: {usage}\nerror: {exc}", file=sys.stderr)
+        return 1
+    try:
+        if verb == "selfcheck":
             report = run_selfcheck()
-            _emit(report.table(), args.out)
+            _emit(report.table(), opts.get("--out"))
             return 0 if report.all_passed else 3
-        if args.verb == "preset-dump":
-            _emit(preset_dump(), args.out)
+        if verb == "preset-dump":
+            _emit(preset_dump(), opts.get("--out"))
             return 0
-        config = _load_config(args)
-        out_path = args.out or config.output
-        if args.verb == "fit":
-            result = fit_scenario(config, seed=args.seed)
+        config = _load_config(verb, opts["--config"])
+        out_path = opts.get("--out") or config.output
+        if verb == "fit":
+            result = fit_scenario(config, seed=seed)
             _emit(_fit_csv(config, result), out_path)
             if not result.converged:
                 print("error: fit did not converge; parameters reported "

@@ -75,6 +75,7 @@ class TemperatureTrace(namedtuple("TemperatureTrace", (
     """Time-ordered record of an integration run."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

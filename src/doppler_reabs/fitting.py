@@ -47,6 +47,7 @@ class ScanPoint(namedtuple("ScanPoint", (
     """One measured point of a parameter scan."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -59,6 +59,7 @@ class CloudShape(namedtuple("CloudShape", (
     """Gaussian cloud sizes and peak density entering the reabsorption integrals."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

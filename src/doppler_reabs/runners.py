@@ -353,8 +353,7 @@ def run_selfcheck() -> SelfCheckReport:
     """Recompute the built-in reference numbers and compare with tolerances.
 
     Uses the built-in chromium and cloverleaf presets throughout; the
-    slowest entries integrate the full cooling dynamics, and the whole
-    check takes about 15 ms (2-core x86-64, Python 3.11).
+    slowest entries integrate the full cooling dynamics.
     """
     from .fitting import fit_exponential
 

@@ -25,14 +25,15 @@ class TrapConfig(namedtuple("TrapConfig", (
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if min(self.curvature_x, self.curvature_y, self.curvature_z) <= 0:
+        if not (self.curvature_x > 0 and self.curvature_y > 0 and self.curvature_z > 0):
             raise ValueError("curvatures must be positive")
-        if self.offset_field <= 0:
+        if not self.offset_field > 0:
             raise ValueError("offset_field must be positive")
-        if self.magnetic_moment <= 0:
+        if not self.magnetic_moment > 0:
             raise ValueError("magnetic_moment must be positive")
         return self
 
@@ -46,13 +47,15 @@ class CloudState(namedtuple("CloudState", (
     """Thermal cloud in the trap: atom number, temperatures, sizes, density (x follows y)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.atom_number <= 0:
+        if not self.atom_number > 0:
             raise ValueError("atom_number must be positive")
-        if min(self.T_y, self.T_z) <= 0:
+        if not (self.T_y > 0 and self.T_z > 0):
             raise ValueError("temperatures must be positive")
+        # a NaN size or density is left to the finite check below
         if min(self.sigma_y, self.sigma_z) <= 0:
             raise ValueError("cloud sizes must be positive")
         if self.peak_density < 0:

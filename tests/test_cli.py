@@ -197,8 +197,7 @@ def test_dynamics_repeat_is_byte_identical(tmp_path):
 
 
 def test_consecutive_calls_do_not_leak_options(tmp_path):
-    # the parser is built once per process; an option given to one call
-    # must not carry over to the next
+    # an option given to one call must not carry over to the next
     fit_cfg = _write(tmp_path, "i.cfg", INTENSITY_FIT)
     dyn_cfg = _write(tmp_path, "d.cfg", DYNAMICS)
 
@@ -207,7 +206,6 @@ def test_consecutive_calls_do_not_leak_options(tmp_path):
         assert main([*args, "--out", str(out)]) == 0
         return out.read_bytes()
 
-    cli._build_parser.cache_clear()
     first_fit = run("fit", "--config", fit_cfg)
     first_sim = run("simulate", "--config", dyn_cfg)
     assert run("fit", "--config", fit_cfg, "--seed", "3") != first_fit
@@ -540,6 +538,58 @@ def test_module_entry_point_runs_the_cli():
     assert "error: the following arguments are required: --config" in result.stderr
 
 
+# argv with CFG standing for a valid dynamics config, and the error it must give
+USAGE_ERRORS = {
+    "no_verb": ([], "the following arguments are required: verb"),
+    "unknown_verb": (["cool", "--config", "CFG"], "invalid verb 'cool'"),
+    "missing_config": (["fit"], "the following arguments are required: --config"),
+    "unknown_flag": (["simulate", "--config", "CFG", "--stride", "3"],
+                     "unrecognized argument '--stride'"),
+    "flag_of_another_verb": (["simulate", "--config", "CFG", "--seed", "3"],
+                             "unrecognized argument '--seed'"),
+    "flag_without_value": (["simulate", "--config"], "argument --config: expected one argument"),
+    "flag_before_flag": (["simulate", "--out", "--config", "CFG"],
+                         "argument --out: expected one argument"),
+    "bad_seed": (["fit", "--config", "CFG", "--seed", "abc"],
+                 "argument --seed: invalid int value: 'abc'"),
+    "prefix": (["simulate", "--conf", "CFG"], "unrecognized argument '--conf'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_return_1_in_process(tmp_path, capsys, argv, message):
+    cfg = _write(tmp_path, "d.cfg", DYNAMICS)
+    argv = [cfg if word == "CFG" else word for word in argv]
+    assert main(argv) == 1  # returned, not raised as SystemExit
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: doppler-reabs ")
+    assert f"\nerror: {message}" in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["fit", "--config", "x", "-h"],
+                                  ["cool", "--help"]])
+def test_help_prints_the_synopsis(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split()[1] for line in lines] == list(cli._VERBS)
+    assert lines[2] == "doppler-reabs fit         --config FILE [--out CSV] [--seed N]"
+    assert captured.err == ""
+
+
+def test_flag_forms_give_the_same_run(tmp_path):
+    cfg = _write(tmp_path, "i.cfg", INTENSITY_FIT)
+    outs = [tmp_path / f"{k}.csv" for k in range(3)]
+    assert main(["fit", "--config", cfg, "--seed", "3", "--out", str(outs[0])]) == 0
+    assert main(["fit", f"--config={cfg}", "--seed=3", f"--out={outs[1]}"]) == 0
+    # a repeated flag keeps its last value
+    assert main(["fit", "--seed", "1", "--out", "x.csv", "--config", cfg,
+                 "--seed=3", "--out", str(outs[2])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
 def test_cli_and_selfcheck_do_not_load_scipy():
     # scipy serves only the quadrature oracle of the tests: a fresh
     # interpreter importing the command line and running selfcheck
@@ -630,6 +680,19 @@ def test_cli_loads_difflib_only_for_an_unknown_key(tmp_path):
     result = _fresh_python("-c", code, cfg)
     assert result.stdout.split() == ["False", "1", "True"]
     assert "unknown key 'kindd'; did you mean 'kind'?" in result.stderr
+
+
+def test_cli_loads_no_argparse_or_gettext(tmp_path):
+    # the command line is parsed by cli._parse; argparse would also load gettext
+    code = (
+        "import sys, doppler_reabs.cli as cli\n"
+        "print('argparse' in sys.modules, 'gettext' in sys.modules)\n"
+        "print(cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        "print('argparse' in sys.modules, 'gettext' in sys.modules)\n"
+    )
+    cfg = _write(tmp_path, "d.cfg", DYNAMICS)
+    result = _fresh_python("-c", code, cfg, str(tmp_path / "out.csv"))
+    assert result.stdout.split() == ["False", "False", "0", "False", "False"], result.stderr
 
 
 @pytest.mark.parametrize("text", [

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import re
 from pathlib import Path
 
@@ -33,10 +32,7 @@ def test_readme_error_example_is_what_the_example_prints(tmp_path, capsys):
 
 
 def _parser_flags(verb):
-    parser = cli._build_parser()
-    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {flag for action in verbs.choices[verb]._actions
-            for flag in action.option_strings if flag not in ("-h", "--help")}
+    return set(cli._VERBS[verb])
 
 
 @pytest.mark.parametrize("verb", ["simulate", "scan", "fit", "selfcheck", "preset-dump"])
@@ -44,3 +40,9 @@ def test_readme_synopsis_lists_each_verbs_flags(verb):
     synopsis = re.findall(rf"^doppler-reabs {re.escape(verb)} (.*)$", README, re.MULTILINE)
     assert len(synopsis) == 1
     assert set(re.findall(r"--[a-z-]+", synopsis[0])) == _parser_flags(verb)
+
+
+def test_readme_synopsis_is_the_help_text(capsys):
+    block = re.search(r"^```\n(doppler-reabs .*?)^```", README, re.MULTILINE | re.DOTALL)
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == block.group(1)

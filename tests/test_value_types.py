@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from doppler_reabs import (
@@ -88,6 +90,54 @@ def test_each_check_refuses_with_its_message(kind, changed, message, form):
     values = {**GOOD[kind], **changed}
     with pytest.raises(ValueError) as excinfo:
         kind(*values.values()) if form == "positional" else kind(**values)
+    assert str(excinfo.value) == message
+
+
+# (type, the field set to NaN, the message of the check that refuses it)
+REFUSED_NAN = [
+    (AtomSpecies, "mass", SPECIES),
+    (AtomSpecies, "wavelength", SPECIES),
+    (AtomSpecies, "linewidth", SPECIES),
+    (AtomSpecies, "saturation_intensity", "saturation_intensity must be positive"),
+    (AtomSpecies, "j_ground", "j_ground must be >= 0"),
+    (AtomSpecies, "m_j", "|m_j| must not exceed j_ground"),
+    (LaserConfig, "intensity", "intensity must be >= 0"),
+    (LaserConfig, "attenuation_factor", "attenuation_factor must be >= 1"),
+    (TrapConfig, "curvature_x", "curvatures must be positive"),
+    (TrapConfig, "curvature_y", "curvatures must be positive"),
+    (TrapConfig, "curvature_z", "curvatures must be positive"),
+    (TrapConfig, "offset_field", "offset_field must be positive"),
+    (TrapConfig, "magnetic_moment", "magnetic_moment must be positive"),
+    (CloudState, "atom_number", "atom_number must be positive"),
+    (CloudState, "T_y", "temperatures must be positive"),
+    (CloudState, "T_z", "temperatures must be positive"),
+    (CloudState, "sigma_y", "cloud sizes and peak_density must be finite"),
+    (CloudState, "sigma_z", "cloud sizes and peak_density must be finite"),
+    (CloudState, "peak_density", "cloud sizes and peak_density must be finite"),
+    (CloudShape, "sigma_y", "cloud sizes and peak_density must be finite"),
+    (CloudShape, "sigma_z", "cloud sizes and peak_density must be finite"),
+    (CloudShape, "peak_density", "cloud sizes and peak_density must be finite"),
+]
+
+
+@pytest.mark.parametrize("kind, field, message", REFUSED_NAN,
+                         ids=[f"{kind.__name__}-{field}" for kind, field, _ in REFUSED_NAN])
+def test_nan_is_refused_with_its_message(kind, field, message):
+    with pytest.raises(ValueError) as excinfo:
+        kind(**{**GOOD[kind], field: math.nan})
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("kind, changed, message", REFUSED,
+                         ids=[f"{kind.__name__}-{'-'.join(changed)}" for kind, changed, _ in REFUSED])
+def test_replace_and_make_check_too(kind, changed, message):
+    good = kind(**GOOD[kind])
+    assert good._replace() == good and kind._make(good) == good
+    with pytest.raises(ValueError) as excinfo:
+        good._replace(**changed)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        kind._make({**GOOD[kind], **changed}.values())
     assert str(excinfo.value) == message
 
 
