@@ -87,6 +87,8 @@ class LaserConfig(namedtuple("LaserConfig", "intensity detuning attenuation_fact
         self = super().__new__(cls, *args, **kwargs)
         if not self.intensity >= 0:
             raise ValueError("intensity must be >= 0")
+        if not math.isfinite(self.detuning):
+            raise ValueError("detuning must be finite")
         if not self.attenuation_factor >= 1:
             raise ValueError("attenuation_factor must be >= 1")
         return self

@@ -4,18 +4,18 @@ Exponential relaxation fits to temperature traces, the radial
 steady-state-versus-intensity model with an unknown constant heating
 power, and the per-optical-density variant.  Every fit is a direct
 solve: the two scan models are linear after a change of variables and
-take one weighted linear least-squares solve each; the exponential is
-linear in T_inf and T0 for fixed tau, which leaves a root search in
-tau alone (Brent's zeroin).  Parameter uncertainties come from the
-covariance diagonal, carried through the exact Jacobian of each change
-of variables.
+take one weighted least-squares solve each, in closed form on plain
+floats; the exponential is linear in T_inf and T0 for fixed tau, which
+leaves a root search in tau alone (Brent's zeroin), on numpy arrays
+since its cost grows with the trace length.  Parameter uncertainties
+come from the covariance diagonal, carried through the exact Jacobian
+of each change of variables.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -51,11 +51,11 @@ class ScanPoint(namedtuple("ScanPoint", (
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.x <= 0:
+        if not self.x > 0:
             raise ValueError("x must be positive")
-        if self.y <= 0:
+        if not self.y > 0:
             raise ValueError("y must be positive")
-        if self.y_err is not None and self.y_err <= 0:
+        if self.y_err is not None and not self.y_err > 0:
             raise ValueError("y_err must be positive when given")
         return self
 
@@ -71,43 +71,29 @@ class FitResult(namedtuple("FitResult", (
     __slots__ = ()
 
 
-def _build_result(names, p, converged, iterations, cov, r, y, weighted):
+def _build_result(names, p, converged, iterations, variances, r, y, weighted):
     """FitResult with standard errors from the covariance diagonal.
 
-    r holds the residuals in kelvin.  cov is the unscaled covariance
-    (J^T J)^-1 of the weighted residuals; without error bars, whose
-    weights are 1, it is scaled by the variance of r.  A singular or
+    r (residuals [K]), y (data) and variances (the diagonal of the
+    unscaled covariance (J^T J)^-1 of the weighted residuals, or None
+    where singular) are plain sequences.  Without error bars, whose
+    weights are 1, the variances are scaled by that of r.  A singular or
     indefinite covariance gives NaN errors; an unconverged fit gives
     none, and so does an unweighted fit that matches the data y exactly
     (EXACT_FIT_REL), whose residual variance is rounding noise.
     """
-    residual_norm = math.hypot(*r.tolist())
-    exact = not weighted and residual_norm <= EXACT_FIT_REL * math.hypot(*y.tolist())
+    residual_norm = math.hypot(*r)
+    exact = not weighted and residual_norm <= EXACT_FIT_REL * math.hypot(*y)
     errors = None
     if converged and not exact:
-        errors = {name: math.nan for name in names}
-        if cov is not None:
-            if not weighted:
-                dof = r.size - len(names)
-                if dof > 0:
-                    cov = cov * float(r @ r) / dof
-            diag = np.diag(cov)
-            if np.all(diag >= 0):
-                errors = {name: float(s) for name, s in zip(names, np.sqrt(diag))}
-    return FitResult(
-        parameters={name: float(v) for name, v in zip(names, p)},
-        standard_errors=errors,
-        residual_norm=residual_norm,
-        converged=converged,
-        iterations=iterations,
-    )
-
-
-def _inverse(matrix):
-    try:
-        return np.linalg.inv(matrix)
-    except np.linalg.LinAlgError:
-        return None
+        errors = dict.fromkeys(names, math.nan)
+        if variances is not None:
+            dof = len(r) - len(names)
+            if not weighted and dof > 0:
+                variances = [v * (residual_norm * residual_norm) / dof for v in variances]
+            if all(v >= 0 for v in variances):
+                errors = {name: math.sqrt(v) for name, v in zip(names, variances)}
+    return FitResult(dict(zip(names, p)), errors, residual_norm, converged, iterations)
 
 
 def _project(shifted, centered, tau):
@@ -201,9 +187,7 @@ def fit_exponential(
     if times.size < EXP_MIN_SAMPLES:
         raise ValueError(f"need at least {EXP_MIN_SAMPLES} samples in the fit window")
     if float(np.ptp(temps)) == 0.0:
-        raise DegenerateDataError(
-            "temperature is constant over the window; tau is unidentifiable"
-        )
+        raise DegenerateDataError("temperature is constant over the window; tau is unidentifiable")
 
     shifted = times - times[0]
     centered = temps - temps.mean()
@@ -229,49 +213,73 @@ def fit_exponential(
         growth = float(np.exp(times[0] / tau))  # from the first sample back to t = 0
     # T0 - T_inf = b * growth and exp(-t/tau) = e / growth
     jac = np.column_stack((1.0 - e / growth, e / growth, b * e * times / tau**2))
-    return _build_result(
-        ("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau), converged, evaluations,
-        _inverse(jac.T @ jac), r, temps, weighted=False,
-    )
+    try:
+        variances = np.diag(np.linalg.inv(jac.T @ jac)).tolist()
+    except np.linalg.LinAlgError:
+        variances = None
+    return _build_result(("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau), converged,
+                         evaluations, variances, r.tolist(), temps.tolist(), weighted=False)
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
+def _div(a, b):
+    """a / b, with numpy's inf or nan where Python raises at b = 0."""
+    return a / b if b else (a * math.copysign(math.inf, b) if a else math.nan)
 
 
 def _linear_fit(points, design, y, scale):
-    """Weighted least squares of target = y/scale - 1 ~ design @ q for the scan fits.
+    """Weighted least squares of target = y/scale - 1 ~ sum_j q_j design[j]
+    over one or two columns, in closed form; returns (q, unscaled
+    covariance of q or None, residuals [K], weighted).
 
-    A point's residual in kelvin is scale * (design @ q - target); with
-    y_err on every point the solve divides it by y_err.  Columns are scaled to
-    unit norm before the solve, so parameters many decades apart keep
-    full precision.  Returns (q, unscaled covariance of q, residuals [K],
-    weighted).
+    A point's residual in kelvin is scale * (model - target), divided by
+    y_err in the solve when every point has one.  Scaled to unit norm,
+    which keeps parameters decades apart at full precision, two columns
+    with inner product c have the normal matrix [[1, c], [c, 1]], whose
+    inverse [[1, -c], [-c, 1]] / (1 - c^2) is the covariance.  1 - c^2
+    and the numerator of q[1] are sums over the second column and b less
+    their parts along the first, so that they do not cancel.  Parallel
+    columns (1 - c^2 = 0) take the minimum-norm solution, as an SVD
+    solve would, and no covariance.
     """
-    has_err = [pt.y_err is not None for pt in points]
-    if any(has_err) and not all(has_err):
+    weighted = all(pt.y_err is not None for pt in points)
+    if not weighted and any(pt.y_err is not None for pt in points):
         raise ValueError("either every point carries y_err or none does")
-    weighted = all(has_err)
-    weights = np.full(len(points), scale)
-    if weighted:
-        weights /= np.array([pt.y_err for pt in points])
-    with np.errstate(over="ignore", invalid="ignore"):
-        target = y / scale - 1.0
-        a, b = design * weights[:, None], target * weights
-        norms = np.linalg.norm(a, axis=0)
-    # LAPACK writes to the process's stderr when handed non-finite values
-    if not (np.isfinite(a).all() and np.isfinite(b).all()
-            and np.all((norms > 0) & np.isfinite(norms))):
-        raise DegenerateDataError(
-            "the scan data are out of range for a least-squares solve"
-        )
-    q_scaled, *_ = np.linalg.lstsq(a / norms, b, rcond=None)
-    q = q_scaled / norms
-    cov = _inverse((a / norms).T @ (a / norms))
-    if cov is not None:
-        cov = cov / np.outer(norms, norms)
-    return q, cov, scale * (design @ q - target), weighted
+    weights = [scale / pt.y_err for pt in points] if weighted else [scale] * len(points)
+    a = [list(map(operator.mul, column, weights)) for column in design]
+    norms = [math.sqrt(_dot(column, column)) for column in a]
+    solvable = all(0.0 < n < math.inf for n in norms)  # so a is finite and scale nonzero
+    target = [v / scale - 1.0 for v in y] if solvable else []
+    b = list(map(operator.mul, target, weights))
+    if not (solvable and all(map(math.isfinite, b))):
+        raise DegenerateDataError("the scan data are out of range for a least-squares solve")
+    unit = [[v / n for v in column] for column, n in zip(a, norms)]
+    g0 = _dot(unit[0], b)
+    q_unit, cov_unit = [g0], [[1.0]]
+    if len(unit) == 2:
+        c = _dot(*unit)
+        z = [v1 - c * v0 for v0, v1 in zip(*unit)]
+        det = _dot(z, z)
+        if det > 0:
+            q1 = _dot(z, [v - g0 * v0 for v, v0 in zip(b, unit[0])]) / det
+            q_unit, cov_unit = [g0 - c * q1, q1], [[1.0 / det, -c / det], [-c / det, 1.0 / det]]
+        else:  # the pseudo-inverse [[1, s], [s, 1]] / 4 with s = sign(c)
+            s, g1 = math.copysign(1.0, c), _dot(unit[1], b)
+            q_unit, cov_unit = [(g0 + s * g1) / 4.0, (s * g0 + g1) / 4.0], None
+    q = [v / n for v, n in zip(q_unit, norms)]
+    cov = cov_unit and [[v / (ni * nj) for v, nj in zip(row, norms)]
+                        for row, ni in zip(cov_unit, norms)]
+    r = [scale * (_dot(row, q) - t) for row, t in zip(zip(*design), target)]
+    return q, cov, r, weighted
 
 
 def _mapped(cov, jac):
-    """Covariance pushed through the Jacobian of a change of variables."""
-    return None if cov is None else jac @ cov @ jac.T
+    """Variances after a change of variables: the diagonal of jac @ cov @ jac.T."""
+    return None if cov is None else [
+        _dot([_dot(row, column) for column in zip(*cov)], row) for row in jac]
 
 
 def fit_intensity_scan(
@@ -296,23 +304,19 @@ def fit_intensity_scan(
     """
     if len(points) < 3:
         raise ValueError("need at least 3 scan points")
-    xs = np.array([pt.x for pt in points])
-    if xs.max() < 3.0 * xs.min():
+    xs = [pt.x for pt in points]
+    if max(xs) < 3.0 * min(xs):
         raise ValueError("intensity range must span at least a factor of 3")
 
     base = species.doppler_temperature / 2.0 * detuning_factor(delta_pol)
-    design = np.column_stack((np.full(xs.size, 0.3 * (1.0 + kappa)), 1.0 / xs))
-    y = np.array([pt.y for pt in points])
+    design = ([0.3 * (1.0 + kappa)] * len(xs), [1.0 / x for x in xs])
+    y = [pt.y for pt in points]
     (u, v), cov, r, weighted = _linear_fit(points, design, y, base)
-
     power = species.recoil_energy * species.linewidth
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa_y, heating = 1.0 / u, v * power / u
-        jac = np.array([[-1.0 / u**2, 0.0], [-v * power / u**2, power / u]])
-    return _build_result(
-        ("kappa_y", "heating_power"), (kappa_y, heating), bool(u > 0), 1,
-        _mapped(cov, jac), r, y, weighted,
-    )
+    uu = u * u
+    jac = ((_div(-1.0, uu), 0.0), (_div(-v * power, uu), _div(power, u)))
+    return _build_result(("kappa_y", "heating_power"), (_div(1.0, u), _div(v * power, u)),
+                         u > 0, 1, _mapped(cov, jac), r, y, weighted)
 
 
 def fit_od_scan(
@@ -338,22 +342,15 @@ def fit_od_scan(
     if not points:
         raise ValueError("need at least 1 scan point")
     kappa_star = kappa_at_ref / od_ref
-
     base = species.doppler_temperature / 2.0 * detuning_factor(delta_pol)
-    column = np.array([
-        steady_state_vs_od(1.0, kappa_star, pt.x, heating_power, intensity, delta_pol, species)
-        for pt in points
-    ]) / base - 1.0
-    if not np.all(np.isfinite(column)):
+    column = [steady_state_vs_od(1.0, kappa_star, pt.x, heating_power, intensity, delta_pol,
+                                 species) / base - 1.0 for pt in points]
+    if not all(map(math.isfinite, column)):
         raise DegenerateDataError("the steady state diverges at the scan points")
-    y = np.array([pt.y for pt in points])
-    (w,), cov, r, weighted = _linear_fit(points, column[:, None], y, base)
-    with np.errstate(divide="ignore"):
-        kappa_y_star, jac = 1.0 / w, np.array([[-1.0 / w**2]])
-    result = _build_result(
-        ("kappa_y_star",), (kappa_y_star,), bool(w > 0), 1,
-        _mapped(cov, jac), r, y, weighted,
-    )
+    y = [pt.y for pt in points]
+    (w,), cov, r, weighted = _linear_fit(points, (column,), y, base)
+    result = _build_result(("kappa_y_star",), (_div(1.0, w),), w > 0, 1,
+                           _mapped(cov, ((_div(-1.0, w * w),),)), r, y, weighted)
     result.parameters["kappa_star"] = kappa_star
     return result
 
@@ -361,25 +358,28 @@ def fit_od_scan(
 def load_scan_points(path) -> list[ScanPoint]:
     """Read scan points from a CSV file; columns x, y and optional y_err.
 
-    Lines starting with # are ignored, matching the trace CSV format.
+    Cells are split at commas, unquoted.  Lines starting with # are
+    ignored, matching the trace CSV format.  An empty or absent y_err
+    cell means no error bar; any other cell must be a finite positive
+    number, else ValueError names the file's line and the cell.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    rows = [
-        line for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    reader = csv.DictReader(io.StringIO("\n".join(rows)))
-    if reader.fieldnames is None or "x" not in reader.fieldnames or "y" not in reader.fieldnames:
+        rows = [(number, line) for number, line in enumerate(handle.read().splitlines(), 1)
+                if line.strip() and not line.lstrip().startswith("#")]
+    names = rows[0][1].split(",") if rows else []
+    if "x" not in names or "y" not in names:
         raise ValueError("scan CSV needs columns 'x' and 'y'")
     points = []
-    for record in reader:
-        y_err = record.get("y_err")
-        points.append(
-            ScanPoint(
-                x=float(record["x"]),
-                y=float(record["y"]),
-                y_err=float(y_err) if y_err not in (None, "") else None,
-            )
-        )
+    for number, line in rows[1:]:
+        cells = dict(zip(names, line.split(",")))
+        values = {}
+        for name in ("x", "y", "y_err") if cells.get("y_err") else ("x", "y"):
+            try:
+                values[name] = float(cells.get(name, ""))
+            except ValueError:
+                values[name] = math.nan
+            if not 0.0 < values[name] < math.inf:
+                raise ValueError(f"{path}, line {number}: {name} must be a finite "
+                                 f"positive number (got {cells.get(name, '')!r})")
+        points.append(ScanPoint(**values))
     return points

@@ -9,10 +9,12 @@ All intensities entering scan grids are normalized to saturation and are
 the values at the atoms; the [laser] attenuation_factor applies only to
 the [laser] intensity key itself.
 
-numpy and the fitting module are imported by the fit paths alone
-(fit_scenario, the synthetic scan data and selfcheck's cooling-time
-fits), and by log-scale grids (GridSpec.values), so the simulation,
-steady-state and linear-grid scan runners run without them.
+numpy computes the exponential fits (fit_scenario on a dynamics
+config, selfcheck's cooling-time fits), the seeded noise of synthetic
+scan data and log-scale grids (GridSpec.values); the scan fits run on
+plain floats.  The fitting module, which imports numpy, is imported by
+the fit paths alone, so the simulation, steady-state and linear-grid
+scan runners run without either.
 """
 
 from __future__ import annotations
@@ -183,23 +185,25 @@ def run_od_scan(config: ScenarioConfig) -> str:
 
 
 def _synthetic_points(config: ScenarioConfig, seed: int) -> list[ScanPoint]:
-    import numpy as np
-
+    """The scan fit's data without a data file: the model on the grid
+    points the fit can take, each times 1 + noise_fraction * a normal
+    draw of the seed, with error bar noise_fraction * model.
+    """
     from .fitting import ScanPoint
 
-    rng = np.random.default_rng(seed)
     model = _scan_model(config)
+    grid = ((x, model(x)) for x in config.grid.values())
+    usable = [(x, y) for x, y in grid if x > 0 and math.isfinite(y)]  # the fit can take them
+    f = config.noise_fraction
+    draws = [0.0] * len(usable)
+    if f:  # one batch, bit for bit the draws one at a time would give
+        import numpy as np
+        draws = np.random.default_rng(seed).standard_normal(len(usable)).tolist()
     points = []
-    for x in config.grid.values():
-        y_true = model(x)
-        if x <= 0 or not math.isfinite(y_true):  # points the fit cannot take
-            continue
-        noise = config.noise_fraction * rng.standard_normal() if config.noise_fraction else 0.0
-        y = y_true * (1.0 + noise)
-        if y <= 0:  # a draw below -1/noise_fraction; later points keep their draws
-            continue
-        y_err = config.noise_fraction * y_true if config.noise_fraction else None
-        points.append(ScanPoint(x=x, y=y, y_err=y_err))
+    for (x, y_true), draw in zip(usable, draws):
+        y = y_true * (1.0 + f * draw)
+        if y > 0:  # a draw below -1/noise_fraction; later points keep their draws
+            points.append(ScanPoint(x, y, f * y_true if f else None))
     return points
 
 

@@ -849,6 +849,26 @@ def test_scan_fit_from_a_data_file_recovers_its_parameters(tmp_path, capsys):
     assert float(table["heating_power"]) == pytest.approx(2.6e-26, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("0.001,nan,", "y must be a finite positive number (got 'nan')"),
+    ("0.001,inf,", "y must be a finite positive number (got 'inf')"),
+    ("0.001,-3e-4,", "y must be a finite positive number (got '-3e-4')"),
+    ("abc,3e-4,", "x must be a finite positive number (got 'abc')"),
+    ("0.001", "y must be a finite positive number (got '')"),
+    ("0.001,3e-4,nan", "y_err must be a finite positive number (got 'nan')"),
+], ids=["y_nan", "y_inf", "y_negative", "x_not_a_number", "y_missing", "y_err_nan"])
+def test_a_bad_data_cell_exits_1_naming_its_line(tmp_path, capsys, bad_row, message):
+    config = parse_config(INTENSITY_FIT)
+    model = runners._scan_model(config)
+    rows = [f"{x!r},{model(x)!r}," for x in config.grid.values()]
+    rows[3] = bad_row  # line 6 of the file, after a comment and the header
+    data = tmp_path / "points.csv"
+    data.write_text("# measured\nx,y,y_err\n" + "\n".join(rows) + "\n")
+    text = INTENSITY_FIT.replace("noise_fraction = 0.03", f"data = {data}")
+    assert main(["fit", "--config", _write(tmp_path, "f.cfg", text)]) == 1
+    assert capsys.readouterr().err == f"error: {data}, line 6: {message}\n"
+
+
 @pytest.mark.parametrize("text, old, new", [
     (INTENSITY_FIT, "kappa_y = 0.11", "kappa_y = 0"),
     (CASES[5][1], "intensity_Isat = 4e-3", "intensity_Isat = 0"),  # an OD fit with heating

@@ -19,7 +19,7 @@ from doppler_reabs import (
     steady_state_with_heating,
 )
 from doppler_reabs import parse_config, rates
-from doppler_reabs.dynamics import TemperatureTrace, TraceSample
+from doppler_reabs.dynamics import TemperatureTrace, TraceSample, detuning_factor
 from doppler_reabs.runners import fit_scenario
 from test_cli import DYNAMICS
 
@@ -311,3 +311,177 @@ def test_scan_fits_without_physical_kappa_unconverged(species):
     fit = fit_od_scan(points, 0.24, 4.5, 0.0, 1.33e-3, -0.8, species)
     assert not fit.converged
     assert fit.parameters["kappa_y_star"] < 0
+
+
+# --- the scan fits against numpy's least squares -------------------------
+
+KAPPA, DELTA, HEATING, OD_INTENSITY = 0.24, -0.8, 2.6e-26, 1.33e-3
+
+
+def _lstsq_oracle(species, columns, points, change):
+    """(values, standard errors) of numpy.linalg.lstsq on the weighted
+    model y - base ~ base * columns @ q, columns scaled to unit norm;
+    change(q) gives the parameters and the Jacobian dp/dq."""
+    base = species.doppler_temperature / 2.0 * detuning_factor(DELTA)
+    design = base * np.column_stack(columns)
+    target = np.array([pt.y for pt in points]) - base
+    weighted = points[0].y_err is not None
+    w = 1.0 / np.array([pt.y_err for pt in points]) if weighted else np.ones(len(points))
+    a, b = design * w[:, None], target * w
+    norms = np.linalg.norm(a, axis=0)
+    q = np.linalg.lstsq(a / norms, b, rcond=None)[0] / norms
+    cov = np.linalg.inv((a / norms).T @ (a / norms)) / np.outer(norms, norms)
+    if not weighted:
+        r = design @ q - target
+        cov = cov * (r @ r) / (len(points) - len(columns))
+    values, jac = change(q)
+    return values, np.sqrt(np.diag(jac @ cov @ jac.T))
+
+
+def _intensity_oracle(species, points):
+    x = np.array([pt.x for pt in points])
+    power = species.recoil_energy * species.linewidth
+
+    def change(q):
+        u, v = q
+        return (1 / u, v * power / u), np.array([[-1 / u**2, 0.0], [-v * power / u**2, power / u]])
+
+    return _lstsq_oracle(species, [np.full(x.size, 0.3 * (1 + KAPPA)), 1 / x], points, change)
+
+
+def _od_oracle(species, points):
+    column = [steady_state_vs_od(1.0, KAPPA / 4.5, pt.x, HEATING, OD_INTENSITY, DELTA, species)
+              for pt in points]
+    base = species.doppler_temperature / 2.0 * detuning_factor(DELTA)
+
+    def change(q):
+        return (1 / q[0],), np.array([[-1 / q[0] ** 2]])
+
+    return _lstsq_oracle(species, [np.array(column) / base - 1.0], points, change)
+
+
+def _noisy(xs, truth, weighted, rng):
+    ys = truth * (1.0 + 0.03 * rng.standard_normal(truth.size))
+    return [ScanPoint(float(x), float(y), float(0.03 * t) if weighted else None)
+            for x, y, t in zip(xs, ys, truth)]
+
+
+def _assert_matches_oracle(fit, names, oracle):
+    values, errors = oracle
+    for name, value, error in zip(names, values, errors):
+        assert fit.parameters[name] == pytest.approx(value, rel=1e-12, abs=0), name
+        assert fit.standard_errors[name] == pytest.approx(error, rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("span", [3.0, 10.0, 1e2, 1e4])
+@pytest.mark.parametrize("n", [3, 10, 100, 1000])
+def test_intensity_fit_matches_lstsq(species, n, span, weighted):
+    rng = np.random.default_rng([n, int(span), weighted])
+    xs = 1e-3 * np.geomspace(1.0, span, n)
+    truth = np.array([steady_state_with_heating(0.11, KAPPA, HEATING, x, DELTA, species)
+                      for x in xs])
+    points = _noisy(xs, truth, weighted, rng)
+    fit = fit_intensity_scan(points, KAPPA, DELTA, species)
+    assert fit.converged
+    _assert_matches_oracle(fit, ("kappa_y", "heating_power"), _intensity_oracle(species, points))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("n", [3, 10, 100, 1000])
+def test_od_fit_matches_lstsq(species, n, weighted):
+    rng = np.random.default_rng([n, weighted])
+    ods = np.geomspace(1.0, 20.0, n)
+    truth = np.array([steady_state_vs_od(0.11 / 4.5, KAPPA / 4.5, od, HEATING, OD_INTENSITY,
+                                         DELTA, species) for od in ods])
+    points = _noisy(ods, truth, weighted, rng)
+    fit = fit_od_scan(points, KAPPA, 4.5, HEATING, OD_INTENSITY, DELTA, species)
+    assert fit.converged
+    _assert_matches_oracle(fit, ("kappa_y_star",), _od_oracle(species, points))
+
+
+# degenerate data the lstsq solve took without raising: the closed form
+# gives a FitResult of the same kind, or the same exception, with numpy's
+# inf and nan where Python would raise OverflowError or ZeroDivisionError,
+# and without the warnings numpy printed
+
+def _fits(species, ys, y_err=None):
+    """The intensity fit and the OD fit of the same temperatures, as
+    functions of no arguments."""
+    def points(xs):
+        return [ScanPoint(x, y, y_err) for x, y in zip(xs, ys)]
+
+    return (
+        lambda: fit_intensity_scan(points((1e-4, 1e-3, 1e-2, 3e-2)), KAPPA, DELTA, species),
+        lambda: fit_od_scan(points((1.0, 2.0, 5.0, 20.0)), KAPPA, 4.5, HEATING, OD_INTENSITY,
+                            DELTA, species),
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("y_err", [None, 1e-6], ids=["unweighted", "weighted"])
+def test_data_at_the_floor_drive_the_inverse_parameters_to_zero(species, y_err):
+    # T = base everywhere: u = v = 0 and w = 0, so kappa_y = 1/u is infinite
+    base = species.doppler_temperature / 2.0 * detuning_factor(DELTA)
+    intensity, od = (fit() for fit in _fits(species, [base] * 4, y_err))
+    assert not intensity.converged and not od.converged
+    assert intensity.parameters["kappa_y"] == math.inf
+    assert math.isnan(intensity.parameters["heating_power"])  # 0/0
+    # the sign of an infinity from a zero solution follows that zero's sign,
+    # which is rounding: the lstsq solve gave -0.0 here, the closed form +0.0
+    assert math.isinf(od.parameters["kappa_y_star"])
+    assert intensity.standard_errors is None and od.standard_errors is None
+    assert intensity.residual_norm == 0.0 and od.residual_norm == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_temperatures_near_the_float_limit_drive_the_inverse_parameters_to_infinity(species):
+    # T/base - 1 stays finite, but u and w overflow to inf, so kappa_y and
+    # kappa_y_star are 0 and every residual and standard error is inf or nan
+    for fit, name in zip(_fits(species, [4e303 * (1 + 0.1 * i) for i in range(4)]),
+                         ("kappa_y", "kappa_y_star")):
+        fit = fit()
+        assert fit.converged
+        assert fit.parameters[name] == 0.0
+        assert all(math.isnan(e) for e in fit.standard_errors.values())
+        assert fit.residual_norm == math.inf
+    # while a smaller u stays finite
+    intensity = _fits(species, [2e303 * (1 + 0.1 * i) for i in range(4)])[0]()
+    assert 0.0 < intensity.parameters["kappa_y"] < 1e-307
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ys, y_err", [
+    ([3e-4] * 4, 1e-300),  # the weights overflow
+    ([3e-4] * 4, 5e-324),  # the weights are inf
+    ([1e299] * 4, 1e298),  # the weights underflow
+    ([1e305] * 4, None),   # T/base overflows
+], ids=["weights_overflow", "weights_inf", "weights_underflow", "target_overflows"])
+def test_data_out_of_the_float_range_raise_degenerate_data(species, ys, y_err):
+    for fit in _fits(species, ys, y_err):
+        with pytest.raises(DegenerateDataError, match="out of range for a least-squares solve"):
+            fit()
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_dominant_error_bar_makes_the_columns_parallel(species):
+    # the other weights' squares underflow, so the weighted columns are
+    # parallel: the minimum-norm solution lstsq gives, and no covariance
+    xs = (1e-4, 1e-3, 1e-2, 3e-2)
+    points = [ScanPoint(x, steady_state_with_heating(0.11, KAPPA, HEATING, x, DELTA, species),
+                        1e-6 if i == 0 else 1e200) for i, x in enumerate(xs)]
+    fit = fit_intensity_scan(points, KAPPA, DELTA, species)
+    x = np.array(xs)
+    base = species.doppler_temperature / 2.0 * detuning_factor(DELTA)
+    a = base * np.column_stack((np.full(4, 0.3 * (1 + KAPPA)), 1 / x)) / np.array(
+        [pt.y_err for pt in points])[:, None]
+    norms = np.linalg.norm(a, axis=0)
+    b = (np.array([pt.y for pt in points]) - base) / np.array([pt.y_err for pt in points])
+    (u, v), _, rank, _ = np.linalg.lstsq(a / norms, b, rcond=None)
+    assert rank == 1
+    u, v = u / norms[0], v / norms[1]
+    power = species.recoil_energy * species.linewidth
+    assert fit.converged
+    assert fit.parameters["kappa_y"] == pytest.approx(1 / u, rel=1e-12, abs=0)
+    assert fit.parameters["heating_power"] == pytest.approx(v * power / u, rel=1e-12, abs=0)
+    assert all(math.isnan(e) for e in fit.standard_errors.values())

@@ -91,8 +91,8 @@ GOLDEN = {
     "intensity-fit-seed0": "ad1f772edbdd1774773af7c75700187f576f8125af6552c2e926d747d86114ac",
     "intensity-fit-seed1": "c2b7e52352f4846facfb03e6a41c8fa788be9b72463aa2c9937f12115ff6ee9d",
     "intensity-scan": "e641eafa4fa6f0ae18cc9a6db707ff223ea717df8bc03074093fb9adfeb9746b",
-    "od-fit-seed0": "c743d6948423b7e0c35cb1f7c2ba8c3e786f53d180305d680164d83d86349ade",
-    "od-fit-seed1": "c743d6948423b7e0c35cb1f7c2ba8c3e786f53d180305d680164d83d86349ade",
+    "od-fit-seed0": "42ce88fbd0333e960a09590b2772c41840eb6f910976752528992c8c43713f33",
+    "od-fit-seed1": "42ce88fbd0333e960a09590b2772c41840eb6f910976752528992c8c43713f33",
     "od-scan": "d0d37e5b28115949e3ef427916ecc72b01d7a70d007a43b74a4eaf85eeac3587",
     "preset-dump": "ad25d6fcea766886c5d862613b4ce08e9259c7d7e312c1844aa5915aa9aecd6f",
     "selfcheck": "a6033ac7843a88ed9d443c5943b9b19d3e439508660b0c399403bbc28173660f",

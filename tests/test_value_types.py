@@ -54,6 +54,7 @@ REFUSED = [
     (AtomSpecies, dict(m_j=4), "|m_j| must not exceed j_ground"),
     (AtomSpecies, dict(m_j=-4), "|m_j| must not exceed j_ground"),
     (LaserConfig, dict(intensity=-1e-3), "intensity must be >= 0"),
+    (LaserConfig, dict(detuning=math.inf), "detuning must be finite"),
     (LaserConfig, dict(attenuation_factor=0.5), "attenuation_factor must be >= 1"),
     (TrapConfig, dict(curvature_x=0.0), "curvatures must be positive"),
     (TrapConfig, dict(curvature_y=-1.0), "curvatures must be positive"),
@@ -102,6 +103,7 @@ REFUSED_NAN = [
     (AtomSpecies, "j_ground", "j_ground must be >= 0"),
     (AtomSpecies, "m_j", "|m_j| must not exceed j_ground"),
     (LaserConfig, "intensity", "intensity must be >= 0"),
+    (LaserConfig, "detuning", "detuning must be finite"),
     (LaserConfig, "attenuation_factor", "attenuation_factor must be >= 1"),
     (TrapConfig, "curvature_x", "curvatures must be positive"),
     (TrapConfig, "curvature_y", "curvatures must be positive"),
@@ -117,6 +119,9 @@ REFUSED_NAN = [
     (CloudShape, "sigma_y", "cloud sizes and peak_density must be finite"),
     (CloudShape, "sigma_z", "cloud sizes and peak_density must be finite"),
     (CloudShape, "peak_density", "cloud sizes and peak_density must be finite"),
+    (ScanPoint, "x", "x must be positive"),
+    (ScanPoint, "y", "y must be positive"),
+    (ScanPoint, "y_err", "y_err must be positive when given"),
 ]
 
 
