@@ -7,9 +7,9 @@ solve: the two scan models are linear after a change of variables and
 take one weighted least-squares solve each, in closed form on plain
 floats; the exponential is linear in T_inf and T0 for fixed tau, which
 leaves a root search in tau alone (Brent's zeroin), on numpy arrays
-since its cost grows with the trace length.  Parameter uncertainties
-come from the covariance diagonal, carried through the exact Jacobian
-of each change of variables.
+since its cost grows with the trace length; it alone imports numpy.
+Parameter uncertainties come from the covariance diagonal, carried
+through the exact Jacobian of each change of variables.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-
-import numpy as np
 
 from .atoms import AtomSpecies
 from .dynamics import (
@@ -106,6 +104,7 @@ def _project(shifted, centered, tau):
     sign of the derivative of the squared residual with respect to
     log tau at that optimum (variable projection, Golub & Pereyra 1973).
     """
+    import numpy as np
     e = np.exp(shifted * (-1.0 / tau))
     e_mean = float(e.mean())
     de = e - e_mean
@@ -179,6 +178,7 @@ def fit_exponential(
     falling to rising cost the trace does not pin tau, and the fit is
     reported unconverged at the better bracket end.
     """
+    import numpy as np  # only this fit needs it, so a scan fit runs without it
     times = np.asarray(trace.times())
     temps = np.asarray(trace.temperatures(axis))
     if window is not None:

@@ -11,10 +11,11 @@ the [laser] intensity key itself.
 
 numpy computes the exponential fits (fit_scenario on a dynamics
 config, selfcheck's cooling-time fits), the seeded noise of synthetic
-scan data and log-scale grids (GridSpec.values); the scan fits run on
-plain floats.  The fitting module, which imports numpy, is imported by
-the fit paths alone, so the simulation, steady-state and linear-grid
-scan runners run without either.
+scan data and log-scale grids (GridSpec.values), and each imports it
+where it runs.  The scan fits run on plain floats, so a scan fit from a
+data file, or from noise-free synthetic data on a linear grid, runs
+without numpy, as do the simulation, steady-state and linear-grid scan
+runners.  The fitting module is imported by the fit paths alone.
 """
 
 from __future__ import annotations
@@ -52,9 +53,18 @@ from .trap import (
 
 
 def _render_csv(header_items, columns, rows) -> str:
+    """The CSV text of tuple rows, each cell as format_value writes it: by one
+    %-format for a row of built-in floats, unless it wrote inf or nan, the
+    only cells with an "n", else cell by cell."""
     lines = [f"# {key}={value}" for key, value in header_items]
     lines.append(",".join(columns))
+    floats = ",".join(["%.12g"] * len(columns))
     for row in rows:
+        if all(type(v) is float for v in row):
+            line = floats % row
+            if "n" not in line:
+                lines.append(line)
+                continue
         lines.append(",".join(format_value(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -11,6 +11,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import doppler_reabs
 from doppler_reabs import FitResult, GridSpec, cli, config, constants, parse_config, runners
@@ -636,6 +637,27 @@ def test_cli_runs_without_numpy_until_a_fit(tmp_path):
         assert result.stdout.splitlines() == ["0 False"] * (len(argv) - 1) + ["0 True"]
 
 
+def test_scan_fits_from_data_or_without_noise_run_without_numpy(tmp_path):
+    # the scan fits solve on plain floats: only the noise draws (the last
+    # run) and log grids load numpy, so a fit from a data file on a log grid
+    # and noise-free synthetic fits on linear grids run without it
+    config = parse_config(INTENSITY_FIT)
+    model = runners._scan_model(config)
+    data = _write(tmp_path, "points.csv",
+                  "x,y\n" + "".join(f"{x!r},{model(x)!r}\n" for x in config.grid.values()))
+    linear = INTENSITY_FIT.replace("grid_scale = log", "grid_scale = linear")
+    runs = [INTENSITY_FIT.replace("noise_fraction = 0.03", f"data = {data}"),
+            linear.replace("noise_fraction = 0.03\n", ""),
+            OD_SCAN.replace("grid_scale = log\n", ""),
+            linear]
+    out = str(tmp_path / "out.csv")
+    argv = [["fit", "--config", _write(tmp_path, f"{i}.cfg", text), "--out", out]
+            for i, text in enumerate(runs)]
+    result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0 False"] * (len(argv) - 1) + ["0 True"]
+
+
 _LOADED_AFTER_EACH = """\
 import json, sys
 sys.path[:0] = json.loads(sys.argv[1])
@@ -895,3 +917,39 @@ def test_arithmetic_error_exits_1_with_the_numeric_range_message(tmp_path, capsy
     assert main(["simulate", "--config", _write(tmp_path, "s.cfg", STEADY)]) == 1
     assert capsys.readouterr().err == (
         "error: input out of the model's numeric range: math range error\n")
+
+
+# cells the one row format must write as format_value does: signed zero, the
+# smallest subnormal, the largest magnitudes, 1e22 (the largest power of ten
+# a float holds exactly), non-finite floats, which read divergent, and the
+# types that take the cell-by-cell path
+_CELLS = [-0.0, 5e-324, 1e308, -1e308, 1e22, math.nan, math.inf, -math.inf,
+          3, True, False, "T_inf", np.float64(0.1), np.float64(math.inf)]
+
+
+def _rendered_rows(rows):
+    columns = [f"c{i}" for i in range(len(rows[0]))]
+    lines = runners._render_csv((("scenario.kind", "dynamics"),), columns, rows).splitlines()
+    assert lines[:2] == ["# scenario.kind=dynamics", ",".join(columns)]
+    return lines[2:]
+
+
+@pytest.mark.parametrize("cell", _CELLS, ids=repr)
+def test_render_csv_writes_each_cell_as_format_value_does(cell):
+    rows = [(0.1, cell, -2.5e-7), (cell, cell, cell)]
+    assert _rendered_rows(rows) == [",".join(map(config.format_value, row)) for row in rows]
+    if isinstance(cell, float) and not math.isfinite(cell):
+        assert _rendered_rows(rows)[1] == "divergent,divergent,divergent"
+
+
+def test_render_csv_writes_a_row_of_edge_floats_as_format_value_does():
+    row = tuple(cell for cell in _CELLS if type(cell) is float and math.isfinite(cell))
+    assert _rendered_rows([row]) == ["-0,4.94065645841e-324,1e+308,-1e+308,1e+22"]
+    assert _rendered_rows([row]) == [",".join(map(config.format_value, row))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+def test_render_csv_matches_format_value_on_finite_floats(row):
+    assert _rendered_rows([tuple(row)]) == [",".join(map(config.format_value, row))]
+    assert [config.format_value(v) for v in row] == [f"{v:.12g}" for v in row]

@@ -10,6 +10,7 @@ import pytest
 from doppler_reabs import (
     ConfigError,
     GridSpec,
+    config,
     effective_detuning,
     parse_config,
     preset_dump,
@@ -320,6 +321,49 @@ def test_unknown_preset():
 def test_species_incomplete_without_preset():
     errors = _errors_of(BASE.replace("preset = Cr52", "mass_u = 52"))
     assert any("species is incomplete without a preset" in msg for _, msg in errors)
+
+
+# BASE's own sections, then its two presets by name or with every item
+# written out: the [laser] and [scenario] keys keep their lines
+_OWN = BASE[BASE.index("[laser]"):]
+PRESETS_BY_NAME = _OWN + "\n[species]\npreset = Cr52\n\n[trap]\npreset = stuttgart_cloverleaf\n"
+PRESETS_WRITTEN_OUT = _OWN + "\n" + preset_dump()
+
+
+def test_a_preset_parses_as_its_items_written_out():
+    # the second parse takes the presets resolved by the first
+    by_name = parse_config(PRESETS_BY_NAME)
+    assert parse_config(PRESETS_BY_NAME) == by_name == parse_config(PRESETS_WRITTEN_OUT)
+    assert dict(by_name.header)["species.mass_u"] == "52"
+
+
+def test_configs_naming_a_preset_share_what_it_resolves_to():
+    first, second = parse_config(BASE), parse_config(BASE)
+    assert first.species is second.species and first.trap is second.trap
+    # each parse has its own lines; all that is kept across parses is immutable
+    assert first.lines == second.lines and first.lines is not second.lines
+    first.lines.clear()
+    assert parse_config(BASE).lines == second.lines
+    for resolved in config._RESOLVED.values():
+        hash(resolved)
+    # a section that overrides a preset key builds its own value
+    override = parse_config(BASE.replace("preset = Cr52", "preset = Cr52\nmass_u = 52"))
+    assert override.species == first.species and override.species is not first.species
+
+
+@pytest.mark.parametrize("old, new, line, message", [
+    ("preset = Cr52", "preset = Cr53", 2, "unknown species preset 'Cr53' (known: Cr52)"),
+    ("preset = stuttgart_cloverleaf", "preset = cloverleaf", 5,
+     "unknown trap preset 'cloverleaf' (known: stuttgart_cloverleaf)"),
+    ("preset = Cr52", "preset = Cr52\nmass_u = 0", 3,
+     "species.mass_u: must be in [0.001, 1e+06] (got '0')"),
+    ("preset = Cr52", "preset = Cr52\nm_j = 4", 3, "species: |m_j| must not exceed j_ground"),
+    ("preset = stuttgart_cloverleaf", "preset = stuttgart_cloverleaf\noffset_field_G = -1", 6,
+     "trap.offset_field_G: must be in [0.001, 1e+06] (got '-1')"),
+], ids=["unknown_species", "unknown_trap", "species_override", "species_rule", "trap_override"])
+def test_a_resolved_preset_keeps_the_errors_of_its_section(old, new, line, message):
+    parse_config(BASE)  # resolves both presets
+    assert _errors_of(BASE.replace(old, new)) == [(line, message)]
 
 
 def test_per_axis_temperatures():
