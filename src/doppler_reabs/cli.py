@@ -71,8 +71,8 @@ def _parse(argv: list[str]) -> tuple[str, dict[str, str], int]:
 
 
 def _load_config(verb: str, path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        config = parse_config(handle.read())
+    with open(path, "rb") as handle:
+        config = parse_config(handle.read().decode("utf-8"))
     if verb not in KINDS[config.kind].verbs:
         allowed = ", ".join(kind for kind, row in KINDS.items() if verb in row.verbs)
         raise ConfigError(
@@ -84,8 +84,8 @@ def _load_config(verb: str, path: str) -> ScenarioConfig:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(out_path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 

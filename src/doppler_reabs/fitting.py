@@ -6,8 +6,8 @@ power, and the per-optical-density variant.  Every fit is a direct
 solve: the two scan models are linear after a change of variables and
 take one weighted least-squares solve each, in closed form on plain
 floats; the exponential is linear in T_inf and T0 for fixed tau, which
-leaves a root search in tau alone (Brent's zeroin), on numpy arrays
-since its cost grows with the trace length; it alone imports numpy.
+leaves a root search in tau alone (Brent's zeroin) whose steps take five
+numpy calls whatever the trace's length; it alone imports numpy.
 Parameter uncertainties come from the covariance diagonal, carried
 through the exact Jacobian of each change of variables.
 """
@@ -19,11 +19,7 @@ import operator
 from collections import namedtuple
 
 from .atoms import AtomSpecies
-from .dynamics import (
-    TemperatureTrace,
-    detuning_factor,
-    steady_state_vs_od,
-)
+from .dynamics import TemperatureTrace, detuning_factor, steady_state_vs_od
 
 EXP_TAU_BRACKET = (1e-3, 1e3)  # tau search range, in units of the sample span
 EXP_MIN_SAMPLES = 4  # an exponential fit's samples in its window, at least
@@ -94,25 +90,6 @@ def _build_result(names, p, converged, iterations, variances, r, y, weighted):
     return FitResult(dict(zip(names, p)), errors, residual_norm, converged, iterations)
 
 
-def _project(shifted, centered, tau):
-    """Best (T_inf - mean T, b) for a fixed tau, and the sign of the cost gradient.
-
-    shifted holds the sample times minus the first one and centered the
-    temperatures minus their mean.  For fixed tau the model T_inf +
-    b exp(-shifted/tau) is linear in T_inf and b, and their regression
-    on e = exp(-shifted/tau) is closed form.  The third value has the
-    sign of the derivative of the squared residual with respect to
-    log tau at that optimum (variable projection, Golub & Pereyra 1973).
-    """
-    import numpy as np
-    e = np.exp(shifted * (-1.0 / tau))
-    e_mean = float(e.mean())
-    de = e - e_mean
-    es = e * shifted
-    b = float(de @ centered) / float(de @ de)
-    return -b * e_mean, b, b * (b * float(de @ es) - float(centered @ es))
-
-
 def _zeroin(f, a, b, fa, fb):
     """A root of f between a and b, where fa = f(a) < 0 < fb = f(b), and the
     number of evaluations of f it took.
@@ -163,6 +140,32 @@ def _zeroin(f, a, b, fa, fb):
         evaluations += 1
 
 
+def _projection(shifted, centered):
+    """project(log_tau) -> (gradient, b, T_inf - mean T, e) for one trace.
+
+    shifted is the sample times less the first, centered the temperatures
+    less their mean.  For tau = exp(log_tau) the model T_inf + b e, with
+    e = exp(-shifted/tau), is linear in T_inf and b; the gradient has the
+    sign of the cost's slope in log tau at their optimum (variable
+    projection, Golub & Pereyra 1973).  A call makes five numpy calls.
+    """
+    import numpy as np
+    n = shifted.size
+    # rows centered, de = e - mean e and es = e * shifted: [de; es] @ [centered, de]
+    rows = np.array((centered, centered, centered))
+    (_, de, es), left, right = rows, rows[1:], rows[:2].T
+
+    def project(log_tau):
+        e = np.exp(shifted * (-1.0 / math.exp(log_tau)))
+        e_mean = float(e.sum()) / n
+        np.subtract(e, e_mean, out=de)
+        np.multiply(e, shifted, out=es)
+        (dc, dd), (sc, sd) = left.dot(right).tolist()
+        b = dc / dd
+        return b * (b * sd - sc), b, -b * e_mean, e
+    return project
+
+
 def fit_exponential(
     trace: TemperatureTrace,
     axis: str = "y",
@@ -172,53 +175,48 @@ def fit_exponential(
 
     window is an inclusive (t_min, t_max) time range; None uses the
     whole trace.  A constant trace leaves tau unidentifiable and raises.
-    For each tau, T_inf and T0 follow by linear regression; tau is the
-    root of the projected gradient in log tau over EXP_TAU_BRACKET times
+    tau is the root of _projection's gradient over EXP_TAU_BRACKET times
     the sample span, found by _zeroin.  Without a sign change from
     falling to rising cost the trace does not pin tau, and the fit is
     reported unconverged at the better bracket end.
     """
     import numpy as np  # only this fit needs it, so a scan fit runs without it
-    times = np.asarray(trace.times())
-    temps = np.asarray(trace.temperatures(axis))
+    times, temps = np.asarray(trace.times()), np.asarray(trace.temperatures(axis))
     if window is not None:
         keep = (times >= window[0]) & (times <= window[1])
         times, temps = times[keep], temps[keep]
     if times.size < EXP_MIN_SAMPLES:
         raise ValueError(f"need at least {EXP_MIN_SAMPLES} samples in the fit window")
-    if float(np.ptp(temps)) == 0.0:
+    if temps.min() == temps.max():
         raise DegenerateDataError("temperature is constant over the window; tau is unidentifiable")
-
     shifted = times - times[0]
-    centered = temps - temps.mean()
-
-    def gradient(log_tau):
-        return _project(shifted, centered, math.exp(log_tau))[2]
-
-    lo, hi = (math.log(f * shifted[-1]) for f in EXP_TAU_BRACKET)
-    g_lo, g_hi = gradient(lo), gradient(hi)
+    mean = float(temps.sum()) / times.size
+    centered = temps - mean
+    project = _projection(shifted, centered)
+    lo, hi = (math.log(f * float(shifted[-1])) for f in EXP_TAU_BRACKET)
+    g_lo, g_hi = project(lo)[0], project(hi)[0]
     converged = g_lo < 0 and g_hi > 0
-    evaluations = 2  # the bracket ends
+    more = 0  # evaluations after the two at the bracket ends
     if converged:
-        lo, more = _zeroin(gradient, lo, hi, g_lo, g_hi)
-        evaluations += more
+        lo, more = _zeroin(lambda log_tau: project(log_tau)[0], lo, hi, g_lo, g_hi)
     elif g_lo < 0:
         lo = hi  # the cost still falls at the top of the bracket
     tau = math.exp(lo)
-    offset, b, _ = _project(shifted, centered, tau)
-    t_inf = float(temps.mean()) + offset
-    e = np.exp(-shifted / tau)
+    _, b, offset, e = project(lo)
     r = offset + b * e - centered
-    with np.errstate(over="ignore"):
-        growth = float(np.exp(times[0] / tau))  # from the first sample back to t = 0
-    # T0 - T_inf = b * growth and exp(-t/tau) = e / growth
-    jac = np.column_stack((1.0 - e / growth, e / growth, b * e * times / tau**2))
     try:
-        variances = np.diag(np.linalg.inv(jac.T @ jac)).tolist()
-    except np.linalg.LinAlgError:
-        variances = None
+        growth = math.exp(float(times[0]) / tau)  # from the first sample back to t = 0
+    except OverflowError:
+        growth = math.inf
+    # J^T, as T0 - T_inf = b * growth and exp(-t/tau) = e / growth
+    jac = np.array((1.0 - e / growth, e / growth, b * e * times / (tau * tau)))
+    (s00, s01, s02), (_, s11, s12), (_, _, s22) = jac.dot(jac.T).tolist()
+    c = (s11 * s22 - s12 * s12, s00 * s22 - s02 * s02, s00 * s11 - s01 * s01)  # cofactors
+    det = s00 * c[0] + s01 * (s02 * s12 - s01 * s22) + s02 * (s01 * s12 - s02 * s11)
+    t_inf = mean + offset
     return _build_result(("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau), converged,
-                         evaluations, variances, r.tolist(), temps.tolist(), weighted=False)
+                         2 + more, [v / det for v in c] if det else None, r.tolist(),
+                         temps.tolist(), weighted=False)
 
 
 def _dot(a, b):
@@ -363,9 +361,10 @@ def load_scan_points(path) -> list[ScanPoint]:
     cell means no error bar; any other cell must be a finite positive
     number, else ValueError names the file's line and the cell.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = [(number, line) for number, line in enumerate(handle.read().splitlines(), 1)
-                if line.strip() and not line.lstrip().startswith("#")]
+    with open(path, "rb") as handle:
+        lines = enumerate(handle.read().decode("utf-8").splitlines(), 1)
+    rows = [(number, line) for number, line in lines
+            if line.strip() and not line.lstrip().startswith("#")]
     names = rows[0][1].split(",") if rows else []
     if "x" not in names or "y" not in names:
         raise ValueError("scan CSV needs columns 'x' and 'y'")

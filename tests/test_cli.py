@@ -229,6 +229,30 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, text", [("simulate", DYNAMICS), ("fit", DYNAMICS),
+                                         ("scan", INTENSITY_FIT), ("fit", INTENSITY_FIT)])
+def test_crlf_config_gives_the_bytes_of_its_lf_twin(tmp_path, verb, text):
+    # configs are read as bytes and decoded, so CRLF line ends split as LF ones do
+    outputs = []
+    for name, newline in (("lf", b"\n"), ("crlf", b"\r\n")):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        cfg.write_bytes(text.encode("utf-8").replace(b"\n", newline))
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"\r" not in outputs[0]
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(DYNAMICS.replace("[cloud]", "[cloud]\n# 1000 \u00b5K").encode("latin-1"))
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "utf-8" in captured.err and "Traceback" not in captured.err
+
+
 def test_verb_kind_mismatch_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path, "i.cfg", INTENSITY_FIT)
     assert main(["simulate", "--config", cfg]) == 1

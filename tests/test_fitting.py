@@ -18,9 +18,10 @@ from doppler_reabs import (
     steady_state_vs_od,
     steady_state_with_heating,
 )
-from doppler_reabs import parse_config, rates
+from doppler_reabs import fitting, parse_config, rates
 from doppler_reabs.dynamics import TemperatureTrace, TraceSample, detuning_factor
-from doppler_reabs.runners import fit_scenario
+from doppler_reabs.runners import _fit_csv, fit_scenario
+from doppler_reabs.runners import _simulate as simulate_config
 from test_cli import DYNAMICS
 
 # The root search may take at most this many gradient evaluations,
@@ -290,6 +291,16 @@ def test_load_scan_points_roundtrip(tmp_path):
         load_scan_points(path)
 
 
+def test_load_scan_points_reads_crlf_as_lf(tmp_path):
+    text = "# measured\nx,y,y_err\n0.001,0.0003,1e-5\n0.01,0.0002,\n\n0.1,0.00015,2e-6\n"
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(text.encode("utf-8"))
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    points = load_scan_points(lf)
+    assert len(points) == 3
+    assert load_scan_points(crlf) == points
+
+
 def test_exponential_straight_line_unconverged():
     # a straight line is the tau -> infinity limit: no minimum in the bracket
     times = np.linspace(0.0, 0.004, 20)
@@ -485,3 +496,178 @@ def test_one_dominant_error_bar_makes_the_columns_parallel(species):
     assert fit.parameters["kappa_y"] == pytest.approx(1 / u, rel=1e-12, abs=0)
     assert fit.parameters["heating_power"] == pytest.approx(v * power / u, rel=1e-12, abs=0)
     assert all(math.isnan(e) for e in fit.standard_errors.values())
+
+
+# --- the exponential fit against the arithmetic it replaced ----------------
+
+def _reference_project(shifted, centered, tau):
+    """(T_inf - mean T, b, gradient) of fitting's former _project, one numpy
+    dot product per term, kept as an oracle for _projection."""
+    e = np.exp(shifted * (-1.0 / tau))
+    e_mean = float(e.mean())
+    de = e - e_mean
+    es = e * shifted
+    b = float(de @ centered) / float(de @ de)
+    return -b * e_mean, b, b * (b * float(de @ es) - float(centered @ es))
+
+
+def _reference_fit_exponential(trace, axis="y", window=None):
+    """fit_exponential as it was before _projection: numpy's inv of J^T J
+    under errstate, with _reference_project as its gradient."""
+    times = np.asarray(trace.times())
+    temps = np.asarray(trace.temperatures(axis))
+    if window is not None:
+        keep = (times >= window[0]) & (times <= window[1])
+        times, temps = times[keep], temps[keep]
+    if times.size < fitting.EXP_MIN_SAMPLES:
+        raise ValueError("too few samples")
+    if float(np.ptp(temps)) == 0.0:
+        raise DegenerateDataError("constant")
+    shifted = times - times[0]
+    centered = temps - temps.mean()
+
+    def gradient(log_tau):
+        return _reference_project(shifted, centered, math.exp(log_tau))[2]
+
+    lo, hi = (math.log(f * shifted[-1]) for f in fitting.EXP_TAU_BRACKET)
+    g_lo, g_hi = gradient(lo), gradient(hi)
+    converged = g_lo < 0 and g_hi > 0
+    evaluations = 2
+    if converged:
+        lo, more = fitting._zeroin(gradient, lo, hi, g_lo, g_hi)
+        evaluations += more
+    elif g_lo < 0:
+        lo = hi
+    tau = math.exp(lo)
+    offset, b, _ = _reference_project(shifted, centered, tau)
+    t_inf = float(temps.mean()) + offset
+    e = np.exp(-shifted / tau)
+    r = offset + b * e - centered
+    with np.errstate(over="ignore"):
+        growth = float(np.exp(times[0] / tau))
+    jac = np.column_stack((1.0 - e / growth, e / growth, b * e * times / tau**2))
+    try:
+        variances = np.diag(np.linalg.inv(jac.T @ jac)).tolist()
+    except np.linalg.LinAlgError:
+        variances = None
+    return fitting._build_result(("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau),
+                                 converged, evaluations, variances, r.tolist(), temps.tolist(),
+                                 weighted=False)
+
+
+def _windowed(trace, axis="y", window=None):
+    """(shifted, centered) of a trace as fit_exponential builds them."""
+    times, temps = np.asarray(trace.times()), np.asarray(trace.temperatures(axis))
+    if window is not None:
+        keep = (times >= window[0]) & (times <= window[1])
+        times, temps = times[keep], temps[keep]
+    return times - times[0], temps - float(temps.sum()) / times.size
+
+
+def _gradient_cases(self_consistent_run):
+    times, falling = _exponential_trace()
+    _, rising = _exponential_trace(t0=2e-4, t_inf=9e-4)
+    noisy = falling * (1.0 + 0.02 * np.random.default_rng(7).standard_normal(times.size))
+    line = np.linspace(0.0, 0.004, 20)
+    return {
+        "falling": (_trace(times, falling), None),
+        "rising": (_trace(times, rising), None),
+        "straight_line": (_trace(line, 1e-3 - 0.01 * line), None),
+        "noisy": (_trace(times, noisy), None),
+        "self_consistent": (self_consistent_run, None),
+        "windowed": (self_consistent_run, (0.05, 0.3)),
+    }
+
+
+@pytest.mark.parametrize("case", ["falling", "rising", "straight_line", "noisy",
+                                  "self_consistent", "windowed"])
+def test_projection_gradient_matches_the_former_arithmetic(self_consistent_run, case):
+    # at 50 log-spaced tau across the bracket: the sign wherever the
+    # oracle's gradient stands above its rounding scale, and 1e-9 relative
+    trace, window = _gradient_cases(self_consistent_run)[case]
+    shifted, centered = _windowed(trace, window=window)
+    project = fitting._projection(shifted, centered)
+    lo, hi = (math.log(f * float(shifted[-1])) for f in fitting.EXP_TAU_BRACKET)
+    signs = set()
+    for log_tau in np.linspace(lo, hi, 50):
+        offset, b, g = _reference_project(shifted, centered, math.exp(log_tau))
+        e = np.exp(shifted * (-1.0 / math.exp(log_tau)))
+        size_de, size_es = np.abs(e - e.mean()), np.abs(e * shifted)
+        # each dot product rounds to about n eps of the sum of its terms' sizes
+        scale = shifted.size * 2.0**-52 * abs(b) * (
+            abs(b) * float(size_de @ size_es) + float(np.abs(centered) @ size_es))
+        got, got_b, got_offset, _ = project(float(log_tau))
+        assert abs(got - g) <= 1e-9 * abs(g) + scale, log_tau
+        if abs(g) > scale:
+            assert (got > 0) == (g > 0), log_tau
+            signs.add(g > 0)
+        assert got_b == pytest.approx(b, rel=1e-9, abs=0)
+        assert got_offset == pytest.approx(offset, rel=1e-9, abs=0)
+    # the traces with a minimum cross it, the line falls throughout
+    assert signs == ({False} if case == "straight_line" else {False, True})
+
+
+def _sweep_traces(count, seed):
+    """(trace, axis, window) of seeded dynamics runs: frozen and
+    self-consistent, 10-600 ms, sample strides 1-37, a third windowed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        mode = ("false", "true")[rng.integers(2)]
+        config = parse_config(
+            DYNAMICS.replace("duration_ms = 60", f"duration_ms = {rng.uniform(10, 600)!r}")
+            .replace("sample_stride = 20", f"sample_stride = {rng.integers(1, 38)}")
+            .replace("self_consistent = false", f"self_consistent = {mode}")
+            .replace("atom_number = 1e8", f"atom_number = {10 ** rng.uniform(7, 9)!r}")
+            .replace("temperature_uK = 1000", f"temperature_uK = {rng.uniform(200, 2000)!r}"))
+        trace = simulate_config(config)
+        window = None
+        if rng.integers(3) == 0:
+            start = rng.uniform(0.0, 0.5) * trace.samples[-1].t
+            window = (start, start + rng.uniform(0.3, 0.5) * trace.samples[-1].t)
+        yield trace, "yz"[rng.integers(2)], window
+
+
+def test_exponential_fit_matches_the_former_fit_over_a_sweep():
+    converged = 0
+    for trace, axis, window in _sweep_traces(40, seed=23):
+        try:
+            old = _reference_fit_exponential(trace, axis, window)
+        except ValueError:  # a window with too few samples, or a constant trace
+            with pytest.raises(ValueError):
+                fit_exponential(trace, axis, window)
+            continue
+        new = fit_exponential(trace, axis, window)
+        assert new.converged == old.converged
+        assert (new.standard_errors is None) == (old.standard_errors is None)
+        if old.converged:
+            converged += 1
+            for name, value in old.parameters.items():
+                assert new.parameters[name] == pytest.approx(value, rel=1e-10, abs=0), name
+        # the cofactor inverse of J^T J against numpy's inv: 5e-10 at worst over
+        # 240 such traces, J^T J being ill-conditioned on the shorter ones
+        for name, error in (old.standard_errors or {}).items():
+            assert new.standard_errors[name] == pytest.approx(error, rel=1e-8, abs=0), name
+    assert converged >= 30
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01], ids=["noise_free", "noisy"])
+def test_window_far_past_t0_overflows_t0_to_divergent(noise):
+    # exp(t_first / tau) overflows 710 tau after t = 0: T0 is infinite, the
+    # fit still converges on tau and T_inf, and no OverflowError escapes to
+    # the command line's out-of-range handler
+    tau, start = 1e-3, 0.75
+    times = np.concatenate((np.linspace(0.0, 0.7, 8), start + np.linspace(0.0, 0.01, 40)))
+    temps = [2e-3 if t < start else 334e-6 + 666e-6 * math.exp(-(t - start) / tau)
+             for t in times]
+    temps *= 1.0 + noise * np.random.default_rng(0).standard_normal(times.size)
+    fit = fit_exponential(_trace(times, temps), axis="y", window=(start, 1.0))
+    assert fit.converged
+    assert fit.parameters["T0"] == math.inf
+    assert fit.parameters["tau"] == pytest.approx(tau, rel=0.05 if noise else 1e-9)
+    if noise:
+        assert all(math.isnan(v) for v in fit.standard_errors.values())
+    else:
+        assert fit.standard_errors is None
+    rows = dict(line.split(",", 1) for line in _fit_csv(parse_config(DYNAMICS), fit).splitlines()
+                if not line.startswith("#"))
+    assert rows["T0"] == ("divergent,divergent" if noise else "divergent,")

@@ -75,14 +75,14 @@ def _digest(argv, text) -> str:
 
 GOLDEN = {
     "aspect-scan": "0c2358708e479a09a381d3561e3a591829e744a050a98a3a70a734f1cb26dae2",
-    "dynamics-fit-frozen-seed0": "79f74a3043416034a2324d4639a0cb3779a9a506ff603b55f8351fcbd3c33c2e",
-    "dynamics-fit-frozen-seed1": "79f74a3043416034a2324d4639a0cb3779a9a506ff603b55f8351fcbd3c33c2e",
-    "dynamics-fit-sc-seed0": "205a4ad076420e4d8f185b0bfca8bbac79d73557e1eb8db948d0c19944bfda1e",
-    "dynamics-fit-sc-seed1": "205a4ad076420e4d8f185b0bfca8bbac79d73557e1eb8db948d0c19944bfda1e",
+    "dynamics-fit-frozen-seed0": "7db943e86ea3829f864143e6a26b6296ad5cd406a8c1d1e6fa5ec7968b270506",
+    "dynamics-fit-frozen-seed1": "7db943e86ea3829f864143e6a26b6296ad5cd406a8c1d1e6fa5ec7968b270506",
+    "dynamics-fit-sc-seed0": "3a296892811be8223008505f3c91cd62d26d0af157a3bb573ae5e2b3741a2b6d",
+    "dynamics-fit-sc-seed1": "3a296892811be8223008505f3c91cd62d26d0af157a3bb573ae5e2b3741a2b6d",
     "dynamics-simulate-frozen": "e861560487f7b2899b3662094c6be63b1a1ec5aaa50eb6544c86bfa940541fb6",
     "dynamics-simulate-sc": "66867da8b7e1945b93913a31891def53b316906a611aedbdd9c5a6cd8da9c14b",
     "fuzz0-simulate": "92c51cd0cddb5a059eaada9e5c278f35f390a6ff7d6421891cffdac2b2ec65f7",
-    "fuzz1-fit": "2f0e7d56cd9849eb091a5f6e767580aac86b0abfc2a4634afea7a31ff3920112",
+    "fuzz1-fit": "42cae1ebbc4b82765a16010c09e8b4a0c62d695be618fded207f9dc28541a6e7",
     "fuzz2-simulate": "877b37a886fb1890f0798f5a8dc22c17e9c103f545e75c2146cb1f07342481cb",
     "fuzz3-scan": "743053177b57537e3f7a5fe43d3e4cf6e7eb0daef3917741655f40b53ed30b89",
     "fuzz4-fit": "6eb109eb966e057d30981325a459944695a6a5bbc9fa2d7d4c0e3b8b3305cd2e",
