@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import sys
 
-from .config import KINDS, ConfigError, ScenarioConfig, parse_config, preset_dump
+from .config import (KINDS, ConfigError, ScenarioConfig, _read_text, _write_text, parse_config,
+                     preset_dump)
 from .runners import (
     _fit_csv,
     fit_scenario,
@@ -71,8 +72,7 @@ def _parse(argv: list[str]) -> tuple[str, dict[str, str], int]:
 
 
 def _load_config(verb: str, path: str) -> ScenarioConfig:
-    with open(path, "rb") as handle:
-        config = parse_config(handle.read().decode("utf-8"))
+    config = parse_config(_read_text(path))
     if verb not in KINDS[config.kind].verbs:
         allowed = ", ".join(kind for kind, row in KINDS.items() if verb in row.verbs)
         raise ConfigError(
@@ -84,8 +84,7 @@ def _load_config(verb: str, path: str) -> ScenarioConfig:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "wb") as handle:
-            handle.write(text.encode("utf-8"))
+        _write_text(out_path, text)
     else:
         sys.stdout.write(text)
 

@@ -32,14 +32,16 @@ carry the offending line number and are reported together.  A [species] or
 [trap] section that gives only a preset is resolved once per preset name,
 to immutable values every later config naming it shares.
 
-A parsed scan grid lists its points on request (GridSpec.values): a
-linear grid in plain Python, a log grid through numpy, which is imported
-only then.
+A parsed scan grid lists its points on request (GridSpec.values), in
+plain Python: a linear grid bit for bit as np.linspace gives it, a log
+grid as np.geomspace builds it, to about 1e-13 relative.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from collections import namedtuple
 
 from .atoms import LaserConfig, species_from_lab_units, zeeman_shift
@@ -49,6 +51,34 @@ from .reabsorption import CloudShape, _aspect_shape
 from .trap import cloud_from_temperatures, trap_from_lab_units
 
 MAX_GRID_POINTS = 100_000  # work and memory budget of one scan
+_LOG10_MAX = math.log10(sys.float_info.max)  # 10.0 ** v overflows from here on
+_O_BINARY = getattr(os, "O_BINARY", 0)  # no newline translation where the OS has it
+
+
+def _read_text(path) -> str:
+    """A file's UTF-8 text, read through its descriptor; the errors are
+    open()'s, with the path also on one that comes from reading (a directory)."""
+    fd = os.open(path, os.O_RDONLY | _O_BINARY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode("utf-8")
+
+
+def _write_text(path, text: str) -> None:
+    """Write text as UTF-8 to path as open(path, "wb") would, through the descriptor."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY, 0o666)
+    try:
+        data = memoryview(text.encode("utf-8"))
+        while data:  # a write may take part of the data
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 class ScenarioKind(namedtuple("ScenarioKind", (
@@ -90,15 +120,17 @@ class GridSpec(namedtuple("GridSpec", "minimum maximum count scale", defaults=("
     __slots__ = ()
 
     def values(self) -> list[float]:
-        """The grid's points, bit for bit those of np.linspace or np.geomspace.
+        """The grid's points: a linear grid's bit for bit those of np.linspace.
 
-        A log grid calls np.geomspace: numpy's log10 and power differ from
-        libm's in the last bit, so plain Python would not match it.
+        A log grid is 10 ** the linear grid of the ends' log10, with exact
+        ends, as np.geomspace builds it; libm's log10 and power differ from
+        numpy's in the last bits, so its inner points agree to about 1e-13.
         """
         start, stop, count = float(self.minimum), float(self.maximum), self.count
         if self.scale == "log":
-            import numpy as np
-            return [float(v) for v in np.geomspace(start, stop, count)]
+            inner = GridSpec(math.log10(start), math.log10(stop), count).values()[1:-1]
+            inner = [10.0 ** v if v < _LOG10_MAX else math.inf for v in inner]  # as numpy
+            return [start, *inner, stop][:count]
         delta, div = stop - start, count - 1
         if div <= 0:
             return [0.0 * delta + start for _ in range(count)]

@@ -121,39 +121,39 @@ def step_size(fastest_rate: float) -> float:
 
 
 class RateModel:
-    """The rates of one run: the constants are taken once, at construction,
-    and _rate_values(kappas) adds the cloud shape.  heat_scale =
-    E_r/(2 k_B) [K] turns a heating rate into the source term of dT/dt.
+    """The rates at one detuning in one trap: the constants are taken once,
+    at construction, and _rate_values(kappas, intensity) adds the cloud
+    shape and the intensity at the atoms.  heat_scale = E_r/(2 k_B) [K]
+    turns a heating rate into the source term of dT/dt.
     """
 
-    def __init__(self, laser: LaserConfig, delta_pol: float, species: AtomSpecies,
-                 trap: TrapConfig):
+    def __init__(self, delta_pol: float, species: AtomSpecies, trap: TrapConfig):
         if delta_pol >= 0:
             raise ValueError(
                 "delta_pol must be negative; blue detuning heats instead of cooling"
             )
-        gamma = species.linewidth
-        lorentz = 1.0 + 4.0 * delta_pol**2
+        self.gamma = gamma = species.linewidth
+        self.lorentz = 1.0 + 4.0 * delta_pol**2
         self.drive = gamma * (-32.0 * delta_pol)
-        self.intensity = laser.effective_intensity
-        self.lorentz_sq = lorentz**2
+        self.lorentz_sq = self.lorentz**2
         self.recoil_per_photon = species.recoil_energy / (const.HBAR * gamma)
-        self.scatter = 2.0 * self.intensity * gamma / lorentz
         self.cap_z, self.cap_y = rate_caps(trap, species)
         self.heat_scale = species.recoil_energy / (2.0 * const.K_B)
 
-    def _rate_values(self, kappas: KappaSet) -> tuple[float, float, float, float, bool, bool]:
+    def _rate_values(self, kappas: KappaSet,
+                     intensity: float) -> tuple[float, float, float, float, bool, bool]:
         """The fields of rates(...) at this cloud shape, in RateSet's order."""
         cool_z = (
             self.drive * (1.0 + kappas.kappa_z)
-            * 2.0 * self.intensity * self.recoil_per_photon / self.lorentz_sq
+            * 2.0 * intensity * self.recoil_per_photon / self.lorentz_sq
         )
         cool_y = (
             self.drive * kappas.kappa_y
-            * 2.0 * self.intensity * self.recoil_per_photon / self.lorentz_sq
+            * 2.0 * intensity * self.recoil_per_photon / self.lorentz_sq
         )
-        heat_z = ((1.0 + kappas.kappa_z) + 0.4 * (1.0 + kappas.kappa)) * self.scatter * 4.0
-        heat_y = (kappas.kappa_y + 0.3 * (1.0 + kappas.kappa)) * self.scatter * 4.0
+        scatter = 2.0 * intensity * self.gamma / self.lorentz
+        heat_z = ((1.0 + kappas.kappa_z) + 0.4 * (1.0 + kappas.kappa)) * scatter * 4.0
+        heat_y = (kappas.kappa_y + 0.3 * (1.0 + kappas.kappa)) * scatter * 4.0
         capped_z = cool_z > self.cap_z
         capped_y = cool_y > self.cap_y
         if capped_z:
@@ -173,18 +173,48 @@ def rates(
     trap: TrapConfig,
 ) -> RateSet:
     """Per-axis cooling and heating rates for the current cloud shape."""
-    return RateSet(*RateModel(laser, delta_pol, species, trap)._rate_values(kappas))
+    model = RateModel(delta_pol, species, trap)
+    return RateSet(*model._rate_values(kappas, laser.effective_intensity))
+
+
+def _steady_constants(delta_pol: float, species: AtomSpecies) -> tuple[float, float, float]:
+    """(T_D/2 [K], detuning_factor, E_r * Gamma [J/s]): what the steady
+    states take of the detuning and the species, which a scan binds once."""
+    factor = detuning_factor(delta_pol)
+    return species.doppler_temperature / 2.0, factor, species.recoil_energy * species.linewidth
+
+
+def _heating_extra(heating_power: float, intensity: float, er_gamma: float) -> float:
+    """An outside heating power [J/s] over E_r * Gamma * intensity."""
+    if intensity <= 0:  # no light: any heating wins
+        return math.inf if heating_power > 0 else 0.0
+    # two divisions: E_r * Gamma * intensity underflows to 0 at the smallest intensities
+    return heating_power / er_gamma / intensity
 
 
 def _radial_steady_state(
     kappa_y: float, kappa: float, extra: float, t_half: float, factor: float
 ) -> float:
-    """Radial steady state [K]; extra is an outside heating power over
-    E_r * Gamma * intensity.  inf where kappa_y <= 0: only reabsorbed light
-    cools the radial axis."""
+    """Radial steady state [K] with _heating_extra's extra.  inf where
+    kappa_y <= 0: only reabsorbed light cools the radial axis."""
     if kappa_y <= 0:
         return math.inf
     return (kappa_y + 0.3 * (1.0 + kappa) + extra) / kappa_y * t_half * factor
+
+
+def _steady_temperatures(kappas: KappaSet, t_half: float, factor: float) -> tuple[float, float]:
+    """(T_z, T_y) of steady_state [K] from the constants of _steady_constants."""
+    t_z = ((1.0 + kappas.kappa_z + 0.4 * (1.0 + kappas.kappa)) / (1.0 + kappas.kappa_z)
+           * t_half * factor)
+    return t_z, _radial_steady_state(kappas.kappa_y, kappas.kappa, 0.0, t_half, factor)
+
+
+def _radial_at_od(kappa_y_star: float, kappa_star: float, od_y: float, extra: float,
+                  t_half: float, factor: float) -> float:
+    """steady_state_vs_od [K] from the constants of _steady_constants."""
+    if od_y <= 0:
+        return math.inf
+    return _radial_steady_state(kappa_y_star * od_y, kappa_star * od_y, extra, t_half, factor)
 
 
 def steady_state(
@@ -196,16 +226,8 @@ def steady_state(
     its temperature grows without bound; kappa_y <= 0 therefore yields an
     infinite radial value rather than a number.
     """
-    factor = detuning_factor(delta_pol)
-    t_half = species.doppler_temperature / 2.0
-    t_z = (
-        (1.0 + kappas.kappa_z + 0.4 * (1.0 + kappas.kappa))
-        / (1.0 + kappas.kappa_z)
-        * t_half
-        * factor
-    )
-    t_y = _radial_steady_state(kappas.kappa_y, kappas.kappa, 0.0, t_half, factor)
-    return SteadyState(T_z_inf=t_z, T_y_inf=t_y)
+    t_half, factor, _ = _steady_constants(delta_pol, species)
+    return SteadyState(*_steady_temperatures(kappas, t_half, factor))
 
 
 def steady_state_with_heating(
@@ -222,13 +244,9 @@ def steady_state_with_heating(
     outside the scattering model; it competes with the reabsorption-driven
     cooling, so weak light (small intensity) cannot win against it.
     """
-    factor = detuning_factor(delta_pol)
-    if intensity <= 0:  # no light: any heating wins
-        extra = math.inf if heating_power > 0 else 0.0
-    else:
-        # two divisions: E_r * Gamma * intensity underflows to 0 at the smallest intensities
-        extra = heating_power / (species.recoil_energy * species.linewidth) / intensity
-    return _radial_steady_state(kappa_y, kappa, extra, species.doppler_temperature / 2.0, factor)
+    t_half, factor, er_gamma = _steady_constants(delta_pol, species)
+    extra = _heating_extra(heating_power, intensity, er_gamma)
+    return _radial_steady_state(kappa_y, kappa, extra, t_half, factor)
 
 
 def steady_state_vs_od(
@@ -246,16 +264,11 @@ def steady_state_vs_od(
     kappa_y = kappa_y_star * OD_y and kappa = kappa_star * OD_y, so a
     single pair measured at a reference OD predicts the whole curve.
     """
-    if od_y <= 0:
+    if od_y <= 0:  # before the detuning is checked
         return math.inf
-    return steady_state_with_heating(
-        kappa_y_star * od_y,
-        kappa_star * od_y,
-        heating_power,
-        intensity,
-        delta_pol,
-        species,
-    )
+    t_half, factor, er_gamma = _steady_constants(delta_pol, species)
+    extra = _heating_extra(heating_power, intensity, er_gamma)
+    return _radial_at_od(kappa_y_star, kappa_star, od_y, extra, t_half, factor)
 
 
 def _relax(T: float, source: float, rate: float, dt: float) -> float:
@@ -339,7 +352,8 @@ def simulate(
             laser.detuning, trap.offset_field, species, species.m_j, +1
         )
 
-    model = RateModel(laser, delta_pol, species, trap)
+    model = RateModel(delta_pol, species, trap)
+    intensity = laser.effective_intensity
     cross_section = species.resonant_cross_section
 
     def shape(T_z, T_y):
@@ -349,7 +363,7 @@ def simulate(
 
     def coefficients(kappas):
         """(S_z, C_z, S_y, C_y) of dT/dt = S - C*T on each axis."""
-        cool_z, cool_y, heat_z, heat_y, _, _ = model._rate_values(kappas)
+        cool_z, cool_y, heat_z, heat_y, _, _ = model._rate_values(kappas, intensity)
         return model.heat_scale * heat_z, cool_z, model.heat_scale * heat_y, cool_y
 
     T_z, T_y = initial.T_z, initial.T_y

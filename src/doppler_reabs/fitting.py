@@ -19,7 +19,9 @@ import operator
 from collections import namedtuple
 
 from .atoms import AtomSpecies
-from .dynamics import TemperatureTrace, detuning_factor, steady_state_vs_od
+from .config import _read_text
+from .dynamics import (TemperatureTrace, _heating_extra, _radial_at_od, _steady_constants,
+                       detuning_factor)
 
 EXP_TAU_BRACKET = (1e-3, 1e3)  # tau search range, in units of the sample span
 EXP_MIN_SAMPLES = 4  # an exponential fit's samples in its window, at least
@@ -340,9 +342,11 @@ def fit_od_scan(
     if not points:
         raise ValueError("need at least 1 scan point")
     kappa_star = kappa_at_ref / od_ref
-    base = species.doppler_temperature / 2.0 * detuning_factor(delta_pol)
-    column = [steady_state_vs_od(1.0, kappa_star, pt.x, heating_power, intensity, delta_pol,
-                                 species) / base - 1.0 for pt in points]
+    t_half, factor, er_gamma = _steady_constants(delta_pol, species)
+    base = t_half * factor
+    extra = _heating_extra(heating_power, intensity, er_gamma)  # steady_state_vs_od's, bound once
+    column = [_radial_at_od(1.0, kappa_star, pt.x, extra, t_half, factor) / base - 1.0
+              for pt in points]
     if not all(map(math.isfinite, column)):
         raise DegenerateDataError("the steady state diverges at the scan points")
     y = [pt.y for pt in points]
@@ -361,8 +365,7 @@ def load_scan_points(path) -> list[ScanPoint]:
     cell means no error bar; any other cell must be a finite positive
     number, else ValueError names the file's line and the cell.
     """
-    with open(path, "rb") as handle:
-        lines = enumerate(handle.read().decode("utf-8").splitlines(), 1)
+    lines = enumerate(_read_text(path).splitlines(), 1)
     rows = [(number, line) for number, line in lines
             if line.strip() and not line.lstrip().startswith("#")]
     names = rows[0][1].split(",") if rows else []

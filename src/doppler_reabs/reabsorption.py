@@ -79,7 +79,7 @@ def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> Cl
     else:  # fixed_N: keep the alpha = 1 radius, let density dilute
         sigma_y = (n / (TWO_PI_CUBED_SQRT * n0_ref)) ** (1.0 / 3.0)
         n0 = n0_ref / alpha
-    return CloudShape(sigma_y=sigma_y, sigma_z=alpha * sigma_y, peak_density=n0)
+    return CloudShape(sigma_y, alpha * sigma_y, n0)
 
 
 class KappaSet(namedtuple("KappaSet", (
@@ -211,12 +211,7 @@ def _kappas(sigma_y: float, sigma_z: float, peak_density: float,
     """kappa_set of an unchecked shape, for a caller that has the cross section."""
     k0 = kappa0(peak_density, cross_section)
     radial, axial, total = _closed_form_integrals(sigma_y, sigma_z)
-    return KappaSet(
-        kappa_y=k0 * (2.0 / math.pi) * radial,
-        kappa_z=k0 * axial,
-        kappa=k0 * total,
-        kappa0=k0,
-    )
+    return KappaSet(k0 * (2.0 / math.pi) * radial, k0 * axial, k0 * total, k0)
 
 
 def kappa_set(shape: CloudShape, species: AtomSpecies) -> KappaSet:

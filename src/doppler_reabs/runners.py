@@ -10,12 +10,14 @@ the values at the atoms; the [laser] attenuation_factor applies only to
 the [laser] intensity key itself.
 
 numpy computes the exponential fits (fit_scenario on a dynamics
-config, selfcheck's cooling-time fits), the seeded noise of synthetic
-scan data and log-scale grids (GridSpec.values), and each imports it
-where it runs.  The scan fits run on plain floats, so a scan fit from a
-data file, or from noise-free synthetic data on a linear grid, runs
-without numpy, as do the simulation, steady-state and linear-grid scan
-runners.  The fitting module is imported by the fit paths alone.
+config, selfcheck's cooling-time fits) and the seeded noise of synthetic
+scan data, and each imports it where it runs.  The scan fits and the
+grids (GridSpec.values, log grids too) run on plain floats, so a scan
+fit from a data file or from noise-free synthetic data runs without
+numpy, as do the simulation, steady-state and scan runners.  A scan
+binds its model's constants once and evaluates each grid point through
+the private helpers behind the public steady-state and rate functions.
+The fitting module is imported by the fit paths alone.
 """
 
 from __future__ import annotations
@@ -25,26 +27,13 @@ from collections import namedtuple
 
 from .atoms import AtomSpecies, LaserConfig, effective_detuning
 from .config import KINDS, ConfigError, ScenarioConfig, format_value
-from .dynamics import (
-    TemperatureTrace,
-    rates,
-    simulate,
-    steady_state,
-    steady_state_vs_od,
-    steady_state_with_heating,
-)
+from .dynamics import (RateModel, TemperatureTrace, _heating_extra, _radial_at_od,
+                       _radial_steady_state, _steady_constants, _steady_temperatures, rates,
+                       simulate, steady_state)
 from .presets import cr52, stuttgart_cloverleaf
-from .reabsorption import (
-    CloudShape,
-    KappaSet,
-    SPHERE_INTEGRAL_AXIAL,
-    SPHERE_INTEGRAL_RADIAL,
-    SPHERE_INTEGRAL_TOTAL,
-    _aspect_shape,
-    _closed_form_integrals,
-    kappa_set,
-    optical_density,
-)
+from .reabsorption import (SPHERE_INTEGRAL_AXIAL, SPHERE_INTEGRAL_RADIAL, SPHERE_INTEGRAL_TOTAL,
+                           CloudShape, KappaSet, _aspect_shape, _closed_form_integrals, _kappas,
+                           kappa_set, optical_density)
 from .trap import (
     cloud_from_temperatures,
     thermal_debroglie_wavelength,
@@ -131,60 +120,45 @@ def run_dynamics(config: ScenarioConfig) -> str:
 
 def run_aspect_scan(config: ScenarioConfig) -> str:
     """Steady state as a function of cloud aspect ratio sigma_z/sigma_y."""
-    def point(alpha: float):
-        shape = _aspect_shape(
-            config.atom_number, config.cloud_peak_density, config.aspect_mode, alpha
-        )
-        kappas = kappa_set(shape, config.species)
-        ss = steady_state(kappas, config.delta_pol, config.species)
-        return (alpha, ss.T_z_inf, ss.T_y_inf)
-
-    rows = [point(v) for v in config.grid.values()]
+    t_half, factor, _ = _steady_constants(config.delta_pol, config.species)
+    cross_section = config.species.resonant_cross_section
+    n, n0, mode = config.atom_number, config.cloud_peak_density, config.aspect_mode
+    rows = [
+        (alpha, *_steady_temperatures(
+            _kappas(*_aspect_shape(n, n0, mode, alpha), cross_section), t_half, factor))
+        for alpha in config.grid.values()
+    ]
     return _render_csv(config.header, ("alpha", "T_z_inf_K", "T_y_inf_K"), rows)
 
 
 def _scan_model(config: ScenarioConfig):
-    """Radial steady state [K] at one grid value of an intensity or OD scan."""
+    """Radial steady state [K] at one grid value of an intensity or OD
+    scan, with the scan's constants bound once."""
+    t_half, factor, er_gamma = _steady_constants(config.delta_pol, config.species)
     if config.kind == "intensity_scan":
+        kappa_y, kappa, heating_power = config.kappa_y, config.kappa, config.heating_power
+
         def model(intensity: float) -> float:
-            return steady_state_with_heating(
-                config.kappa_y, config.kappa, config.heating_power,
-                intensity, config.delta_pol, config.species,
-            )
+            extra = _heating_extra(heating_power, intensity, er_gamma)
+            return _radial_steady_state(kappa_y, kappa, extra, t_half, factor)
         return model
 
     kappa_y_star = config.kappa_y_at_ref / config.od_ref
     kappa_star = config.kappa_at_ref / config.od_ref
-    intensity = config.laser.effective_intensity
-
-    def model(od: float) -> float:
-        return steady_state_vs_od(
-            kappa_y_star, kappa_star, od, config.heating_power,
-            intensity, config.delta_pol, config.species,
-        )
-    return model
+    extra = _heating_extra(config.heating_power, config.laser.effective_intensity, er_gamma)
+    return lambda od: _radial_at_od(kappa_y_star, kappa_star, od, extra, t_half, factor)
 
 
 def run_intensity_scan(config: ScenarioConfig) -> str:
     """Radial steady state and cooling rate across an intensity grid."""
-    kappas = KappaSet(kappa_y=config.kappa_y, kappa_z=0.0, kappa=config.kappa, kappa0=0.0)
     model = _scan_model(config)
-
-    def point(intensity: float):
-        t_inf = model(intensity)
-        if intensity > 0:
-            laser = LaserConfig(intensity, config.laser.detuning, 1.0)
-            rate = rates(laser, kappas, config.delta_pol, config.species, config.trap).cool_rate_y
-        else:
-            rate = 0.0
-        return (intensity, t_inf, rate)
-
-    rows = [point(v) for v in config.grid.values()]
-    return _render_csv(
-        config.header,
-        ("intensity_Isat", "T_y_inf_K", "cool_rate_y_per_s"),
-        rows,
-    )
+    rate_values = RateModel(config.delta_pol, config.species, config.trap)._rate_values
+    kappas = KappaSet(config.kappa_y, 0.0, config.kappa, 0.0)
+    rows = [
+        (intensity, model(intensity), rate_values(kappas, intensity)[1] if intensity > 0 else 0.0)
+        for intensity in config.grid.values()
+    ]
+    return _render_csv(config.header, ("intensity_Isat", "T_y_inf_K", "cool_rate_y_per_s"), rows)
 
 
 def run_od_scan(config: ScenarioConfig) -> str:

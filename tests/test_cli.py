@@ -604,6 +604,105 @@ def test_help_prints_the_synopsis(capsys, argv):
     assert captured.err == ""
 
 
+def _scan_bytes(tmp_path, capsys):
+    """The config path of an aspect scan and the bytes it writes to stdout."""
+    cfg = _write(tmp_path, "a.cfg", ASPECT)
+    assert main(["scan", "--config", cfg]) == 0
+    return cfg, capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("before", [None, b"x" * 10_000, b"short"],
+                         ids=["new", "longer", "shorter"])
+def test_out_replaces_the_file_with_the_run(tmp_path, capsys, before):
+    cfg, expected = _scan_bytes(tmp_path, capsys)
+    out = tmp_path / "out.csv"
+    if before is not None:
+        out.write_bytes(before)
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert out.stat().st_mode & 0o777 == 0o666 & ~_umask()
+    assert capsys.readouterr() == ("", "")
+
+
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def test_out_writes_through_a_symlink_and_a_hard_link(tmp_path, capsys):
+    # the file is opened, not replaced: a symlink stays a link to the
+    # written file, and a hard link's other name sees the new bytes
+    cfg, expected = _scan_bytes(tmp_path, capsys)
+    target, symlink, hard = tmp_path / "target.csv", tmp_path / "sym.csv", tmp_path / "hard.csv"
+    target.write_bytes(b"old " * 5_000)
+    symlink.symlink_to(target)
+    os.link(target, hard)
+    assert main(["scan", "--config", cfg, "--out", str(symlink)]) == 0
+    assert symlink.is_symlink() and target.read_bytes() == expected
+    target.write_bytes(b"old " * 5_000)
+    assert main(["scan", "--config", cfg, "--out", str(hard)]) == 0
+    assert target.read_bytes() == hard.read_bytes() == expected
+    assert os.path.samefile(target, hard)
+
+
+def test_out_to_dev_null_exits_0_and_to_a_full_device_exits_1(tmp_path, capsys):
+    cfg, _ = _scan_bytes(tmp_path, capsys)
+    assert main(["scan", "--config", cfg, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    assert main(["scan", "--config", cfg, "--out", "/dev/full"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def test_out_to_a_read_only_file_does_what_open_does(tmp_path, capsys):
+    # exit 1 with open()'s error and the file untouched; a process that
+    # may write any file (root) replaces it, as open(path, "wb") does
+    cfg, expected = _scan_bytes(tmp_path, capsys)
+    out = tmp_path / "read_only.csv"
+    out.write_bytes(b"kept")
+    out.chmod(0o444)
+    try:
+        with open(out, "ab"):
+            pass
+    except PermissionError as exc:
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
+        assert out.read_bytes() == b"kept"
+    else:
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+
+def test_short_reads_and_writes_give_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # os.read and os.write may move fewer bytes than asked: the config and
+    # the data are read to their end, and the output is written in full
+    data = _write(tmp_path, "points.csv", "x,y\n" + "".join(
+        f"{x!r},{runners._scan_model(parse_config(OD_SCAN))(x)!r}\n" for x in (1.0, 2.0, 5.0)))
+    cfg = _write(tmp_path, "f.cfg", OD_SCAN + f"data = {data}\n")
+    assert main(["fit", "--config", cfg]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    read, write = os.read, os.write
+    monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 5)))
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    out = tmp_path / "out.csv"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("flag", ["--out", "--config", "data"])
+def test_a_directory_for_a_file_exits_1_naming_it(tmp_path, capsys, flag):
+    # os.read on a directory raises without the path; the message keeps it
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    text = OD_SCAN + (f"data = {folder}\n" if flag == "data" else "")
+    cfg = str(folder) if flag == "--config" else _write(tmp_path, "f.cfg", text)
+    argv = ["fit", "--config", cfg] + (["--out", str(folder)] if flag == "--out" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{folder}'\n")
+
+
 def test_flag_forms_give_the_same_run(tmp_path):
     cfg = _write(tmp_path, "i.cfg", INTENSITY_FIT)
     outs = [tmp_path / f"{k}.csv" for k in range(3)]
@@ -640,8 +739,9 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_cli_runs_without_numpy_until_a_fit(tmp_path):
-    # only fits, log grids and synthetic data need numpy; a fresh
-    # interpreter running the other verbs never loads it
+    # only the exponential fit and the noise of synthetic data need numpy;
+    # a fresh interpreter running the other verbs, log-grid scans too,
+    # never loads it
     out = str(tmp_path / "out.csv")
     runs = [("simulate", DYNAMICS),
             ("simulate", DYNAMICS.replace("self_consistent = false", "self_consistent = true")),
@@ -654,8 +754,9 @@ def test_cli_runs_without_numpy_until_a_fit(tmp_path):
              for i, (verb, text) in enumerate(runs)]
     cold, log_scan = argvs[:-1] + [["preset-dump", "--out", out]], argvs[-1]
     fit = ["fit"] + argvs[3][1:]
+    noisy_log_fit = ["fit"] + log_scan[1:]
     # the last command of each run loads numpy: it is loaded on demand, not taken out
-    for argv in (cold + [fit], [log_scan], [["selfcheck", "--out", out]]):
+    for argv in (cold + [fit], [log_scan, noisy_log_fit], [["selfcheck", "--out", out]]):
         result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["0 False"] * (len(argv) - 1) + ["0 True"]
@@ -680,6 +781,23 @@ def test_scan_fits_from_data_or_without_noise_run_without_numpy(tmp_path):
     result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["0 False"] * (len(argv) - 1) + ["0 True"]
+
+
+def test_log_grid_scans_and_noise_free_fits_run_without_numpy(tmp_path):
+    # log grids are built on plain floats, so a fresh interpreter scanning
+    # every kind on a log grid, and fitting noise-free synthetic data on
+    # one, never loads numpy
+    noise_free = INTENSITY_FIT.replace("noise_fraction = 0.03\n", "")
+    aspect = ASPECT.replace("grid_count = 6", "grid_count = 6\ngrid_scale = log")
+    runs = [("scan", noise_free), ("scan", OD_SCAN), ("scan", aspect),
+            ("scan", aspect.replace("[scenario]", "[scenario]\naspect_mode = fixed_N")),
+            ("fit", noise_free), ("fit", OD_SCAN)]
+    out = str(tmp_path / "out.csv")
+    argv = [[verb, "--config", _write(tmp_path, f"{i}.cfg", text), "--out", out]
+            for i, (verb, text) in enumerate(runs)]
+    result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0 False"] * len(argv)
 
 
 _LOADED_AFTER_EACH = """\

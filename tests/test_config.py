@@ -298,6 +298,30 @@ def test_linear_grid_values_match_numpy_linspace_bit_for_bit():
         assert _bits(values) == _bits(np.linspace(low, high, count)), (low, high, count)
 
 
+def test_log_grid_values_match_numpy_geomspace_to_1e_13():
+    # log grids are built without numpy, the way np.geomspace builds them:
+    # exact ends, and inner points 10 ** the linear grid of the ends'
+    # log10, where libm's log10 and power differ from numpy's in the last
+    # bits (out to ends of 1e+-300 the gap grows to about 1.3e-13)
+    grids = [(1.0, 100.0, 3), (1e-4, 1e-2, 8), (1.0, 20.0, 6), (0.1, 10.0, 25), (2.0, 3.0, 2)]
+    rng = random.Random(26)
+    for _ in range(600):
+        low = 10.0 ** rng.uniform(-100, 100)
+        grids.append((low, low * 10.0 ** rng.uniform(1e-9, 30), rng.randint(2, 400)))
+    # at the top of the float range an inner point can round to the log10
+    # of the largest float, where the power overflows: inf, as numpy has it
+    grids.append((1.79769313486e308, 1.7976931348623157e308, 1000))
+    moved = 0
+    for low, high, count in grids:
+        values = GridSpec(low, high, count, "log").values()
+        with np.errstate(over="ignore"):
+            reference = np.geomspace(low, high, count).tolist()
+        assert len(values) == count and values[0] == low and values[-1] == high
+        assert values == pytest.approx(reference, rel=1e-13, abs=0.0), (low, high, count)
+        moved += values != reference
+    assert moved > 0  # so not bit for bit
+
+
 def test_preset_inline_override():
     base = parse_config(BASE)
     # the doubled linewidth halves the Zeeman shift in linewidths, so a
