@@ -61,8 +61,8 @@ from .trap import (
 
 __version__ = "1.0.0"
 
-# The fitting names load fitting, and with it numpy, on first use, so
-# the command line and the simulation start without numpy.
+# The fitting names load fitting on first use, so the command line and
+# the simulation start without compiling it.
 _LAZY = {"DegenerateDataError", "FitResult", "ScanPoint", "fit_exponential",
          "fit_intensity_scan", "fit_od_scan", "load_scan_points"}
 

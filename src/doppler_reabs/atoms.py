@@ -14,7 +14,21 @@ from collections import namedtuple
 from . import constants as const
 
 
-class AtomSpecies(namedtuple("AtomSpecies", (
+class _Checked(tuple):
+    """Base of the value types: a subclass, listed before its namedtuple,
+    gives _check, which then runs on every construction, _make and
+    _replace included."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+
+class AtomSpecies(_Checked, namedtuple("AtomSpecies", (
     "name",
     "mass",                  # [kg]
     "wavelength",            # [m]
@@ -30,10 +44,8 @@ class AtomSpecies(namedtuple("AtomSpecies", (
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not (self.mass > 0 and self.wavelength > 0 and self.linewidth > 0):
             raise ValueError("mass, wavelength and linewidth must be positive")
         if not self.saturation_intensity > 0:
@@ -44,7 +56,6 @@ class AtomSpecies(namedtuple("AtomSpecies", (
             raise ValueError("only J_excited = J_ground + 1 is supported")
         if not abs(self.m_j) <= self.j_ground:
             raise ValueError("|m_j| must not exceed j_ground")
-        return self
 
     @property
     def g_ground(self) -> float:
@@ -70,7 +81,7 @@ class AtomSpecies(namedtuple("AtomSpecies", (
         return 6.0 * math.pi * (self.wavelength / (2.0 * math.pi)) ** 2
 
 
-class LaserConfig(namedtuple("LaserConfig", "intensity detuning attenuation_factor",
+class LaserConfig(_Checked, namedtuple("LaserConfig", "intensity detuning attenuation_factor",
                              defaults=(1.0,))):
     """Cooling light parameters.
 
@@ -81,17 +92,14 @@ class LaserConfig(namedtuple("LaserConfig", "intensity detuning attenuation_fact
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not self.intensity >= 0:
             raise ValueError("intensity must be >= 0")
         if not math.isfinite(self.detuning):
             raise ValueError("detuning must be finite")
         if not self.attenuation_factor >= 1:
             raise ValueError("attenuation_factor must be >= 1")
-        return self
 
     @property
     def effective_intensity(self) -> float:

@@ -43,6 +43,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from types import MappingProxyType
 
 from .atoms import LaserConfig, species_from_lab_units, zeeman_shift
 from .dynamics import MAX_STEPS, rate_caps, step_size
@@ -235,11 +236,12 @@ class ConfigError(ValueError):
 # CloudState or CloudShape from the first [cloud] value set of its kind the
 # config completes), GridSpec and fit window (start, end) [s], the (key,
 # value) pairs echoed as "# key=value" lines into every CSV, and the line of
-# each [laser] and [scenario] key given, for errors found at run time (a
-# fresh {} when not given)
+# each [laser] and [scenario] key given, for errors found at run time (an
+# empty read-only mapping when not given)
 _FIELD_DEFAULTS = {**{spec.field: spec.default for keys in (_CLOUD_KEYS, _SCENARIO_KEYS)
                       for spec in keys.values() if spec.field},
-                   "cloud": None, "grid": None, "window": None, "header": (), "lines": None}
+                   "cloud": None, "grid": None, "window": None, "header": (),
+                   "lines": MappingProxyType({})}
 
 
 class ScenarioConfig(namedtuple("ScenarioConfig", (
@@ -249,11 +251,6 @@ class ScenarioConfig(namedtuple("ScenarioConfig", (
     units (cloud_peak_density [1/m^3], duration [s], heating_power [J/s])."""
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        if len(args) < len(cls._fields):
-            kwargs.setdefault("lines", {})
-        return super().__new__(cls, *args, **kwargs)
 
 
 # (built value, header items) of each [species] or [trap] section that gives

@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 
 from . import constants as const
-from .atoms import AtomSpecies, LaserConfig, effective_detuning
+from .atoms import AtomSpecies, LaserConfig, _Checked, effective_detuning
 from .reabsorption import KappaSet, _kappas
 from .trap import CloudState, TrapConfig, thermal_shape, trap_frequencies
 
@@ -68,23 +68,20 @@ class TraceSample(namedtuple("TraceSample", (
     __slots__ = ()
 
 
-class TemperatureTrace(namedtuple("TemperatureTrace", (
+class TemperatureTrace(_Checked, namedtuple("TemperatureTrace", (
     "samples",  # tuple of TraceSample
     "step",     # the run's fixed step [s]; 0 for a run of 0 s
 ), defaults=(0.0,))):
     """Time-ordered record of an integration run."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         times = [s.t for s in self.samples]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("sample times must be strictly increasing")
         if any(s.T_z <= 0 or s.T_y <= 0 for s in self.samples):
             raise ValueError("temperatures must stay positive")
-        return self
 
     def times(self) -> list[float]:
         return [s.t for s in self.samples]

@@ -18,10 +18,9 @@ import math
 import operator
 from collections import namedtuple
 
-from .atoms import AtomSpecies
+from .atoms import AtomSpecies, _Checked
 from .config import _read_text
-from .dynamics import (TemperatureTrace, _heating_extra, _radial_at_od, _steady_constants,
-                       detuning_factor)
+from .dynamics import TemperatureTrace, _heating_extra, _radial_at_od, _steady_constants
 
 EXP_TAU_BRACKET = (1e-3, 1e3)  # tau search range, in units of the sample span
 EXP_MIN_SAMPLES = 4  # an exponential fit's samples in its window, at least
@@ -35,7 +34,7 @@ class DegenerateDataError(ValueError):
     """The data cannot identify the model parameters."""
 
 
-class ScanPoint(namedtuple("ScanPoint", (
+class ScanPoint(_Checked, namedtuple("ScanPoint", (
     "x",      # scan variable (intensity or optical density)
     "y",      # temperature [K]
     "y_err",  # its error bar [K], or None
@@ -43,17 +42,14 @@ class ScanPoint(namedtuple("ScanPoint", (
     """One measured point of a parameter scan."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not self.x > 0:
             raise ValueError("x must be positive")
         if not self.y > 0:
             raise ValueError("y must be positive")
         if self.y_err is not None and not self.y_err > 0:
             raise ValueError("y_err must be positive when given")
-        return self
 
 
 class FitResult(namedtuple("FitResult", (
@@ -308,11 +304,11 @@ def fit_intensity_scan(
     if max(xs) < 3.0 * min(xs):
         raise ValueError("intensity range must span at least a factor of 3")
 
-    base = species.doppler_temperature / 2.0 * detuning_factor(delta_pol)
+    t_half, factor, power = _steady_constants(delta_pol, species)  # power is E_r * Gamma
+    base = t_half * factor
     design = ([0.3 * (1.0 + kappa)] * len(xs), [1.0 / x for x in xs])
     y = [pt.y for pt in points]
     (u, v), cov, r, weighted = _linear_fit(points, design, y, base)
-    power = species.recoil_energy * species.linewidth
     uu = u * u
     jac = ((_div(-1.0, uu), 0.0), (_div(-v * power, uu), _div(power, u)))
     return _build_result(("kappa_y", "heating_power"), (_div(1.0, u), _div(v * power, u)),

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .atoms import AtomSpecies
+from .atoms import AtomSpecies, _Checked
 from .trap import TWO_PI_CUBED_SQRT
 
 HALF_PI = math.pi / 2.0
@@ -51,7 +51,7 @@ _SERIES_TERMS = 20
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=200)
 
 
-class CloudShape(namedtuple("CloudShape", (
+class CloudShape(_Checked, namedtuple("CloudShape", (
     "sigma_y",       # radial standard deviation [m]
     "sigma_z",       # axial standard deviation [m]
     "peak_density",  # [1/m^3]
@@ -59,17 +59,14 @@ class CloudShape(namedtuple("CloudShape", (
     """Gaussian cloud sizes and peak density entering the reabsorption integrals."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.sigma_y <= 0 or self.sigma_z <= 0:
             raise ValueError("cloud sizes must be positive")
         if self.peak_density < 0:
             raise ValueError("peak_density must be >= 0")
         if not all(map(math.isfinite, self)):
             raise ValueError("cloud sizes and peak_density must be finite")
-        return self
 
 
 def _aspect_shape(n: float, n0_ref: float, aspect_mode: str, alpha: float) -> CloudShape:

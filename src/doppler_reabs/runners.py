@@ -55,7 +55,8 @@ def _render_csv(header_items, columns, rows) -> str:
                 lines.append(line)
                 continue
         lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def run_steady_state(config: ScenarioConfig) -> str:
@@ -107,14 +108,14 @@ def run_dynamics(config: ScenarioConfig) -> str:
         "t_s", "T_z_K", "T_y_K", "sigma_z_m", "sigma_y_m", "n0_per_m3",
         "kappa_y", "kappa_z", "kappa", "psd",
     )
-    rows = [
+    rows = (  # rendered as they come, not held as a second copy of the trace
         (
             s.t, s.T_z, s.T_y, s.sigma_z, s.sigma_y, s.peak_density,
             s.kappas.kappa_y, s.kappas.kappa_z, s.kappas.kappa,
             _trace_psd(s, config.species),
         )
         for s in trace.samples
-    ]
+    )
     return _render_csv(config.header, columns, rows)
 
 

@@ -11,12 +11,12 @@ import math
 from collections import namedtuple
 
 from . import constants as const
-from .atoms import AtomSpecies
+from .atoms import AtomSpecies, _Checked
 
 TWO_PI_CUBED_SQRT = (2.0 * math.pi) ** 1.5
 
 
-class TrapConfig(namedtuple("TrapConfig", (
+class TrapConfig(_Checked, namedtuple("TrapConfig", (
         "curvature_x", "curvature_y", "curvature_z", "offset_field", "magnetic_moment"))):
     """Harmonic magnetic trap: field curvatures, offset field, moment.
 
@@ -25,20 +25,17 @@ class TrapConfig(namedtuple("TrapConfig", (
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not (self.curvature_x > 0 and self.curvature_y > 0 and self.curvature_z > 0):
             raise ValueError("curvatures must be positive")
         if not self.offset_field > 0:
             raise ValueError("offset_field must be positive")
         if not self.magnetic_moment > 0:
             raise ValueError("magnetic_moment must be positive")
-        return self
 
 
-class CloudState(namedtuple("CloudState", (
+class CloudState(_Checked, namedtuple("CloudState", (
     "atom_number",
     "T_y", "T_z",          # [K]
     "sigma_y", "sigma_z",  # Gaussian standard deviations [m]
@@ -47,10 +44,8 @@ class CloudState(namedtuple("CloudState", (
     """Thermal cloud in the trap: atom number, temperatures, sizes, density (x follows y)."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not self.atom_number > 0:
             raise ValueError("atom_number must be positive")
         if not (self.T_y > 0 and self.T_z > 0):
@@ -62,7 +57,6 @@ class CloudState(namedtuple("CloudState", (
             raise ValueError("peak_density must be >= 0")
         if not all(map(math.isfinite, (self.sigma_y, self.sigma_z, self.peak_density))):
             raise ValueError("cloud sizes and peak_density must be finite")
-        return self
 
 
 def trap_from_lab_units(

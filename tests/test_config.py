@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from doppler_reabs import (
+    SPECIES_PRESETS,
+    TRAP_PRESETS,
     ConfigError,
     GridSpec,
     config,
+    cr52,
     effective_detuning,
     parse_config,
     preset_dump,
@@ -373,6 +376,19 @@ def test_configs_naming_a_preset_share_what_it_resolves_to():
     # a section that overrides a preset key builds its own value
     override = parse_config(BASE.replace("preset = Cr52", "preset = Cr52\nmass_u = 52"))
     assert override.species == first.species and override.species is not first.species
+
+
+def test_the_preset_tables_are_read_only():
+    # a preset resolved once must stay what a later override builds from
+    parse_config(BASE)
+    for table in (SPECIES_PRESETS, TRAP_PRESETS):
+        with pytest.raises(TypeError):
+            table["other"] = {}
+        for items in table.values():
+            with pytest.raises(TypeError):
+                items[next(iter(items))] = 50.0
+    override = parse_config(BASE.replace("preset = Cr52", "preset = Cr52\nlinewidth_MHz = 5.02"))
+    assert override.species == parse_config(BASE).species == cr52()
 
 
 @pytest.mark.parametrize("old, new, line, message", [

@@ -13,10 +13,13 @@ from doppler_reabs import (
     KappaSet,
     LaserConfig,
     ScanPoint,
+    ScenarioConfig,
     TemperatureTrace,
     TraceSample,
     TrapConfig,
     config,
+    cr52,
+    stuttgart_cloverleaf,
 )
 from doppler_reabs.cli import main
 from test_cli import INTENSITY_FIT
@@ -82,6 +85,12 @@ REFUSED = [
     (ScanPoint, dict(y=-1e-4), "y must be positive"),
     (ScanPoint, dict(y_err=0.0), "y_err must be positive when given"),
 ]
+
+
+def test_the_tables_hold_every_checked_type():
+    # a new checked type cannot leave the refusal tables
+    from doppler_reabs.atoms import _Checked
+    assert set(GOOD) == set(_Checked.__subclasses__()) == {kind for kind, _, _ in REFUSED}
 
 
 @pytest.mark.parametrize("form", ["positional", "keyword"])
@@ -160,3 +169,13 @@ def test_a_default_scale_scan_is_linear(tmp_path, capsys):
     path.write_text(INTENSITY_FIT.replace("grid_scale = log\n", ""), encoding="utf-8")
     assert main(["scan", "--config", str(path)]) == 0
     assert "# scenario.grid_scale=linear" in capsys.readouterr().out.splitlines()
+
+
+def test_a_hand_built_scenario_config_has_empty_read_only_lines():
+    built = ScenarioConfig(cr52(), stuttgart_cloverleaf(), LaserConfig(4e-3, 7.0), -0.8,
+                           "steady_state")
+    assert built.lines.get("kind", 0) == 0
+    with pytest.raises(TypeError):
+        built.lines["kind"] = 1
+    with pytest.raises(TypeError):
+        hash(built)
