@@ -12,7 +12,8 @@ shape and the reabsorption coefficients follow the falling temperature:
 it steps from sample to sample by the exact solution at S and C
 extrapolated to each step's midpoint (exponential Adams-Bashforth 2,
 second order), halving a step whose difference from the first-order
-step exceeds a relative TOL, and evaluates the shape once per step.
+step exceeds a relative TOL, with one shape evaluation per step on plain
+floats.  A trace is held as columns; a frozen run's samples share one shape.
 
 The heating rates carry a factor 4 over the quoted rate coefficients,
 which puts the fixed point of the rate equations on the closed-form
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 
 from . import constants as const
 from .atoms import AtomSpecies, LaserConfig, _Checked, effective_detuning
-from .reabsorption import KappaSet, _kappas
-from .trap import CloudState, TrapConfig, thermal_shape, trap_frequencies
+from .reabsorption import KAPPA0_PREFACTOR, KappaSet, _closed_form_integrals
+from .trap import TWO_PI_CUBED_SQRT, VOLUME_UNDERFLOW, CloudState, TrapConfig, trap_frequencies
 
 MAX_STEP = 2e-4          # integrator step ceiling [s]
 STEPS_PER_TIME_CONSTANT = 50
@@ -68,28 +70,51 @@ class TraceSample(namedtuple("TraceSample", (
     __slots__ = ()
 
 
+class _Samples(Sequence):
+    """A trace's samples: a read-only view, each TraceSample built when read."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace):
+        self._trace = trace
+
+    def __len__(self):
+        return len(self._trace.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        t, T_z, T_y, shapes, _ = self._trace
+        sigma_z, sigma_y, n0, *kappas = shapes[0 if len(shapes) == 1 else i]
+        return TraceSample(t[i], T_z[i], T_y[i], sigma_z, sigma_y, n0, KappaSet(*kappas))
+
+
 class TemperatureTrace(_Checked, namedtuple("TemperatureTrace", (
-    "samples",  # tuple of TraceSample
-    "step",     # the run's fixed step [s]; 0 for a run of 0 s
+    "t", "T_z", "T_y",  # columns: sample times [s] and temperatures [K]
+    "shapes",  # (sigma_z, sigma_y, n0, kappa_y, kappa_z, kappa, kappa0) per sample, or one in all
+    "step",    # the run's fixed step [s]; 0 for a run of 0 s
 ), defaults=(0.0,))):
-    """Time-ordered record of an integration run."""
+    """Time-ordered record of an integration run, as columns; samples views it as TraceSamples."""
 
     __slots__ = ()
+    samples = property(_Samples)
 
     def _check(self):
-        times = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        t = self.t
+        if not len(t) == len(self.T_z) == len(self.T_y) or len(self.shapes) not in (1, len(t)):
+            raise ValueError("t, T_z, T_y need one entry per sample, shapes one or one per sample")
+        if any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError("sample times must be strictly increasing")
-        if any(s.T_z <= 0 or s.T_y <= 0 for s in self.samples):
+        if any(v <= 0 for column in (self.T_z, self.T_y) for v in column):
             raise ValueError("temperatures must stay positive")
 
-    def times(self) -> list[float]:
-        return [s.t for s in self.samples]
+    def times(self) -> tuple[float, ...]:
+        return self.t
 
-    def temperatures(self, axis: str) -> list[float]:
+    def temperatures(self, axis: str) -> tuple[float, ...]:
         if axis not in ("z", "y"):
             raise ValueError("axis must be 'z' or 'y'")
-        return [s.T_z if axis == "z" else s.T_y for s in self.samples]
+        return self.T_z if axis == "z" else self.T_y
 
 
 def detuning_factor(delta_pol: float) -> float:
@@ -286,7 +311,8 @@ def _second_order_step(T_z, T_y, before, now, last, span, dt):
     before and now are (S_z, C_z, S_y, C_y) at the start of the previous
     step, last steps of dt long, and of this one.  A try of m steps takes
     each axis by _relax at the coefficients extrapolated linearly to the
-    try's midpoint (exponential Adams-Bashforth 2, Cox & Matthews 2002).
+    try's midpoint (exponential Adams-Bashforth 2, Cox & Matthews 2002),
+    written out inline.
     It is accepted when every extrapolated coefficient is >= 0 and it
     differs from the first-order step (_relax at now) by at most TOL
     relative on both axes; otherwise m is halved.  A try of one step of
@@ -295,18 +321,27 @@ def _second_order_step(T_z, T_y, before, now, last, span, dt):
     """
     S_z, C_z, S_y, C_y = now
     dS_z, dC_z, dS_y, dC_y = S_z - before[0], C_z - before[1], S_y - before[2], C_y - before[3]
+    exp, expm1 = math.exp, math.expm1
     m = span
     while True:
         w = 0.5 * m / last
-        mid = S_z + w * dS_z, C_z + w * dC_z, S_y + w * dS_y, C_y + w * dC_y
+        s_z, c_z, s_y, c_y = S_z + w * dS_z, C_z + w * dC_z, S_y + w * dS_y, C_y + w * dC_y
         h = m * dt
-        if min(mid) >= 0.0:
-            z, y = _relax(T_z, mid[0], mid[1], h), _relax(T_y, mid[2], mid[3], h)
-            if m == 1 or (abs(z - _relax(T_z, S_z, C_z, h)) <= TOL * z
-                          and abs(y - _relax(T_y, S_y, C_y, h)) <= TOL * y):
-                return z, y, m
-        elif m == 1:
-            return _relax(T_z, S_z, C_z, h), _relax(T_y, S_y, C_y, h), 1
+        if s_z < 0.0 or c_z < 0.0 or s_y < 0.0 or c_y < 0.0:
+            if m > 1:
+                m //= 2
+                continue
+            s_z, c_z, s_y, c_y = now  # one step of dt: the first-order step
+        x, u = c_z * h, c_y * h
+        z = T_z * exp(-x) + s_z * h * (1.0 if x == 0.0 else -expm1(-x) / x)
+        y = T_y * exp(-u) + s_y * h * (1.0 if u == 0.0 else -expm1(-u) / u)
+        if m == 1:
+            return z, y, 1
+        x, u = C_z * h, C_y * h  # against the first-order step
+        if (abs(z - (T_z * exp(-x) + S_z * h * (1.0 if x == 0.0 else -expm1(-x) / x))) <= TOL * z
+                and abs(y - (T_y * exp(-u) + S_y * h * (1.0 if u == 0.0 else -expm1(-u) / u)))
+                <= TOL * y):
+            return z, y, m
         m //= 2
 
 
@@ -323,22 +358,23 @@ def simulate(
     """Integrate the two-temperature rate equations.
 
     The cloud shape follows initial's temperatures and atom number
-    (thermal_shape; x follows y).  A sample follows every sample_stride
-    fixed steps and the last one; a step is at most step_size(fastest
-    initial cooling rate), stretched so that whole steps fill duration
-    (the trace's step).  With a frozen shape each axis obeys dT/dt =
-    S - C*T with constant S and C, so each sample is the exact solution
-    at its time, evaluated directly: O(samples), exact up to rounding.
-    When self_consistent is set, the first fixed step is first order
-    (_relax at the start's S and C).  After it each step tries the rest
-    of its sample interval, at most twice the step before (so S and C
-    are never extrapolated further back than the previous step's start),
-    is halved while _second_order_step rejects it, but never below one
-    fixed step, and ends with one shape and kappa evaluation.  That is
-    second order in the step and costs at most one kappa per fixed step:
-    one per fixed step at sample_stride 1, about one per sample once the
-    cloud settles.  delta_pol defaults to the effective detuning of the
-    stretched-state transition at the trap bottom.
+    (thermal_shape's arithmetic; x follows y).  A sample follows every
+    sample_stride fixed steps and the last one; a step is at most
+    step_size(fastest initial cooling rate), stretched so that whole steps
+    fill duration (the trace's step).  With a frozen shape each axis obeys
+    dT/dt = S - C*T with constant S and C, so each sample is the exact
+    solution at its time: O(samples), exact up to rounding, and the trace
+    holds the one shape once.  When self_consistent is set, the first
+    fixed step is first order (_relax at the start's S and C).  After it
+    each step tries the rest of its sample interval, at most twice the
+    step before (so S and C are never extrapolated further back than the
+    previous step's start), is halved while _second_order_step rejects it,
+    but never below one fixed step, and ends with one shape and kappa
+    evaluation: second order, and at most one kappa per fixed step.  Each
+    step runs thermal_shape's, _kappas' and RateModel._rate_values'
+    arithmetic on floats, in their order, with the constants bound once.
+    delta_pol defaults to the effective detuning of the stretched-state
+    transition at the trap bottom.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -350,42 +386,59 @@ def simulate(
         )
 
     model = RateModel(delta_pol, species, trap)
+    atom_number, mu, k_b = initial.atom_number, trap.magnetic_moment, const.K_B
+    mu_z, mu_y, mu_x = mu * trap.curvature_z, mu * trap.curvature_y, mu * trap.curvature_x
+    cross_section, two_over_pi = species.resonant_cross_section, 2.0 / math.pi
+    drive, recoil, lorentz_sq = model.drive, model.recoil_per_photon, model.lorentz_sq
+    cap_z, cap_y, heat_scale = model.cap_z, model.cap_y, model.heat_scale
     intensity = laser.effective_intensity
-    cross_section = species.resonant_cross_section
-
-    def shape(T_z, T_y):
-        """(sigma_z, sigma_y, n0, kappas) of the cloud at T_z and T_y."""
-        sigma_y, sigma_z, n0 = thermal_shape(trap, initial.atom_number, T_y, T_z)
-        return sigma_z, sigma_y, n0, _kappas(sigma_y, sigma_z, n0, cross_section)
-
-    def coefficients(kappas):
-        """(S_z, C_z, S_y, C_y) of dT/dt = S - C*T on each axis."""
-        cool_z, cool_y, heat_z, heat_y, _, _ = model._rate_values(kappas, intensity)
-        return model.heat_scale * heat_z, cool_z, model.heat_scale * heat_y, cool_y
+    scatter = 2.0 * intensity * model.gamma / model.lorentz
+    sqrt, integrals, second_order_step = math.sqrt, _closed_form_integrals, _second_order_step
 
     T_z, T_y = initial.T_z, initial.T_y
-    sigma_z, sigma_y, n0, kappas = shape(T_z, T_y)
-    samples = [TraceSample(0.0, T_z, T_y, sigma_z, sigma_y, n0, kappas)]
-    if duration == 0:
-        return TemperatureTrace(samples=tuple(samples))
-    now = S_z, C_z, S_y, C_y = coefficients(kappas)
-    n_steps = max(1, math.ceil(duration / step_size(max(C_z, C_y))))
-    dt = duration / n_steps
-    if not self_consistent:
-        for k in [*range(sample_stride, n_steps, sample_stride), n_steps]:
-            t = k * dt
-            T_t = _relax(T_z, S_z, C_z, t), _relax(T_y, S_y, C_y, t)
-            samples.append(TraceSample(t, *T_t, sigma_z, sigma_y, n0, kappas))
-        return TemperatureTrace(samples=tuple(samples), step=dt)
-    T_z, T_y = _relax(T_z, S_z, C_z, dt), _relax(T_y, S_y, C_y, dt)
-    k = last = 1
-    while True:
-        sigma_z, sigma_y, n0, kappas = shape(T_z, T_y)
+    times, temps_z, temps_y, shapes = [], [], [], []
+    k, last, n_steps, dt, now = 0, 1, -1, 0.0, None
+    while True:  # after k fixed steps; at k = 0 the start sizes the step and takes the first
+        sigma_z = sqrt(k_b * T_z / mu_z)
+        sigma_y = sqrt(k_b * T_y / mu_y)
+        sigma_x = sqrt(k_b * T_y / mu_x)
+        try:
+            n0 = atom_number / (TWO_PI_CUBED_SQRT * sigma_x * sigma_y * sigma_z)
+        except ZeroDivisionError:
+            raise ValueError(VOLUME_UNDERFLOW) from None
+        k0 = n0 * cross_section * KAPPA0_PREFACTOR
+        radial, axial, total = integrals(sigma_y, sigma_z)
+        kappa_y, kappa_z, kappa = k0 * two_over_pi * radial, k0 * axial, k0 * total
         if k % sample_stride == 0 or k == n_steps:
-            samples.append(TraceSample(k * dt, T_z, T_y, sigma_z, sigma_y, n0, kappas))
+            times.append(k * dt)
+            temps_z.append(T_z)
+            temps_y.append(T_y)
+            shapes.append((sigma_z, sigma_y, n0, kappa_y, kappa_z, kappa, k0))
         if k == n_steps:
-            return TemperatureTrace(samples=tuple(samples), step=dt)
-        before, now = now, coefficients(kappas)
-        span = min(k - k % sample_stride + sample_stride, n_steps, k + 2 * last) - k
-        T_z, T_y, last = _second_order_step(T_z, T_y, before, now, last, span, dt)
-        k += last
+            break
+        cool_z = drive * (1.0 + kappa_z) * 2.0 * intensity * recoil / lorentz_sq
+        cool_y = drive * kappa_y * 2.0 * intensity * recoil / lorentz_sq
+        heat_z = ((1.0 + kappa_z) + 0.4 * (1.0 + kappa)) * scatter * 4.0
+        heat_y = (kappa_y + 0.3 * (1.0 + kappa)) * scatter * 4.0
+        if cool_z > cap_z:
+            heat_z, cool_z = heat_z * (cap_z / cool_z), cap_z
+        if cool_y > cap_y:
+            heat_y, cool_y = heat_y * (cap_y / cool_y), cap_y
+        before, now = now, (heat_scale * heat_z, cool_z, heat_scale * heat_y, cool_y)
+        if k:
+            span = min(k - k % sample_stride + sample_stride, n_steps, k + 2 * last) - k
+            T_z, T_y, last = second_order_step(T_z, T_y, before, now, last, span, dt)
+            k += last
+            continue
+        if duration == 0:
+            break
+        S_z, C_z, S_y, C_y = now
+        n_steps = max(1, math.ceil(duration / step_size(max(C_z, C_y))))
+        dt = duration / n_steps
+        if not self_consistent:  # every sample from the one shape, in closed form
+            times += [k * dt for k in [*range(sample_stride, n_steps, sample_stride), n_steps]]
+            temps_z += [_relax(T_z, S_z, C_z, t) for t in times[1:]]
+            temps_y += [_relax(T_y, S_y, C_y, t) for t in times[1:]]
+            break
+        T_z, T_y, k = _relax(T_z, S_z, C_z, dt), _relax(T_y, S_y, C_y, dt), 1
+    return TemperatureTrace(tuple(times), tuple(temps_z), tuple(temps_y), tuple(shapes), dt)

@@ -179,7 +179,7 @@ def fit_exponential(
     reported unconverged at the better bracket end.
     """
     import numpy as np  # only this fit needs it, so a scan fit runs without it
-    times, temps = np.asarray(trace.times()), np.asarray(trace.temperatures(axis))
+    times, temps = np.asarray(trace.t), np.asarray(trace.temperatures(axis))
     if window is not None:
         keep = (times >= window[0]) & (times <= window[1])
         times, temps = times[keep], temps[keep]

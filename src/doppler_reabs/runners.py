@@ -3,7 +3,8 @@
 Every runner returns the complete CSV document as a string, with the
 resolved configuration echoed into # key=value comment lines so a result
 file carries its own provenance.  Identical configs produce byte-identical
-output.  Scan rows are emitted in grid order.
+output.  Scan rows are emitted in grid order; a trace's rows come from its
+columns, with a frozen run's shared shape cells formatted once.
 
 All intensities entering scan grids are normalized to saturation and are
 the values at the atoms; the [laser] attenuation_factor applies only to
@@ -34,27 +35,27 @@ from .presets import cr52, stuttgart_cloverleaf
 from .reabsorption import (SPHERE_INTEGRAL_AXIAL, SPHERE_INTEGRAL_RADIAL, SPHERE_INTEGRAL_TOTAL,
                            CloudShape, KappaSet, _aspect_shape, _closed_form_integrals, _kappas,
                            kappa_set, optical_density)
-from .trap import (
-    cloud_from_temperatures,
-    thermal_debroglie_wavelength,
-    trap_frequencies,
-)
+from .trap import cloud_from_temperatures, thermal_debroglie_wavelength, trap_frequencies
 
 
-def _render_csv(header_items, columns, rows) -> str:
+def _render_csv(header_items, columns, rows, shared=(0, ())) -> str:
     """The CSV text of tuple rows, each cell as format_value writes it: by one
     %-format for a row of built-in floats, unless it wrote inf or nan, the
-    only cells with an "n", else cell by cell."""
+    only cells with an "n", else cell by cell.  shared = (at, cells): built-in
+    floats that every row holds from column at on and leaves out, formatted
+    once, into the row format."""
     lines = [f"# {key}={value}" for key, value in header_items]
     lines.append(",".join(columns))
-    floats = ",".join(["%.12g"] * len(columns))
+    at, cells = shared
+    floats = ",".join(["%.12g"] * at + ["%.12g" % v for v in cells]
+                      + ["%.12g"] * (len(columns) - at - len(cells)))
     for row in rows:
         if all(type(v) is float for v in row):
             line = floats % row
             if "n" not in line:
                 lines.append(line)
                 continue
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(format_value(v) for v in (*row[:at], *cells, *row[at:])))
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 
@@ -81,11 +82,11 @@ def run_steady_state(config: ScenarioConfig) -> str:
     return _render_csv(config.header, columns, [row])
 
 
-def _trace_psd(sample, species: AtomSpecies) -> float:
+def _trace_psd(n0: float, T_z: float, T_y: float, species: AtomSpecies) -> float:
     # the simulation ties the unobserved x axis to y, so the geometric
     # mean temperature uses T_y twice
-    t_geo = (sample.T_y ** 2 * sample.T_z) ** (1.0 / 3.0)
-    return sample.peak_density * thermal_debroglie_wavelength(t_geo, species) ** 3
+    t_geo = (T_y ** 2 * T_z) ** (1.0 / 3.0)
+    return n0 * thermal_debroglie_wavelength(t_geo, species) ** 3
 
 
 def _simulate(config: ScenarioConfig) -> TemperatureTrace:
@@ -103,19 +104,19 @@ def _simulate(config: ScenarioConfig) -> TemperatureTrace:
 
 def run_dynamics(config: ScenarioConfig) -> str:
     """Integrate the rate equations; trace CSV plus a phase-space column."""
-    trace = _simulate(config)
+    trace, species = _simulate(config), config.species
     columns = (
         "t_s", "T_z_K", "T_y_K", "sigma_z_m", "sigma_y_m", "n0_per_m3",
         "kappa_y", "kappa_z", "kappa", "psd",
     )
+    samples = zip(trace.t, trace.T_z, trace.T_y)
+    if len(trace.shapes) == 1:  # one shape for every sample: its cells are formatted once
+        n0 = trace.shapes[0][2]
+        rows = ((t, z, y, _trace_psd(n0, z, y, species)) for t, z, y in samples)
+        return _render_csv(config.header, columns, rows, (3, trace.shapes[0][:6]))
     rows = (  # rendered as they come, not held as a second copy of the trace
-        (
-            s.t, s.T_z, s.T_y, s.sigma_z, s.sigma_y, s.peak_density,
-            s.kappas.kappa_y, s.kappas.kappa_z, s.kappas.kappa,
-            _trace_psd(s, config.species),
-        )
-        for s in trace.samples
-    )
+        (t, z, y, s_z, s_y, n0, k_y, k_z, k, _trace_psd(n0, z, y, species))
+        for (t, z, y), (s_z, s_y, n0, k_y, k_z, k, _) in zip(samples, trace.shapes))
     return _render_csv(config.header, columns, rows)
 
 
@@ -211,7 +212,7 @@ def _short_window(config: ScenarioConfig, trace: TemperatureTrace, needed: int) 
     where it cuts the run short, else the duration.
     """
     w_min, w_max = config.window or (0.0, math.inf)
-    kept = sum(w_min <= t <= w_max for t in trace.times())
+    kept = sum(w_min <= t <= w_max for t in trace.t)
     dt = trace.step
     every_step = kept  # at stride 1; a run of 0 s (or of 5e-324 ms, which is 0 s) has one
     if dt > 0:
@@ -416,17 +417,16 @@ def run_selfcheck() -> SelfCheckReport:
         initial, trap, species, laser, 0.6,
         self_consistent=True, sample_stride=10, delta_pol=delta_pol,
     )
-    gain = _trace_psd(self_consistent.samples[-1], species) / _trace_psd(
-        self_consistent.samples[0], species
-    )
+    first, last = self_consistent.samples[0], self_consistent.samples[-1]
+    gain = _trace_psd(last.peak_density, last.T_z, last.T_y, species) / _trace_psd(
+        first.peak_density, first.T_z, first.T_y, species)
     checks.append(_check_range("phase-space density gain", gain, 30, 300, "~80"))
     checks.append(SelfCheck(
         name="self-consistent run ends colder radially",
         expected="T_y(self-consistent) < T_y(frozen)",
-        actual=f"{self_consistent.samples[-1].T_y * 1e6:.4g} uK vs "
-               f"{frozen.samples[-1].T_y * 1e6:.4g} uK",
+        actual=f"{self_consistent.T_y[-1] * 1e6:.4g} uK vs {frozen.T_y[-1] * 1e6:.4g} uK",
         tolerance="ordering",
-        passed=self_consistent.samples[-1].T_y < frozen.samples[-1].T_y,
+        passed=self_consistent.T_y[-1] < frozen.T_y[-1],
     ))
 
     # aspect-ratio scan properties at fixed peak density

@@ -14,6 +14,7 @@ from . import constants as const
 from .atoms import AtomSpecies, _Checked
 
 TWO_PI_CUBED_SQRT = (2.0 * math.pi) ** 1.5
+VOLUME_UNDERFLOW = "temperatures too small: the cloud's volume underflows to 0"
 
 
 class TrapConfig(_Checked, namedtuple("TrapConfig", (
@@ -109,7 +110,7 @@ def thermal_shape(
     try:
         return sigma_y, sigma_z, peak_density(atom_number, sigma_x, sigma_y, sigma_z)
     except ZeroDivisionError:
-        raise ValueError("temperatures too small: the cloud's volume underflows to 0") from None
+        raise ValueError(VOLUME_UNDERFLOW) from None
 
 
 def cloud_from_temperatures(

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import collections
 import math
+import random
 
 import pytest
 
 from doppler_reabs import (
     CloudShape,
+    CloudState,
     KappaSet,
     LaserConfig,
     cloud_from_temperatures,
@@ -21,7 +24,8 @@ from doppler_reabs import (
     thermal_shape,
     trap_from_lab_units,
 )
-from doppler_reabs import dynamics
+from doppler_reabs import TraceSample, dynamics, effective_detuning
+from doppler_reabs.reabsorption import _kappas
 
 
 NO_REABSORPTION = KappaSet(kappa_y=0.0, kappa_z=0.0, kappa=0.0, kappa0=0.0)
@@ -289,7 +293,8 @@ def test_frozen_and_self_consistent_runs_share_sample_times(
 def test_frozen_run_costs_one_kappa_and_two_relaxations_per_sample(
     monkeypatch, hot_cloud, trap, species, measured_laser, delta_pol
 ):
-    calls = {"_kappas": 0, "_relax": 0}
+    # the kernel's kappa entry is the closed-form integrals
+    calls = {"_closed_form_integrals": 0, "_relax": 0}
 
     def counting(name):
         real = getattr(dynamics, name)
@@ -307,7 +312,7 @@ def test_frozen_run_costs_one_kappa_and_two_relaxations_per_sample(
     )
     emitted = len(trace.samples) - 1
     assert emitted > 100
-    assert calls == {"_kappas": 1, "_relax": 2 * emitted}
+    assert calls == {"_closed_form_integrals": 1, "_relax": 2 * emitted}
 
 
 def test_zero_intensity_run_keeps_the_start_temperature(hot_cloud, trap, species, delta_pol):
@@ -442,13 +447,13 @@ def test_self_consistent_run_costs_at_most_one_kappa_per_fixed_step(
     monkeypatch, hot_cloud, trap, species, measured_laser, delta_pol, duration
 ):
     calls = [0]
-    real = dynamics._kappas
+    real = dynamics._closed_form_integrals  # the kernel's kappa entry
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(dynamics, "_kappas", counting)
+    monkeypatch.setattr(dynamics, "_closed_form_integrals", counting)
 
     def kappa_count(stride):
         calls[0] = 0
@@ -477,3 +482,184 @@ def test_every_sample_carries_the_kappa_set_of_its_shape(
         assert s.kappas == kappa_set(shape, species)
     sigmas = [(s.sigma_z, s.sigma_y) for s in trace.samples]
     assert (len(set(sigmas)) > 1) == self_consistent
+
+
+# A reference loop for simulate, built from the helpers whose arithmetic
+# simulate's step kernel writes out on plain floats: thermal_shape,
+# _kappas, RateModel._rate_values and _relax.  It licenses the inlining:
+# the sweep below holds every column of the two runs equal.
+
+def _reference_second_order_step(T_z, T_y, before, now, last, span, dt, events):
+    relax = dynamics._relax
+    S_z, C_z, S_y, C_y = now
+    dS_z, dC_z, dS_y, dC_y = S_z - before[0], C_z - before[1], S_y - before[2], C_y - before[3]
+    m = span
+    while True:
+        w = 0.5 * m / last
+        mid = S_z + w * dS_z, C_z + w * dC_z, S_y + w * dS_y, C_y + w * dC_y
+        h = m * dt
+        if min(mid) >= 0.0:
+            z, y = relax(T_z, mid[0], mid[1], h), relax(T_y, mid[2], mid[3], h)
+            if m == 1 or (abs(z - relax(T_z, S_z, C_z, h)) <= dynamics.TOL * z
+                          and abs(y - relax(T_y, S_y, C_y, h)) <= dynamics.TOL * y):
+                events["halved"] += m < span
+                return z, y, m
+        elif m == 1:
+            events["first_order"] += 1
+            events["halved"] += m < span
+            return relax(T_z, S_z, C_z, h), relax(T_y, S_y, C_y, h), 1
+        m //= 2
+
+
+def _reference_simulate(initial, trap, species, laser, duration, self_consistent=True,
+                        sample_stride=1, delta_pol=None, events=None):
+    """(samples, step) of the reference loop; events counts the rate
+    evaluations, the capped axes, the halved steps and the first-order
+    fallbacks it took."""
+    events = collections.Counter() if events is None else events
+    if delta_pol is None:
+        delta_pol = effective_detuning(laser.detuning, trap.offset_field, species,
+                                       species.m_j, +1)
+    model = dynamics.RateModel(delta_pol, species, trap)
+    intensity = laser.effective_intensity
+    relax = dynamics._relax
+
+    def shape(T_z, T_y):
+        sigma_y, sigma_z, n0 = thermal_shape(trap, initial.atom_number, T_y, T_z)
+        return sigma_z, sigma_y, n0, _kappas(sigma_y, sigma_z, n0,
+                                             species.resonant_cross_section)
+
+    def coefficients(kappas):
+        cool_z, cool_y, heat_z, heat_y, capped_z, capped_y = model._rate_values(kappas,
+                                                                                intensity)
+        events["rates"] += 1
+        events["capped_z"] += capped_z
+        events["capped_y"] += capped_y
+        return model.heat_scale * heat_z, cool_z, model.heat_scale * heat_y, cool_y
+
+    T_z, T_y = initial.T_z, initial.T_y
+    sigma_z, sigma_y, n0, kappas = shape(T_z, T_y)
+    samples = [TraceSample(0.0, T_z, T_y, sigma_z, sigma_y, n0, kappas)]
+    if duration == 0:
+        return samples, 0.0
+    now = S_z, C_z, S_y, C_y = coefficients(kappas)
+    n_steps = max(1, math.ceil(duration / dynamics.step_size(max(C_z, C_y))))
+    dt = duration / n_steps
+    if not self_consistent:
+        for k in [*range(sample_stride, n_steps, sample_stride), n_steps]:
+            t = k * dt
+            T_t = relax(T_z, S_z, C_z, t), relax(T_y, S_y, C_y, t)
+            samples.append(TraceSample(t, *T_t, sigma_z, sigma_y, n0, kappas))
+        return samples, dt
+    T_z, T_y = relax(T_z, S_z, C_z, dt), relax(T_y, S_y, C_y, dt)
+    k = last = 1
+    while True:
+        sigma_z, sigma_y, n0, kappas = shape(T_z, T_y)
+        if k % sample_stride == 0 or k == n_steps:
+            samples.append(TraceSample(k * dt, T_z, T_y, sigma_z, sigma_y, n0, kappas))
+        if k == n_steps:
+            return samples, dt
+        before, now = now, coefficients(kappas)
+        span = min(k - k % sample_stride + sample_stride, n_steps, k + 2 * last) - k
+        T_z, T_y, last = _reference_second_order_step(T_z, T_y, before, now, last, span, dt,
+                                                      events)
+        k += last
+
+
+def test_the_kernel_matches_the_reference_loop_on_every_column(monkeypatch, species):
+    # a seeded sweep over traps, aspect ratios 0.1-10, atom numbers,
+    # intensities (zero among them), detunings, strides 1-50, durations
+    # (0 among them) and step rules, coarse ones included, where an
+    # extrapolated coefficient turns negative; both modes
+    rng = random.Random(2028)
+    events, aspects, strides = collections.Counter(), [], set()
+    for i in range(240):
+        curvature_y = 10 ** rng.uniform(1, 4)
+        curvature_z = curvature_y * 10 ** rng.uniform(-1.5, 0.5)
+        trap = trap_from_lab_units(curvature_y, curvature_y, curvature_z, 28.0, 6.0)
+        aspect = 10 ** rng.uniform(-1, 1)  # sigma_z / sigma_y
+        T_y = 10 ** rng.uniform(-6, -2)
+        cloud = cloud_from_temperatures(trap, 10 ** rng.uniform(6, 10), T_y, T_y,
+                                        T_y * aspect ** 2 * curvature_z / curvature_y)
+        laser = LaserConfig(intensity=0.0 if i % 10 == 0 else 10 ** rng.uniform(-4, 0),
+                            detuning=-(10 ** rng.uniform(-1, 0.5)))
+        duration = 0.0 if i % 40 == 1 else 10 ** rng.uniform(-3, -0.5)
+        stride, self_consistent = rng.randint(1, 50), i % 4 != 3
+        monkeypatch.setattr(dynamics, "STEPS_PER_TIME_CONSTANT", rng.choice((50, 50, 4, 1)))
+        run = (cloud, trap, species, laser, duration, self_consistent, stride, laser.detuning)
+        try:
+            samples, step = _reference_simulate(*run, events=events)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                simulate(*run)
+            assert str(excinfo.value) == str(exc)
+            events["refused"] += 1
+            continue
+        trace = simulate(*run)
+        t, T_z, T_y, shapes = zip(*((s.t, s.T_z, s.T_y, (*s[3:6], *s.kappas)) for s in samples))
+        assert (trace.t, trace.T_z, trace.T_y, trace.step) == (t, T_z, T_y, step)
+        assert trace.shapes == (shapes if self_consistent else shapes[:1])
+        assert list(trace.samples) == samples
+        aspects.append(cloud.sigma_z / cloud.sigma_y)
+        strides.add(stride)
+        events["dark"] += laser.intensity == 0.0
+    # the sweep reaches every path the kernel writes out inline
+    assert events["refused"] < 10
+    assert min(aspects) < 0.15 and max(aspects) > 7 and min(strides) == 1 and max(strides) == 50
+    assert 0 < events["capped_z"] < events["rates"] and 0 < events["capped_y"] < events["rates"]
+    assert events["dark"] and events["halved"] and events["first_order"], events
+
+
+@pytest.mark.parametrize("self_consistent", [False, True])
+def test_a_cloud_too_cold_to_have_a_volume_is_refused_with_the_reference_message(
+    trap, species, measured_laser, self_consistent
+):
+    cold = CloudState(1e8, 1e-250, 1e-250, 1e-4, 1e-4, 1e16)
+    run = (cold, trap, species, measured_laser, 0.01, self_consistent)
+    with pytest.raises(ValueError) as former:
+        _reference_simulate(*run)
+    with pytest.raises(ValueError) as excinfo:
+        simulate(*run)
+    assert str(excinfo.value) == str(former.value) == (
+        "temperatures too small: the cloud's volume underflows to 0")
+
+
+@pytest.mark.parametrize("stride", [10, 1])
+def test_the_reference_run_halves_steps_only_between_samples(
+    monkeypatch, hot_cloud, trap, species, measured_laser, delta_pol, stride
+):
+    # the step-halving loop does work: at stride 10 the paper's 0.6 s run
+    # accepts 173 of its 684 steps shorter than their span; at stride 1
+    # every span is one fixed step, so none of its 5 084 steps is
+    real, spans = dynamics._second_order_step, []
+
+    def counting(T_z, T_y, before, now, last, span, dt):
+        z, y, m = real(T_z, T_y, before, now, last, span, dt)
+        spans.append((m, span))
+        return z, y, m
+
+    monkeypatch.setattr(dynamics, "_second_order_step", counting)
+    simulate(hot_cloud, trap, species, measured_laser, 0.6, sample_stride=stride,
+             delta_pol=delta_pol)
+    shorter = sum(m < span for m, span in spans)
+    if stride == 1:
+        assert (shorter, len(spans)) == (0, 5084)
+    else:
+        assert shorter > 0 and len(spans) > 500
+
+
+def test_samples_is_a_read_only_view_of_the_columns(self_consistent_run, frozen_run):
+    for trace in (self_consistent_run, frozen_run):
+        samples = trace.samples
+        assert len(samples) == len(trace.t) and samples[-1] == samples[len(samples) - 1]
+        assert tuple(s.t for s in samples) == trace.times()
+        assert samples[1:3] == (samples[1], samples[2])
+        first = samples[0]
+        assert isinstance(first, TraceSample) and first.kappas == KappaSet(*trace.shapes[0][3:])
+        with pytest.raises(TypeError):
+            samples[0] = first
+        with pytest.raises(IndexError):
+            samples[len(samples)]
+    # a frozen run holds its one shape once
+    assert len(frozen_run.shapes) == 1
+    assert len(self_consistent_run.shapes) == len(self_consistent_run.t)

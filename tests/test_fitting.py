@@ -9,7 +9,6 @@ import pytest
 
 from doppler_reabs import (
     DegenerateDataError,
-    KappaSet,
     ScanPoint,
     fit_exponential,
     fit_intensity_scan,
@@ -19,7 +18,7 @@ from doppler_reabs import (
     steady_state_with_heating,
 )
 from doppler_reabs import fitting, parse_config, rates
-from doppler_reabs.dynamics import TemperatureTrace, TraceSample, detuning_factor
+from doppler_reabs.dynamics import TemperatureTrace, detuning_factor
 from doppler_reabs.runners import _fit_csv, fit_scenario
 from doppler_reabs.runners import _simulate as simulate_config
 from test_cli import DYNAMICS
@@ -30,15 +29,12 @@ from test_cli import DYNAMICS
 MAX_TAU_EVALUATIONS = 20
 
 
+SHAPE = (1e-4, 1e-4, 0.0, 0.0, 0.0, 0.0, 0.0)  # one shared shape row: no reabsorption
+
+
 def _trace(times, temps):
-    kappas = KappaSet(kappa_y=0.0, kappa_z=0.0, kappa=0.0, kappa0=0.0)
-    return TemperatureTrace(samples=tuple(
-        TraceSample(
-            t=float(t), T_z=float(v), T_y=float(v),
-            sigma_z=1e-4, sigma_y=1e-4, peak_density=0.0, kappas=kappas,
-        )
-        for t, v in zip(times, temps)
-    ))
+    temps = tuple(map(float, temps))
+    return TemperatureTrace(t=tuple(map(float, times)), T_z=temps, T_y=temps, shapes=(SHAPE,))
 
 
 def _exponential_trace(t0=1e-3, t_inf=334e-6, tau=0.05, n=50, t_max=0.25):
@@ -101,12 +97,8 @@ def test_exponential_location_invariance():
 
 def test_exponential_fit_axis_selection():
     times, temps = _exponential_trace()
-    kappas = KappaSet(kappa_y=0.0, kappa_z=0.0, kappa=0.0, kappa0=0.0)
-    trace = TemperatureTrace(samples=tuple(
-        TraceSample(t=float(t), T_z=float(v), T_y=2e-3,
-                    sigma_z=1e-4, sigma_y=1e-4, peak_density=0.0, kappas=kappas)
-        for t, v in zip(times, temps)
-    ))
+    trace = TemperatureTrace(t=tuple(map(float, times)), T_z=tuple(map(float, temps)),
+                             T_y=(2e-3,) * times.size, shapes=(SHAPE,))
     fit = fit_exponential(trace, axis="z")
     assert fit.parameters["tau"] == pytest.approx(0.05, rel=1e-6)
     with pytest.raises(DegenerateDataError):

@@ -4,8 +4,8 @@ Each case runs cli.main and hashes (exit code, output file, stdout,
 stderr) with SHA-256.  The cases are the tests/test_cli.py configs
 under every verb their kind runs, a dynamics config frozen and
 self-consistent, each fit at seeds 0 and 1, each fuzz CASES entry,
-selfcheck and preset-dump.  A change that keeps every digest changes
-no output byte on these runs.  The digests hold for this platform's
+selfcheck, preset-dump and the longer dynamics runs of EXTRA.  A change
+that keeps every digest changes no output byte on these runs.  The digests hold for this platform's
 float arithmetic; `python tests/test_golden.py` prints the current ones,
 to re-record them when an output is meant to change.
 """
@@ -29,6 +29,25 @@ FROZEN = "self_consistent = false"
 MODES = {"frozen": FROZEN, "sc": "self_consistent = true"}
 
 
+def _dynamics(duration_ms, stride, mode, extra=""):
+    return (DYNAMICS.replace("duration_ms = 60", f"duration_ms = {duration_ms}")
+            .replace("sample_stride = 20", f"sample_stride = {stride}")
+            .replace(FROZEN, MODES[mode]) + extra)
+
+
+# dynamics paths the configs above do not reach: the paper's 0.6 s reference
+# run self-consistent at stride 10, where steps are halved (173 of 684); a
+# self-consistent run at stride 1; a 2.4 s frozen run at stride 1 (20 341
+# rows); a self-consistent fit over a window
+EXTRA = {
+    "reference-simulate-sc-stride10": (["simulate"], _dynamics(600, 10, "sc")),
+    "dynamics-simulate-sc-stride1": (["simulate"], _dynamics(60, 1, "sc")),
+    "long-simulate-frozen-stride1": (["simulate"], _dynamics(2400, 1, "frozen")),
+    "dynamics-fit-sc-window": (["fit"], _dynamics(
+        60, 2, "sc", "window_min_ms = 5\nwindow_max_ms = 40\n")),
+}
+
+
 def _cases():
     """{id: (argv without --config/--out, config text or None)}."""
     cases = {}
@@ -46,6 +65,7 @@ def _cases():
                     cases[case_id] = ([verb] + (["--seed", seed] if seed else []), mode_text)
     for i, (verb, text) in enumerate(CASES):
         cases[f"fuzz{i}-{verb}"] = ([verb], text)
+    cases.update(EXTRA)
     cases["selfcheck"] = (["selfcheck"], None)
     cases["preset-dump"] = (["preset-dump"], None)
     return cases
@@ -79,8 +99,10 @@ GOLDEN = {
     "dynamics-fit-frozen-seed1": "7db943e86ea3829f864143e6a26b6296ad5cd406a8c1d1e6fa5ec7968b270506",
     "dynamics-fit-sc-seed0": "3a296892811be8223008505f3c91cd62d26d0af157a3bb573ae5e2b3741a2b6d",
     "dynamics-fit-sc-seed1": "3a296892811be8223008505f3c91cd62d26d0af157a3bb573ae5e2b3741a2b6d",
+    "dynamics-fit-sc-window": "0777873e05d5917a3e7c1ee43aef02c24e2701d26a9271068a21ab63e8fd473b",
     "dynamics-simulate-frozen": "e861560487f7b2899b3662094c6be63b1a1ec5aaa50eb6544c86bfa940541fb6",
     "dynamics-simulate-sc": "66867da8b7e1945b93913a31891def53b316906a611aedbdd9c5a6cd8da9c14b",
+    "dynamics-simulate-sc-stride1": "02396b0aba94788cc484cd27abef5da87d4ed87e8b4f5935613d36b6e5b55cfa",
     "fuzz0-simulate": "92c51cd0cddb5a059eaada9e5c278f35f390a6ff7d6421891cffdac2b2ec65f7",
     "fuzz1-fit": "42cae1ebbc4b82765a16010c09e8b4a0c62d695be618fded207f9dc28541a6e7",
     "fuzz2-simulate": "877b37a886fb1890f0798f5a8dc22c17e9c103f545e75c2146cb1f07342481cb",
@@ -91,10 +113,12 @@ GOLDEN = {
     "intensity-fit-seed0": "ad1f772edbdd1774773af7c75700187f576f8125af6552c2e926d747d86114ac",
     "intensity-fit-seed1": "c2b7e52352f4846facfb03e6a41c8fa788be9b72463aa2c9937f12115ff6ee9d",
     "intensity-scan": "e641eafa4fa6f0ae18cc9a6db707ff223ea717df8bc03074093fb9adfeb9746b",
+    "long-simulate-frozen-stride1": "c4e2f6321c05763caf24fe6fd7e0f7fab64d3f96d9f939078afaed44a611c532",
     "od-fit-seed0": "42ce88fbd0333e960a09590b2772c41840eb6f910976752528992c8c43713f33",
     "od-fit-seed1": "42ce88fbd0333e960a09590b2772c41840eb6f910976752528992c8c43713f33",
     "od-scan": "d0d37e5b28115949e3ef427916ecc72b01d7a70d007a43b74a4eaf85eeac3587",
     "preset-dump": "ad25d6fcea766886c5d862613b4ce08e9259c7d7e312c1844aa5915aa9aecd6f",
+    "reference-simulate-sc-stride10": "14528f8079e4c50f78e25a2db8fc60e80f89a4f28c615dc6476d962c44a4be7c",
     "selfcheck": "a6033ac7843a88ed9d443c5943b9b19d3e439508660b0c399403bbc28173660f",
     "steady-simulate": "877b37a886fb1890f0798f5a8dc22c17e9c103f545e75c2146cb1f07342481cb",
 }

@@ -10,12 +10,10 @@ from doppler_reabs import (
     AtomSpecies,
     CloudShape,
     CloudState,
-    KappaSet,
     LaserConfig,
     ScanPoint,
     ScenarioConfig,
     TemperatureTrace,
-    TraceSample,
     TrapConfig,
     config,
     cr52,
@@ -25,8 +23,19 @@ from doppler_reabs.cli import main
 from test_cli import INTENSITY_FIT
 
 
-def _sample(t, T_z=1e-3, T_y=1e-3):
-    return TraceSample(t, T_z, T_y, 7e-4, 4.1e-4, 5.6e16, KappaSet(0.1, 0.2, 0.3, 1.0))
+SAMPLE_COLUMNS = ("t", "T_z", "T_y", "shapes")
+
+
+def _samples(*samples):
+    """A trace's sample columns from (t, T_z, T_y) triples, sharing one shape."""
+    t, T_z, T_y = (tuple(column) for column in zip(*samples))
+    return dict(t=t, T_z=T_z, T_y=T_y, shapes=((7e-4, 4.1e-4, 5.6e16, 0.1, 0.2, 0.3, 1.0),))
+
+
+def _id(kind, changed):
+    # a change of every sample column is named for the samples
+    names = "samples" if tuple(changed) == SAMPLE_COLUMNS else "-".join(changed)
+    return f"{kind.__name__}-{names}"
 
 
 # each type with valid values for every field, in field order
@@ -40,11 +49,12 @@ GOOD = {
     CloudState: dict(atom_number=1e8, T_y=1e-3, T_z=1e-3, sigma_y=4.1e-4, sigma_z=7e-4,
                      peak_density=5.6e16),
     CloudShape: dict(sigma_y=4.1e-4, sigma_z=7e-4, peak_density=5.6e16),
-    TemperatureTrace: dict(samples=(_sample(0.0), _sample(1e-3)), step=1e-3),
+    TemperatureTrace: dict(**_samples((0.0, 1e-3, 1e-3), (1e-3, 1e-3, 1e-3)), step=1e-3),
     ScanPoint: dict(x=1e-3, y=1e-4, y_err=1e-6),
 }
 
 SPECIES = "mass, wavelength and linewidth must be positive"
+TRACE_COLUMNS = "t, T_z, T_y need one entry per sample, shapes one or one per sample"
 # (type, the fields changed from GOOD, the message of the check that refuses them)
 REFUSED = [
     (AtomSpecies, dict(mass=0.0), SPECIES),
@@ -73,14 +83,18 @@ REFUSED = [
     (CloudShape, dict(sigma_y=0.0), "cloud sizes must be positive"),
     (CloudShape, dict(sigma_z=-1e-4), "cloud sizes must be positive"),
     (CloudShape, dict(peak_density=-1.0), "peak_density must be >= 0"),
-    (TemperatureTrace, dict(samples=(_sample(0.0), _sample(0.0))),
+    (TemperatureTrace, _samples((0.0, 1e-3, 1e-3), (0.0, 1e-3, 1e-3)),
      "sample times must be strictly increasing"),
-    (TemperatureTrace, dict(samples=(_sample(1e-3), _sample(0.0))),
+    (TemperatureTrace, _samples((1e-3, 1e-3, 1e-3), (0.0, 1e-3, 1e-3)),
      "sample times must be strictly increasing"),
-    (TemperatureTrace, dict(samples=(_sample(0.0), _sample(1e-3, T_z=0.0))),
+    (TemperatureTrace, _samples((0.0, 1e-3, 1e-3), (1e-3, 0.0, 1e-3)),
      "temperatures must stay positive"),
-    (TemperatureTrace, dict(samples=(_sample(0.0, T_y=-1e-3),)),
+    (TemperatureTrace, _samples((0.0, 1e-3, -1e-3)),
      "temperatures must stay positive"),
+    (TemperatureTrace, dict(T_y=(1e-3,)), TRACE_COLUMNS),
+    (TemperatureTrace, dict(t=(0.0, 1e-3, 2e-3)), TRACE_COLUMNS),
+    (TemperatureTrace, dict(shapes=((7e-4, 4.1e-4, 5.6e16, 0.1, 0.2, 0.3, 1.0),) * 3),
+     TRACE_COLUMNS),
     (ScanPoint, dict(x=0.0), "x must be positive"),
     (ScanPoint, dict(y=-1e-4), "y must be positive"),
     (ScanPoint, dict(y_err=0.0), "y_err must be positive when given"),
@@ -95,7 +109,7 @@ def test_the_tables_hold_every_checked_type():
 
 @pytest.mark.parametrize("form", ["positional", "keyword"])
 @pytest.mark.parametrize("kind, changed, message", REFUSED,
-                         ids=[f"{kind.__name__}-{'-'.join(changed)}" for kind, changed, _ in REFUSED])
+                         ids=[_id(kind, changed) for kind, changed, _ in REFUSED])
 def test_each_check_refuses_with_its_message(kind, changed, message, form):
     values = {**GOOD[kind], **changed}
     with pytest.raises(ValueError) as excinfo:
@@ -143,7 +157,7 @@ def test_nan_is_refused_with_its_message(kind, field, message):
 
 
 @pytest.mark.parametrize("kind, changed, message", REFUSED,
-                         ids=[f"{kind.__name__}-{'-'.join(changed)}" for kind, changed, _ in REFUSED])
+                         ids=[_id(kind, changed) for kind, changed, _ in REFUSED])
 def test_replace_and_make_check_too(kind, changed, message):
     good = kind(**GOOD[kind])
     assert good._replace() == good and kind._make(good) == good
