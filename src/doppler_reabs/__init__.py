@@ -9,6 +9,8 @@ least-squares parameter estimation, and a config-driven CLI with named
 presets for the chromium experiment the model was built around.
 """
 
+import importlib
+
 from .atoms import (
     AtomSpecies,
     LaserConfig,
@@ -39,13 +41,10 @@ from .reabsorption import (
     optical_density,
 )
 from .runners import (
-    SelfCheckReport,
     run_aspect_scan,
     run_dynamics,
-    run_fit,
     run_intensity_scan,
     run_od_scan,
-    run_selfcheck,
     run_steady_state,
 )
 from .trap import (
@@ -61,21 +60,21 @@ from .trap import (
 
 __version__ = "1.0.0"
 
-# The fitting names load fitting on first use, so the command line and
-# the simulation start without compiling it.
-_LAZY = {"DegenerateDataError", "FitResult", "ScanPoint", "fit_exponential",
-         "fit_intensity_scan", "fit_od_scan", "load_scan_points"}
+# The analysis verbs' names load their module, fitting or selfcheck, on
+# first use, so the command line and the simulation compile neither.
+_LAZY = {"SelfCheckReport": "selfcheck", "run_selfcheck": "selfcheck", **dict.fromkeys((
+    "DegenerateDataError", "FitResult", "ScanPoint", "fit_exponential", "fit_intensity_scan",
+    "fit_od_scan", "load_scan_points", "run_fit"), "fitting")}
 
 
 def __getattr__(name):
     if name in _LAZY:
-        from . import fitting
-        return getattr(fitting, name)
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _LAZY)
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "AtomSpecies",

@@ -8,7 +8,8 @@ metavars; --config, where a verb takes it, is required.  Scenario
 configs are sectioned key=value text (see parse_config).  CSV goes to
 --out when given, else to the path in scenario.output, else to stdout.
 Exit codes: 0 success, 1 invalid input (usage errors too), 2 fit that
-did not converge, 3 selfcheck failure.
+did not converge, 3 selfcheck failure.  The fit and selfcheck verbs load
+their modules (fitting, selfcheck) when they run.
 """
 
 from __future__ import annotations
@@ -17,16 +18,8 @@ import sys
 
 from .config import (KINDS, ConfigError, ScenarioConfig, _read_text, _write_text, parse_config,
                      preset_dump)
-from .runners import (
-    _fit_csv,
-    fit_scenario,
-    run_aspect_scan,
-    run_dynamics,
-    run_intensity_scan,
-    run_od_scan,
-    run_selfcheck,
-    run_steady_state,
-)
+from .runners import (run_aspect_scan, run_dynamics, run_intensity_scan, run_od_scan,
+                      run_steady_state)
 
 _RUNNERS = {
     "dynamics": run_dynamics,
@@ -103,6 +96,7 @@ def main(argv=None) -> int:
         return 1
     try:
         if verb == "selfcheck":
+            from .selfcheck import run_selfcheck
             report = run_selfcheck()
             _emit(report.table(), opts.get("--out"))
             return 0 if report.all_passed else 3
@@ -112,6 +106,7 @@ def main(argv=None) -> int:
         config = _load_config(verb, opts["--config"])
         out_path = opts.get("--out") or config.output
         if verb == "fit":
+            from .fitting import _fit_csv, fit_scenario
             result = fit_scenario(config, seed=seed)
             _emit(_fit_csv(config, result), out_path)
             if not result.converged:

@@ -7,9 +7,14 @@ solve: the two scan models are linear after a change of variables and
 take one weighted least-squares solve each, in closed form on plain
 floats; the exponential is linear in T_inf and T0 for fixed tau, which
 leaves a root search in tau alone (Brent's zeroin) whose steps take five
-numpy calls whatever the trace's length; it alone imports numpy.
-Parameter uncertainties come from the covariance diagonal, carried
-through the exact Jacobian of each change of variables.
+numpy calls whatever the trace's length.  Parameter uncertainties come
+from the covariance diagonal, carried through the exact Jacobian of each
+change of variables.
+
+fit_scenario, the fit verb, picks the fit of the scenario kind, makes
+scan data from the config when no data file is given, and names the key
+to change when a dynamics window keeps too few samples.  Only the
+exponential fit and that data's seeded noise import numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ import operator
 from collections import namedtuple
 
 from .atoms import AtomSpecies, _Checked
-from .config import _read_text
+from .config import KINDS, ConfigError, ScenarioConfig, _read_text
 from .dynamics import TemperatureTrace, _heating_extra, _radial_at_od, _steady_constants
+from .runners import _render_csv, _scan_model, _simulate
 
 EXP_TAU_BRACKET = (1e-3, 1e3)  # tau search range, in units of the sample span
 EXP_MIN_SAMPLES = 4  # an exponential fit's samples in its window, at least
@@ -381,3 +387,109 @@ def load_scan_points(path) -> list[ScanPoint]:
                                  f"positive number (got {cells.get(name, '')!r})")
         points.append(ScanPoint(**values))
     return points
+
+
+def _synthetic_points(config: ScenarioConfig, seed: int) -> list[ScanPoint]:
+    """The scan fit's data without a data file: the model on the grid
+    points the fit can take, each times 1 + noise_fraction * a normal
+    draw of the seed, with error bar noise_fraction * model.
+    """
+    model = _scan_model(config)
+    grid = ((x, model(x)) for x in config.grid.values())
+    usable = [(x, y) for x, y in grid if x > 0 and math.isfinite(y)]  # the fit can take them
+    f = config.noise_fraction
+    draws = [0.0] * len(usable)
+    if f:  # one batch, bit for bit the draws one at a time would give
+        import numpy as np
+        draws = np.random.default_rng(seed).standard_normal(len(usable)).tolist()
+    points = []
+    for (x, y_true), draw in zip(usable, draws):
+        y = y_true * (1.0 + f * draw)
+        if y > 0:  # a draw below -1/noise_fraction; later points keep their draws
+            points.append(ScanPoint(x, y, f * y_true if f else None))
+    return points
+
+
+def _fit_csv(config: ScenarioConfig, result: FitResult) -> str:
+    errors = result.standard_errors or {}
+    rows = [
+        (name, value, errors.get(name, ""))
+        for name, value in result.parameters.items()
+    ]
+    rows.append(("residual_norm_K", result.residual_norm, ""))
+    rows.append(("converged", result.converged, ""))
+    rows.append(("iterations", result.iterations, ""))
+    return _render_csv(config.header, ("parameter", "value", "standard_error"), rows)
+
+
+def _short_window(config: ScenarioConfig, trace: TemperatureTrace, needed: int) -> ConfigError:
+    """The error of a dynamics fit whose window keeps fewer than needed
+    samples, at the key to change: the stride when a sample at every
+    fixed step would fill the window, else the window's end or start
+    where it cuts the run short, else the duration.
+    """
+    w_min, w_max = config.window or (0.0, math.inf)
+    kept = sum(w_min <= t <= w_max for t in trace.t)
+    dt = trace.step
+    every_step = kept  # at stride 1; a run of 0 s (or of 5e-324 ms, which is 0 s) has one
+    if dt > 0:
+        every_step = math.floor(min(w_max, config.duration) / dt) - math.ceil(w_min / dt) + 1
+    if every_step >= needed:
+        key = "sample_stride"
+    elif w_max < config.duration:
+        key = "window_max_ms"
+    elif w_min > 0:
+        key = "window_min_ms"
+    else:
+        key = "duration_ms"
+    return ConfigError([(config.lines.get(key, 0),
+                         f"scenario.{key}: the fit window holds {kept} sample(s); "
+                         f"an exponential fit needs at least {needed}")])
+
+
+def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
+    """Fit the model matching the scenario kind.
+
+    dynamics fits an exponential to the simulated trace; the scan kinds
+    fit their steady-state models to points loaded from scenario.data or,
+    when no data path is given, to points synthesized from the config's
+    own parameter values on the scan grid (seeded noise of
+    noise_fraction, which then also sets the per-point error bars).
+    """
+    if "fit" not in KINDS[config.kind].verbs:
+        raise ValueError(f"scenario kind '{config.kind}' has no fit")
+    if config.kind == "dynamics":
+        trace = _simulate(config)
+        try:
+            return fit_exponential(trace, axis=config.fit_axis, window=config.window)
+        except DegenerateDataError as exc:  # a ValueError, so caught first
+            message = (f"laser.intensity_Isat: the light leaves T_{config.fit_axis} "
+                       "constant over the fit window, so tau is unidentifiable")
+            raise ConfigError([(config.lines.get("intensity_Isat", 0), message)]) from exc
+        except ValueError as exc:  # fewer than EXP_MIN_SAMPLES in the window
+            raise _short_window(config, trace, EXP_MIN_SAMPLES) from exc
+
+    def fit(points: list[ScanPoint]) -> FitResult:
+        if config.kind == "intensity_scan":
+            return fit_intensity_scan(points, config.kappa, config.delta_pol, config.species)
+        return fit_od_scan(
+            points,
+            config.kappa_at_ref,
+            config.od_ref,
+            config.heating_power,
+            config.laser.effective_intensity,
+            config.delta_pol,
+            config.species,
+        )
+
+    if config.data is not None:
+        return fit(load_scan_points(config.data))
+    try:  # synthetic points come from the config's own values, so their failure is its own
+        return fit(_synthetic_points(config, seed))
+    except ValueError as exc:
+        raise ConfigError([(config.lines.get("kind", 0), f"scenario.kind: {exc}")]) from exc
+
+
+def run_fit(config: ScenarioConfig, seed: int = 0) -> str:
+    """Fit the model matching the scenario kind; parameter table as CSV."""
+    return _fit_csv(config, fit_scenario(config, seed))

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import doppler_reabs
-from doppler_reabs import FitResult, GridSpec, cli, config, constants, parse_config, runners
+from doppler_reabs import (FitResult, GridSpec, cli, config, constants, dynamics, fitting,
+                           parse_config, runners)
 from doppler_reabs.cli import main
 from test_config_fuzz import CASES
 
@@ -301,7 +302,7 @@ def test_fit_nonconvergence_exits_2(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, "i.cfg", INTENSITY_FIT)
     unconverged = FitResult(parameters={"kappa_y": 0.11}, standard_errors=None,
                             residual_norm=1e-6, converged=False, iterations=1)
-    monkeypatch.setattr(cli, "fit_scenario", lambda config, seed=0: unconverged)
+    monkeypatch.setattr(fitting, "fit_scenario", lambda config, seed=0: unconverged)
     assert main(["fit", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert "converged,false" in captured.out
@@ -468,7 +469,7 @@ def test_synthetic_data_leave_out_only_nonpositive_draws(text):
     left_out = 0
     for seed in range(20):
         drawn = _every_draw(config, seed)
-        kept = [(p.x, p.y, p.y_err) for p in runners._synthetic_points(config, seed)]
+        kept = [(p.x, p.y, p.y_err) for p in fitting._synthetic_points(config, seed)]
         assert kept == [point for point in drawn if point[1] > 0]
         left_out += len(drawn) - len(kept)
     assert (left_out > 0) == (text is NOISY)
@@ -720,9 +721,9 @@ def test_cli_and_selfcheck_do_not_load_scipy():
     # interpreter importing the command line and running selfcheck
     # never loads it
     code = (
-        "import sys, doppler_reabs.cli as cli\n"
+        "import sys, doppler_reabs.cli\n"
         "print('scipy' in sys.modules)\n"
-        "assert cli.run_selfcheck().all_passed\n"
+        "assert doppler_reabs.run_selfcheck().all_passed\n"
         "print('scipy' in sys.modules)\n"
     )
     result = _fresh_python("-c", code)
@@ -733,16 +734,18 @@ def test_cli_and_selfcheck_do_not_load_scipy():
 _NUMPY_AFTER_EACH = """\
 import json, sys
 import doppler_reabs.cli as cli
+names = ('numpy', 'doppler_reabs.fitting', 'doppler_reabs.selfcheck')
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
-    print(code, 'numpy' in sys.modules)
+    print(code, *[name in sys.modules for name in names])
 """
 
 
 def test_cli_runs_without_numpy_until_a_fit(tmp_path):
     # only the exponential fit and the noise of synthetic data need numpy;
     # a fresh interpreter running the other verbs, log-grid scans too,
-    # never loads it
+    # never loads it, nor the fit verb's module or selfcheck's: fit loads
+    # fitting alone, selfcheck its own
     out = str(tmp_path / "out.csv")
     runs = [("simulate", DYNAMICS),
             ("simulate", DYNAMICS.replace("self_consistent = false", "self_consistent = true")),
@@ -757,10 +760,12 @@ def test_cli_runs_without_numpy_until_a_fit(tmp_path):
     fit = ["fit"] + argvs[3][1:]
     noisy_log_fit = ["fit"] + log_scan[1:]
     # the last command of each run loads numpy: it is loaded on demand, not taken out
-    for argv in (cold + [fit], [log_scan, noisy_log_fit], [["selfcheck", "--out", out]]):
+    for argv, last in ((cold + [fit], "0 True True False"),
+                       ([log_scan, noisy_log_fit], "0 True True False"),
+                       ([["selfcheck", "--out", out]], "0 True True True")):
         result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["0 False"] * (len(argv) - 1) + ["0 True"]
+        assert result.stdout.splitlines() == ["0 False False False"] * (len(argv) - 1) + [last]
 
 
 def test_scan_fits_from_data_or_without_noise_run_without_numpy(tmp_path):
@@ -781,7 +786,8 @@ def test_scan_fits_from_data_or_without_noise_run_without_numpy(tmp_path):
             for i, text in enumerate(runs)]
     result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["0 False"] * (len(argv) - 1) + ["0 True"]
+    assert result.stdout.splitlines() == (["0 False True False"] * (len(argv) - 1)
+                                          + ["0 True True False"])
 
 
 def test_log_grid_scans_and_noise_free_fits_run_without_numpy(tmp_path):
@@ -798,7 +804,7 @@ def test_log_grid_scans_and_noise_free_fits_run_without_numpy(tmp_path):
             for i, (verb, text) in enumerate(runs)]
     result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["0 False"] * len(argv)
+    assert result.stdout.splitlines() == ["0 False False False"] * 4 + ["0 False True False"] * 2
 
 
 _LOADED_AFTER_EACH = """\
@@ -981,7 +987,7 @@ def _no_rates(*args, **kwargs):
 def test_short_fit_window_takes_the_step_from_the_trace(tmp_path, capsys, monkeypatch, key,
                                                         value):
     # the fit's window is checked by the fit, with the step the run took
-    monkeypatch.setattr(runners, "rates", _no_rates)
+    monkeypatch.setattr(dynamics.RateModel, "_rate_values", _no_rates)
     test_short_fit_window_exits_1_at_the_key_to_change(tmp_path, capsys, key, value)
 
 

@@ -19,7 +19,7 @@ from doppler_reabs import (
 )
 from doppler_reabs import fitting, parse_config, rates
 from doppler_reabs.dynamics import TemperatureTrace, detuning_factor
-from doppler_reabs.runners import _fit_csv, fit_scenario
+from doppler_reabs.fitting import _fit_csv, fit_scenario
 from doppler_reabs.runners import _simulate as simulate_config
 from test_cli import DYNAMICS
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from doppler_reabs import (
     kappa0,
     kappa_set,
     optical_density,
+    reabsorption,
 )
 from doppler_reabs.reabsorption import (
     KAPPA0_PREFACTOR,
@@ -125,6 +127,38 @@ def test_complete_rf_rd_matches_scipy():
             r_f, r_d = _complete_rf_rd(y)
             assert r_f == pytest.approx(elliprf(0.0, y, 1.0), rel=rel, abs=0), f"y = {y!r}"
             assert r_d == pytest.approx(elliprd(0.0, y, 1.0), rel=rel, abs=0), f"y = {y!r}"
+
+
+class _CountingMath:
+    """The math module, counting its sqrt calls."""
+
+    def __init__(self):
+        self.sqrt_calls = 0
+
+    def sqrt(self, x):
+        self.sqrt_calls += 1
+        return math.sqrt(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def test_complete_rf_rd_takes_at_most_12_iterations(monkeypatch):
+    # the docstring's bound: at most 12 AGM iterations for y from 5e-324
+    # to 1.7e308; each iteration takes one sqrt, and the start one more
+    counting = _CountingMath()
+    monkeypatch.setattr(reabsorption, "math", counting)
+    rng = random.Random(2002)
+    lo, hi = 5e-324, 1.7e308
+    ys = [lo, hi] + [min(max(math.exp(rng.uniform(math.log(lo), math.log(hi))), lo), hi)
+                     for _ in range(20000)]
+    iterations = []
+    for y in ys:
+        counting.sqrt_calls = 0
+        _complete_rf_rd(y)
+        iterations.append(counting.sqrt_calls - 1)
+    assert max(iterations) == 12
+    assert iterations[:2] == [12, 12]  # both ends of the range take the most
 
 
 def test_kappa_set_finite_at_extreme_aspect_ratios(species):

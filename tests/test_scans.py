@@ -23,7 +23,7 @@ from doppler_reabs import (
     steady_state_vs_od,
     steady_state_with_heating,
 )
-from doppler_reabs import runners
+from doppler_reabs import fitting, runners
 from doppler_reabs.constants import HBAR
 from doppler_reabs.dynamics import rate_caps
 from doppler_reabs.reabsorption import SERIES_CUT, _aspect_shape
@@ -163,7 +163,7 @@ def test_aspect_scan_rows_are_the_public_functions_at_each_point(monkeypatch):
 ], ids=["intensity", "od"])
 def test_noise_free_synthetic_points_are_the_public_function(configs, public):
     for config in configs():
-        points = runners._synthetic_points(config, seed=0)  # noise_fraction 0: no draws
+        points = fitting._synthetic_points(config, seed=0)  # noise_fraction 0: no draws
         expected = [(x, public(config, x)) for x in config.grid.values()]
         expected = [(x, y) for x, y in expected if x > 0 and 0 < y < float("inf")]
         assert _bits((p.x, p.y) for p in points) == _bits(expected)
