@@ -11,123 +11,43 @@ presets for the chromium experiment the model was built around.
 
 import importlib
 
-from .atoms import (
-    AtomSpecies,
-    LaserConfig,
-    effective_detuning,
-    lande_g,
-    species_from_lab_units,
-    zeeman_shift,
-)
-from .config import ConfigError, GridSpec, ScenarioConfig, parse_config, preset_dump
-from .dynamics import (
-    RateSet,
-    SteadyState,
-    TemperatureTrace,
-    TraceSample,
-    detuning_factor,
-    rates,
-    simulate,
-    steady_state,
-    steady_state_vs_od,
-    steady_state_with_heating,
-)
-from .presets import SPECIES_PRESETS, TRAP_PRESETS, cr52, stuttgart_cloverleaf
-from .reabsorption import (
-    CloudShape,
-    KappaSet,
-    kappa0,
-    kappa_set,
-    optical_density,
-)
-from .runners import (
-    run_aspect_scan,
-    run_dynamics,
-    run_intensity_scan,
-    run_od_scan,
-    run_steady_state,
-)
-from .trap import (
-    CloudState,
-    TrapConfig,
-    cloud_from_temperatures,
-    peak_density,
-    thermal_debroglie_wavelength,
-    thermal_shape,
-    trap_frequencies,
-    trap_from_lab_units,
-)
-
 __version__ = "1.0.0"
 
-# The analysis verbs' names load their module, fitting or selfcheck, on
-# first use, so the command line and the simulation compile neither.
-_LAZY = {"SelfCheckReport": "selfcheck", "run_selfcheck": "selfcheck", **dict.fromkeys((
-    "DegenerateDataError", "FitResult", "ScanPoint", "fit_exponential", "fit_intensity_scan",
-    "fit_od_scan", "load_scan_points", "run_fit"), "fitting")}
+# Each public name and the module that defines it.  A bare import loads no
+# submodule: a name is imported on first use and bound here, so later reads
+# are plain attribute reads.
+_HOME = {name: module for module, names in {
+    "atoms": "AtomSpecies LaserConfig effective_detuning lande_g species_from_lab_units "
+             "zeeman_shift",
+    "config": "ConfigError GridSpec ScenarioConfig parse_config preset_dump",
+    "dynamics": "RateSet SteadyState TemperatureTrace TraceSample detuning_factor rates simulate "
+                "steady_state steady_state_vs_od steady_state_with_heating",
+    "fitting": "DegenerateDataError FitResult ScanPoint fit_exponential fit_intensity_scan "
+               "fit_od_scan load_scan_points run_fit",
+    "presets": "SPECIES_PRESETS TRAP_PRESETS cr52 stuttgart_cloverleaf",
+    "reabsorption": "CloudShape KappaSet kappa0 kappa_set optical_density",
+    "runners": "run_aspect_scan run_dynamics run_intensity_scan run_od_scan run_steady_state",
+    "selfcheck": "SelfCheckReport run_selfcheck",
+    "trap": "CloudState TrapConfig cloud_from_temperatures peak_density "
+            "thermal_debroglie_wavelength thermal_shape trap_frequencies trap_from_lab_units",
+}.items() for name in names.split()}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name in _LAZY:
-        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    # a submodule, as after its import; never __main__, which runs the CLI
+    if not name.startswith("_"):
+        try:
+            return importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as error:
+            if error.name != f"{__name__}.{name}":
+                raise
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
-__all__ = [
-    "AtomSpecies",
-    "CloudShape",
-    "CloudState",
-    "ConfigError",
-    "DegenerateDataError",
-    "FitResult",
-    "GridSpec",
-    "KappaSet",
-    "LaserConfig",
-    "RateSet",
-    "ScanPoint",
-    "ScenarioConfig",
-    "SelfCheckReport",
-    "SPECIES_PRESETS",
-    "SteadyState",
-    "TemperatureTrace",
-    "TraceSample",
-    "TrapConfig",
-    "TRAP_PRESETS",
-    "cloud_from_temperatures",
-    "cr52",
-    "detuning_factor",
-    "effective_detuning",
-    "fit_exponential",
-    "fit_intensity_scan",
-    "fit_od_scan",
-    "kappa0",
-    "kappa_set",
-    "lande_g",
-    "load_scan_points",
-    "optical_density",
-    "parse_config",
-    "peak_density",
-    "preset_dump",
-    "rates",
-    "run_aspect_scan",
-    "run_dynamics",
-    "run_fit",
-    "run_intensity_scan",
-    "run_od_scan",
-    "run_selfcheck",
-    "run_steady_state",
-    "simulate",
-    "species_from_lab_units",
-    "steady_state",
-    "steady_state_vs_od",
-    "steady_state_with_heating",
-    "stuttgart_cloverleaf",
-    "thermal_debroglie_wavelength",
-    "thermal_shape",
-    "trap_frequencies",
-    "trap_from_lab_units",
-    "zeeman_shift",
-]
+    return sorted({*globals(), *_HOME})

@@ -430,7 +430,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if species_items and abs(species_items["m_j"]) > species_items["j_ground"]:
         errors.append((line("species", "m_j", "j_ground"),
                        "species: |m_j| must not exceed j_ground"))
-    laser_items = values["laser"]
+    laser_items = {"attenuation_factor": _LASER_KEYS["attenuation_factor"].default,
+                   **values["laser"]}
     detunings = [k for k in ("detuning_Gamma", "detuning_pol_Gamma") if k in laser_items]
     if "intensity_Isat" not in laser_items:
         errors.append((line("laser"), "laser.intensity_Isat is required"))
@@ -465,8 +466,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append((line("laser", *detunings),
                        f"laser.{detunings[0]}: delta_pol = {format_value(delta_pol)} Gamma at the "
                        "trap bottom must be negative; blue detuning heats instead of cooling"))
-    laser = LaserConfig(laser_items["intensity_Isat"], laser_detuning, laser_items.get(
-        "attenuation_factor", _LASER_KEYS["attenuation_factor"].default))
+    laser = LaserConfig(laser_items["intensity_Isat"], laser_detuning,
+                        laser_items["attenuation_factor"])
 
     cloud_items, scen = values.get("cloud", {}), values["scenario"]
     # each [cloud] and [scenario] value in SI units, and the fields they set
@@ -561,10 +562,7 @@ def parse_config(text: str) -> ScenarioConfig:
                            peak_density=n0)
 
     # the detuning as given: the other frame's value, rounded, would not reproduce it
-    header = [*species_header, *trap_header,
-              ("laser.intensity_Isat", format_value(laser.intensity)),
-              (f"laser.{detunings[0]}", format_value(laser_items[detunings[0]])),
-              ("laser.attenuation_factor", format_value(laser.attenuation_factor)),
+    header = [*species_header, *trap_header, *_header_items("laser", laser_items),
               *_header_items("cloud", cloud_items),
               ("resolved.delta_pol_Gamma", format_value(delta_pol))]
     # the scenario settings given, but output, and those shown at their defaults

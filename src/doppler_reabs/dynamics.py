@@ -108,9 +108,6 @@ class TemperatureTrace(_Checked, namedtuple("TemperatureTrace", (
         if any(v <= 0 for column in (self.T_z, self.T_y) for v in column):
             raise ValueError("temperatures must stay positive")
 
-    def times(self) -> tuple[float, ...]:
-        return self.t
-
     def temperatures(self, axis: str) -> tuple[float, ...]:
         if axis not in ("z", "y"):
             raise ValueError("axis must be 'z' or 'y'")
@@ -359,9 +356,10 @@ def simulate(
 
     The cloud shape follows initial's temperatures and atom number
     (thermal_shape's arithmetic; x follows y).  A sample follows every
-    sample_stride fixed steps and the last one; a step is at most
-    step_size(fastest initial cooling rate), stretched so that whole steps
-    fill duration (the trace's step).  With a frozen shape each axis obeys
+    sample_stride fixed steps and the last one.  The fixed step (the
+    trace's step) is duration / ceil(duration / step_size(fastest initial
+    cooling rate)): whole steps fill duration, each at most step_size (up
+    to rounding), shortened to fit.  With a frozen shape each axis obeys
     dT/dt = S - C*T with constant S and C, so each sample is the exact
     solution at its time: O(samples), exact up to rounding, and the trace
     holds the one shape once.  When self_consistent is set, the first

@@ -506,8 +506,8 @@ def test_header_reproduces_its_run(text):
 
 
 def test_all_lists_the_public_names():
-    # the fitting names are exported lazily, so dir() lists them and
-    # vars() does not until first use
+    # every name is exported lazily, so dir() lists it and vars() does
+    # not until first use
     public = {name for name in dir(doppler_reabs) if not name.startswith("_")
               and not isinstance(getattr(doppler_reabs, name), types.ModuleType)}
     assert sorted(doppler_reabs.__all__) == sorted(public)
@@ -518,6 +518,46 @@ def test_all_lists_the_public_names():
     assert namespace.keys() - {"__builtins__"} == set(doppler_reabs.__all__)
     with pytest.raises(AttributeError):
         doppler_reabs.no_such_name
+
+
+_BARE_IMPORT = """\
+import json, sys, types
+import doppler_reabs as package
+bare = sorted(name for name in sys.modules if name.startswith("doppler_reabs."))
+submodules = sys.argv[1].split()
+resolved = [name for name in submodules
+            if getattr(package, name) is sys.modules.get("doppler_reabs." + name)]
+values = {name: getattr(package, name) for name in package.__all__}
+# a preset is an instance or a dict, defined in presets; the others know their module
+homes = {name: value.__module__ if isinstance(value, (type, types.FunctionType))
+         else "doppler_reabs.presets" for name, value in values.items()}
+foreign = [name for name, home in homes.items()
+           if values[name] is not vars(sys.modules[home]).get(name)]
+missing = getattr(package, "__main__", None), hasattr(package, "no_such_module")
+lookups = []
+package.__getattr__ = lambda name: lookups.append(name)
+for name in [*package.__all__, *submodules]:
+    getattr(package, name)
+print(json.dumps([bare, resolved, foreign, missing, lookups,
+                  "doppler_reabs.__main__" in sys.modules]))
+"""
+
+
+def test_bare_import_loads_no_module_and_binds_each_name_on_first_use():
+    # the submodules a bare import reached when it imported them eagerly
+    submodules = ["atoms", "config", "constants", "dynamics", "presets", "reabsorption",
+                  "runners", "trap"]
+    result = _fresh_python("-c", _BARE_IMPORT, " ".join(submodules))
+    assert result.returncode == 0, result.stderr
+    bare, resolved, foreign, missing, lookups, main_loaded = json.loads(result.stdout)
+    assert bare == []
+    assert resolved == submodules
+    # each name is its defining module's object
+    assert foreign == []
+    # it is bound on first use, so a second read is a plain attribute
+    # read; no lookup runs the CLI
+    assert lookups == []
+    assert missing == [None, False] and not main_loaded
 
 
 def test_zero_duration_gives_single_row(tmp_path, capsys):

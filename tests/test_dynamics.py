@@ -283,7 +283,7 @@ def test_frozen_and_self_consistent_runs_share_sample_times(
         simulate(
             hot_cloud, trap, species, measured_laser, 0.02,
             self_consistent=mode, sample_stride=stride, delta_pol=delta_pol,
-        ).times()
+        ).t
         for mode in (False, True)
     )
     assert frozen == tracked
@@ -363,7 +363,7 @@ def test_trace_invariants_and_stride(hot_cloud, trap, species, measured_laser):
         hot_cloud, trap, species, measured_laser, 0.02,
         self_consistent=False, sample_stride=7,
     )
-    times = trace.times()
+    times = trace.t
     assert times[0] == 0.0
     assert all(b > a for a, b in zip(times, times[1:]))
     gaps = [b - a for a, b in zip(times[1:-1], times[2:-1])]
@@ -652,7 +652,7 @@ def test_samples_is_a_read_only_view_of_the_columns(self_consistent_run, frozen_
     for trace in (self_consistent_run, frozen_run):
         samples = trace.samples
         assert len(samples) == len(trace.t) and samples[-1] == samples[len(samples) - 1]
-        assert tuple(s.t for s in samples) == trace.times()
+        assert tuple(s.t for s in samples) == trace.t
         assert samples[1:3] == (samples[1], samples[2])
         first = samples[0]
         assert isinstance(first, TraceSample) and first.kappas == KappaSet(*trace.shapes[0][3:])

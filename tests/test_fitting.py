@@ -506,7 +506,7 @@ def _reference_project(shifted, centered, tau):
 def _reference_fit_exponential(trace, axis="y", window=None):
     """fit_exponential as it was before _projection: numpy's inv of J^T J
     under errstate, with _reference_project as its gradient."""
-    times = np.asarray(trace.times())
+    times = np.asarray(trace.t)
     temps = np.asarray(trace.temperatures(axis))
     if window is not None:
         keep = (times >= window[0]) & (times <= window[1])
@@ -549,7 +549,7 @@ def _reference_fit_exponential(trace, axis="y", window=None):
 
 def _windowed(trace, axis="y", window=None):
     """(shifted, centered) of a trace as fit_exponential builds them."""
-    times, temps = np.asarray(trace.times()), np.asarray(trace.temperatures(axis))
+    times, temps = np.asarray(trace.t), np.asarray(trace.temperatures(axis))
     if window is not None:
         keep = (times >= window[0]) & (times <= window[1])
         times, temps = times[keep], temps[keep]
