@@ -275,6 +275,20 @@ def test_fit_dynamics_recovers_decay_time(tmp_path):
     assert float(table["T_inf"]) == pytest.approx(6.63920595e-4, rel=1e-4)
 
 
+def test_fit_of_a_late_window_recovers_the_decay_time(tmp_path, capsys):
+    # from 180 ms the axial exponential left in the trace is about 3 700
+    # units in the last place of T_inf: centred on a rounded mean, the fit
+    # lost the root (tau = 120 s, exit 2).  The frozen shape's tau is 1/C_z,
+    # and the rounding of the data leaves the fit 1.2e-4 from it
+    text = (DYNAMICS.replace("duration_ms = 60", "duration_ms = 300")
+            .replace("sample_stride = 20", "sample_stride = 2")
+            + "fit_axis = z\nwindow_min_ms = 180\n")
+    assert main(["fit", "--config", _write(tmp_path, "d.cfg", text)]) == 0
+    rows = {row[0]: row[1] for row in _parse_csv(capsys.readouterr().out)[2]}
+    assert rows["converged"] == "true"
+    assert float(rows["tau"]) == pytest.approx(0.005899841549283594, rel=2e-4)
+
+
 def test_exact_fit_leaves_standard_errors_blank(tmp_path, capsys):
     # a frozen shape relaxes exactly exponentially, so the residuals of
     # its fit are rounding noise and carry no standard errors
@@ -782,10 +796,11 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_cli_runs_without_numpy_until_a_fit(tmp_path):
-    # only the exponential fit and the noise of synthetic data need numpy;
-    # a fresh interpreter running the other verbs, log-grid scans too,
-    # never loads it, nor the fit verb's module or selfcheck's: fit loads
-    # fitting alone, selfcheck its own
+    # only the noise of synthetic scan data needs numpy; a fresh
+    # interpreter running the other verbs, log-grid scans, a dynamics fit
+    # and selfcheck too, never loads it.  Nor does it load the fit verb's
+    # module or selfcheck's before their verb: fit loads fitting alone,
+    # selfcheck its own
     out = str(tmp_path / "out.csv")
     runs = [("simulate", DYNAMICS),
             ("simulate", DYNAMICS.replace("self_consistent = false", "self_consistent = true")),
@@ -797,15 +812,16 @@ def test_cli_runs_without_numpy_until_a_fit(tmp_path):
     argvs = [[verb, "--config", _write(tmp_path, f"{i}.cfg", text), "--out", out]
              for i, (verb, text) in enumerate(runs)]
     cold, log_scan = argvs[:-1] + [["preset-dump", "--out", out]], argvs[-1]
-    fit = ["fit"] + argvs[3][1:]
+    dynamics_fit, fit = ["fit"] + argvs[0][1:], ["fit"] + argvs[3][1:]
     noisy_log_fit = ["fit"] + log_scan[1:]
-    # the last command of each run loads numpy: it is loaded on demand, not taken out
-    for argv, last in ((cold + [fit], "0 True True False"),
-                       ([log_scan, noisy_log_fit], "0 True True False"),
-                       ([["selfcheck", "--out", out]], "0 True True True")):
+    # the noisy scan fits load numpy: it is loaded on demand, not taken out
+    for argv, tail in ((cold + [dynamics_fit, fit], ["0 False True False", "0 True True False"]),
+                       ([log_scan, noisy_log_fit], ["0 True True False"]),
+                       ([["selfcheck", "--out", out]], ["0 False True True"])):
         result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["0 False False False"] * (len(argv) - 1) + [last]
+        assert result.stdout.splitlines() == (["0 False False False"] * (len(argv) - len(tail))
+                                              + tail)
 
 
 def test_scan_fits_from_data_or_without_noise_run_without_numpy(tmp_path):
@@ -860,7 +876,8 @@ for argv in json.loads(sys.argv[2]):
 
 def test_cli_loads_no_dataclasses_inspect_or_typing(tmp_path):
     # under -S no site hook loads them first; the package's value types
-    # are named tuples, and annotations are never evaluated
+    # are named tuples, and annotations are never evaluated.  numpy's root
+    # is on the path, so a fit that imported numpy would list it
     out = str(tmp_path / "out.csv")
     sc = _write(tmp_path, "sc.cfg", DYNAMICS.replace("self_consistent = false",
                                                      "self_consistent = true"))
@@ -874,9 +891,7 @@ def test_cli_loads_no_dataclasses_inspect_or_typing(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     cold, simulated, fitted = result.stdout.splitlines()
-    assert (cold, simulated) == ("", "0")
-    # numpy, which the fit loads, imports inspect and typing itself
-    assert fitted.split()[0] == "0" and "numpy" in fitted and "dataclasses" not in fitted
+    assert (cold, simulated, fitted) == ("", "0", "0")
 
 
 def test_cli_loads_difflib_only_for_an_unknown_key(tmp_path):

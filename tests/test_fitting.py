@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import decimal
 import math
+import operator
+import statistics
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -548,12 +552,73 @@ def _reference_fit_exponential(trace, axis="y", window=None):
 
 
 def _windowed(trace, axis="y", window=None):
-    """(shifted, centered) of a trace as fit_exponential builds them."""
-    times, temps = np.asarray(trace.t), np.asarray(trace.temperatures(axis))
-    if window is not None:
-        keep = (times >= window[0]) & (times <= window[1])
-        times, temps = times[keep], temps[keep]
-    return times - times[0], temps - float(temps.sum()) / times.size
+    """(times, temps) of the samples a fit of the trace takes."""
+    kept = [(t, v) for t, v in zip(trace.t, trace.temperatures(axis))
+            if window is None or window[0] <= t <= window[1]]
+    return [t for t, _ in kept], [v for _, v in kept]
+
+
+_DIGITS = decimal.Context(prec=60)
+
+
+def _centered(times, temps):
+    """(shifted, centered) for _projection: the times less the first, and the
+    temperatures less their exact mean, each rounded once."""
+    with decimal.localcontext(_DIGITS):
+        mean = sum(map(Decimal, temps)) / len(temps)
+        return [t - times[0] for t in times], [float(Decimal(v) - mean) for v in temps]
+
+
+def _decimal_projection(shifted, centered):
+    """project(log_tau) -> (gradient, b, offset, e) of _projection's formulas
+    in 60-digit decimal on the same inputs, exact floats or Decimals; log_tau
+    is a Decimal.  e = exp(-shifted/tau) is a running product of one exp per
+    distinct gap between samples, from e = 1 at shifted = 0."""
+    assert shifted[0] == 0
+    s, c = [Decimal(v) for v in shifted], [Decimal(v) for v in centered]
+    gaps = [b - a for a, b in zip(s, s[1:])]
+
+    def dot(u, v):
+        return sum(map(operator.mul, u, v))
+
+    def project(log_tau):
+        with decimal.localcontext(_DIGITS):
+            k = -1 / log_tau.exp()
+            factors = {gap: (k * gap).exp() for gap in set(gaps)}
+            e = [Decimal(1)]
+            for gap in gaps:
+                e.append(e[-1] * factors[gap])
+            e_mean = sum(e) / len(e)
+            de = [v - e_mean for v in e]
+            es = list(map(operator.mul, e, s))
+            b = dot(de, c) / dot(de, de)
+            return b * (b * dot(de, es) - dot(c, es)), b, -b * e_mean, e
+    return project
+
+
+def _decimal_fit(times, temps):
+    """(tau, T_inf, T0) of the exponential fit to these float samples in
+    60-digit decimal, or None where the gradient changes no sign over
+    fit_exponential's bracket: the variable-projection gradient of the
+    exact data, its root found by bisection to 1e-14 in log tau."""
+    with decimal.localcontext(_DIGITS):
+        t = [Decimal(v) for v in times]
+        mean = sum(map(Decimal, temps)) / len(temps)
+        project = _decimal_projection([v - t[0] for v in t], [Decimal(v) - mean for v in temps])
+        lo, hi = (Decimal(math.log(f * (times[-1] - times[0]))) for f in fitting.EXP_TAU_BRACKET)
+        if not project(lo)[0] < 0 < project(hi)[0]:
+            return None
+        while hi - lo > Decimal("1e-14"):
+            mid = (lo + hi) / 2
+            if project(mid)[0] > 0:
+                hi = mid
+            else:
+                lo = mid
+        log_tau = (lo + hi) / 2
+        _, b, offset, _ = project(log_tau)
+        tau = log_tau.exp()
+        t_inf = mean + offset
+        return float(tau), float(t_inf), float(t_inf + b * (t[0] / tau).exp())
 
 
 def _gradient_cases(self_consistent_run):
@@ -574,21 +639,25 @@ def _gradient_cases(self_consistent_run):
 @pytest.mark.parametrize("case", ["falling", "rising", "straight_line", "noisy",
                                   "self_consistent", "windowed"])
 def test_projection_gradient_matches_the_former_arithmetic(self_consistent_run, case):
-    # at 50 log-spaced tau across the bracket: the sign wherever the
-    # oracle's gradient stands above its rounding scale, and 1e-9 relative
+    # at 50 log-spaced tau across the bracket, against the same formulas in
+    # 60 digits: the sign wherever the exact gradient stands above the
+    # rounding scale, and 1e-9 relative
     trace, window = _gradient_cases(self_consistent_run)[case]
-    shifted, centered = _windowed(trace, window=window)
-    project = fitting._projection(shifted, centered)
-    lo, hi = (math.log(f * float(shifted[-1])) for f in fitting.EXP_TAU_BRACKET)
+    shifted, centered = _centered(*_windowed(trace, window=window))
+    project, exact = fitting._projection(shifted, centered), _decimal_projection(shifted, centered)
+    lo, hi = (math.log(f * shifted[-1]) for f in fitting.EXP_TAU_BRACKET)
     signs = set()
-    for log_tau in np.linspace(lo, hi, 50):
-        offset, b, g = _reference_project(shifted, centered, math.exp(log_tau))
-        e = np.exp(shifted * (-1.0 / math.exp(log_tau)))
-        size_de, size_es = np.abs(e - e.mean()), np.abs(e * shifted)
-        # each dot product rounds to about n eps of the sum of its terms' sizes
-        scale = shifted.size * 2.0**-52 * abs(b) * (
-            abs(b) * float(size_de @ size_es) + float(np.abs(centered) @ size_es))
-        got, got_b, got_offset, _ = project(float(log_tau))
+    for log_tau in np.linspace(lo, hi, 50).tolist():
+        g, b, offset, e = exact(Decimal(log_tau))
+        g, b, offset, e = float(g), float(b), float(offset), list(map(float, e))
+        e_mean = math.fsum(e) / len(e)
+        size_es = [abs(v * s) for v, s in zip(e, shifted)]
+        # each sum rounds to about n eps of the sum of its terms' sizes, and
+        # each e - mean e carries the mean's own rounding, about eps mean e
+        scale = len(e) * 2.0**-52 * abs(b) * (
+            abs(b) * fitting._dot([abs(v - e_mean) + e_mean for v in e], size_es)
+            + fitting._dot(list(map(abs, centered)), size_es))
+        got, got_b, got_offset, _ = project(log_tau)
         assert abs(got - g) <= 1e-9 * abs(g) + scale, log_tau
         if abs(g) > scale:
             assert (got > 0) == (g > 0), log_tau
@@ -619,9 +688,35 @@ def _sweep_traces(count, seed):
         yield trace, "yz"[rng.integers(2)], window
 
 
-def test_exponential_fit_matches_the_former_fit_over_a_sweep():
+@pytest.fixture(scope="module")
+def sweep():
+    return list(_sweep_traces(40, seed=23))
+
+
+def test_exponential_fit_matches_a_60_digit_fit_over_a_sweep(sweep):
+    # tau, T_inf and T0 to 1e-12 relative: the worst over the sweep is 6.3e-14
+    # (T0).  Centred on a rounded mean, the fit was off by 3.3e-4 in tau on
+    # case 0, a window 29 tau after t = 0 where the exponential left is a few
+    # thousand units in the last place of T_inf
+    iterations = {False: [], True: []}  # by shape: frozen, self-consistent
+    for trace, axis, window in sweep:
+        times, temps = _windowed(trace, axis, window)
+        if len(times) < fitting.EXP_MIN_SAMPLES:
+            continue  # the fit raises; the next test checks that
+        fit = fit_exponential(trace, axis, window)
+        exact = _decimal_fit(times, temps)
+        assert fit.converged == (exact is not None)
+        for name, value in zip(("tau", "T_inf", "T0"), exact or ()):
+            assert fit.parameters[name] == pytest.approx(value, rel=1e-12, abs=0), name
+        iterations[len(trace.shapes) > 1].append(fit.iterations)
+    # started by the integral method: from the full bracket, the fit took
+    # 15.6 evaluations on average on the frozen traces, 14.4 on the others
+    assert statistics.mean(iterations[False]) < 12 and statistics.mean(iterations[True]) < 12
+
+
+def test_exponential_fit_matches_the_former_fit_over_a_sweep(sweep):
     converged = 0
-    for trace, axis, window in _sweep_traces(40, seed=23):
+    for trace, axis, window in sweep:
         try:
             old = _reference_fit_exponential(trace, axis, window)
         except ValueError:  # a window with too few samples, or a constant trace
@@ -631,15 +726,19 @@ def test_exponential_fit_matches_the_former_fit_over_a_sweep():
         new = fit_exponential(trace, axis, window)
         assert new.converged == old.converged
         assert (new.standard_errors is None) == (old.standard_errors is None)
-        if old.converged:
-            converged += 1
-            for name, value in old.parameters.items():
-                assert new.parameters[name] == pytest.approx(value, rel=1e-10, abs=0), name
-        # the cofactor inverse of J^T J against numpy's inv: 5e-10 at worst over
-        # 240 such traces, J^T J being ill-conditioned on the shorter ones
+        converged += old.converged
+        # the parameters are held to the 60-digit fit above; the cofactor inverse
+        # of J^T J against numpy's inv: 5e-10 at worst over 240 such traces, J^T J
+        # being ill-conditioned on the shorter ones
         for name, error in (old.standard_errors or {}).items():
             assert new.standard_errors[name] == pytest.approx(error, rel=1e-8, abs=0), name
     assert converged >= 30
+
+
+def test_dot_is_correctly_rounded():
+    # sum() adds left to right on Python 3.11 and compensates on 3.12, where
+    # these terms give 0.0 and 1.0; fsum gives 1.0 on both
+    assert fitting._dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 1.0
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.01], ids=["noise_free", "noisy"])

@@ -95,16 +95,16 @@ def _digest(argv, text) -> str:
 
 GOLDEN = {
     "aspect-scan": "0c2358708e479a09a381d3561e3a591829e744a050a98a3a70a734f1cb26dae2",
-    "dynamics-fit-frozen-seed0": "7db943e86ea3829f864143e6a26b6296ad5cd406a8c1d1e6fa5ec7968b270506",
-    "dynamics-fit-frozen-seed1": "7db943e86ea3829f864143e6a26b6296ad5cd406a8c1d1e6fa5ec7968b270506",
+    "dynamics-fit-frozen-seed0": "a3e064086375dc7859d07d8f36b809d06067c0893aee5208033a5156da3da839",
+    "dynamics-fit-frozen-seed1": "a3e064086375dc7859d07d8f36b809d06067c0893aee5208033a5156da3da839",
     "dynamics-fit-sc-seed0": "3a296892811be8223008505f3c91cd62d26d0af157a3bb573ae5e2b3741a2b6d",
     "dynamics-fit-sc-seed1": "3a296892811be8223008505f3c91cd62d26d0af157a3bb573ae5e2b3741a2b6d",
-    "dynamics-fit-sc-window": "0777873e05d5917a3e7c1ee43aef02c24e2701d26a9271068a21ab63e8fd473b",
+    "dynamics-fit-sc-window": "4ea72426991ce6cc47af25d3b9dbdfca27088f754bd0939b594e8f3b3c118aad",
     "dynamics-simulate-frozen": "e861560487f7b2899b3662094c6be63b1a1ec5aaa50eb6544c86bfa940541fb6",
     "dynamics-simulate-sc": "66867da8b7e1945b93913a31891def53b316906a611aedbdd9c5a6cd8da9c14b",
     "dynamics-simulate-sc-stride1": "02396b0aba94788cc484cd27abef5da87d4ed87e8b4f5935613d36b6e5b55cfa",
     "fuzz0-simulate": "92c51cd0cddb5a059eaada9e5c278f35f390a6ff7d6421891cffdac2b2ec65f7",
-    "fuzz1-fit": "42cae1ebbc4b82765a16010c09e8b4a0c62d695be618fded207f9dc28541a6e7",
+    "fuzz1-fit": "d6d2f60f254df179e48fc907f426cdca9b9a831599c1878c156581d05e8dee15",
     "fuzz2-simulate": "877b37a886fb1890f0798f5a8dc22c17e9c103f545e75c2146cb1f07342481cb",
     "fuzz3-scan": "743053177b57537e3f7a5fe43d3e4cf6e7eb0daef3917741655f40b53ed30b89",
     "fuzz4-fit": "6eb109eb966e057d30981325a459944695a6a5bbc9fa2d7d4c0e3b8b3305cd2e",
@@ -114,8 +114,8 @@ GOLDEN = {
     "intensity-fit-seed1": "c2b7e52352f4846facfb03e6a41c8fa788be9b72463aa2c9937f12115ff6ee9d",
     "intensity-scan": "e641eafa4fa6f0ae18cc9a6db707ff223ea717df8bc03074093fb9adfeb9746b",
     "long-simulate-frozen-stride1": "c4e2f6321c05763caf24fe6fd7e0f7fab64d3f96d9f939078afaed44a611c532",
-    "od-fit-seed0": "42ce88fbd0333e960a09590b2772c41840eb6f910976752528992c8c43713f33",
-    "od-fit-seed1": "42ce88fbd0333e960a09590b2772c41840eb6f910976752528992c8c43713f33",
+    "od-fit-seed0": "c743d6948423b7e0c35cb1f7c2ba8c3e786f53d180305d680164d83d86349ade",
+    "od-fit-seed1": "c743d6948423b7e0c35cb1f7c2ba8c3e786f53d180305d680164d83d86349ade",
     "od-scan": "d0d37e5b28115949e3ef427916ecc72b01d7a70d007a43b74a4eaf85eeac3587",
     "preset-dump": "ad25d6fcea766886c5d862613b4ce08e9259c7d7e312c1844aa5915aa9aecd6f",
     "reference-simulate-sc-stride10": "14528f8079e4c50f78e25a2db8fc60e80f89a4f28c615dc6476d962c44a4be7c",
