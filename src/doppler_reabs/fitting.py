@@ -7,14 +7,16 @@ solve: the two scan models are linear after a change of variables and
 take one weighted least-squares solve each, in closed form on plain
 floats; the exponential is linear in T_inf and T0 for fixed tau, which
 leaves a root search in tau alone (Brent's zeroin, started from a
-closed-form estimate), each of whose steps is one loop over the samples.
-Parameter uncertainties come from the covariance diagonal, carried
-through the exact Jacobian of each change of variables.
+closed-form estimate), each of whose steps is one loop over a short
+trace's samples or five numpy calls over a longer one's.  Parameter
+uncertainties come from the covariance diagonal, carried through the
+exact Jacobian of each change of variables.
 
 fit_scenario, the fit verb, picks the fit of the scenario kind, makes
 scan data from the config when no data file is given, and names the key
 to change when a dynamics window keeps too few samples.  Only that
-data's seeded noise imports numpy.
+data's seeded noise and exponential fits of more than EXP_FLOAT_SAMPLES
+samples import numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from itertools import accumulate, combinations_with_replacement, compress
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 from .atoms import AtomSpecies, _Checked
 from .config import KINDS, ConfigError, ScenarioConfig, _read_text
@@ -35,6 +38,10 @@ EXP_MIN_SAMPLES = 4  # an exponential fit's samples in its window, at least
 # rounding: noise-free frozen traces and scans read 1e-16 to 1e-15, traces of
 # a self-consistent shape 1.6e-7 and up, scans with 0.1 % noise 6e-4.
 EXACT_FIT_REL = 1e-12
+# An exponential fit of at most this many samples runs on plain floats, a
+# longer one on numpy: in process, with numpy loaded, both take about 100 us
+# at 17 samples, and at 14 and 25 the faster takes 20 % less
+EXP_FLOAT_SAMPLES = 20
 
 
 class DegenerateDataError(ValueError):
@@ -145,51 +152,96 @@ def _zeroin(f, a, b, fa, fb):
         evaluations += 1
 
 
-def _projection(shifted, centered):
-    """project(log_tau) -> (gradient, b, T_inf - mean T, e) for one trace.
+def _integral_start(dot, area, shifted, rise):
+    """log tau by the integral method, or nan: rise_i = T_i - T_0 =
+    (s_i T_inf - A_i)/tau, with A_i the integral of T up to shifted time
+    s_i over cumulative trapezoids (any sample spacing will do; area is 2A),
+    is linear in 1/tau and T_inf/tau.  dot sums the products of two columns."""
+    aa, a_s, ss = dot(area, area), dot(area, shifted), dot(shifted, shifted)
+    slope = _div(ss * dot(area, rise) - a_s * dot(shifted, rise), aa * ss - a_s * a_s)
+    return -math.log(-2.0 * slope) if slope < 0 else math.nan  # slope = -1/(2 tau)
 
-    shifted is the sample times less the first, centered the temperatures
-    less their mean.  For tau = exp(log_tau) the model T_inf + b e, with
-    e = exp(-shifted/tau), is linear in T_inf and b; the gradient has the
-    sign of the cost's slope in log tau at their optimum (variable
-    projection, Golub & Pereyra 1973).  A call is one loop over the
-    samples, adding its four sums in blocks of 128 so that each rounds
-    over about n/128 + 128 additions, not n.
+
+def _float_model(times, temps):
+    """(project, start, finish) of fit_exponential on plain floats.
+
+    The temperatures are centred on a two-part mean, mean + rest, whose
+    rounding then does not shift a late window's small exponential.
+    project(log_tau) -> (gradient, b, T_inf - mean T, e): for tau =
+    exp(log_tau) the model T_inf + b e, with e = exp(-shifted/tau) and
+    shifted the times less the first, is linear in T_inf and b; the
+    gradient has the sign of the cost's slope in log tau at their optimum
+    (variable projection, Golub & Pereyra 1973).  A call is one loop over
+    the samples.  start is _integral_start's log tau.  finish(log_tau,
+    growth) -> (T_inf, b, residuals, J^T J) for J of (T_inf, T0, tau),
+    where T0 - T_inf = b * growth.
     """
-    n = len(shifted)
+    n = len(temps)
+    shifted = [t - times[0] for t in times]
+    mean = math.fsum(temps) / n
+    rest = math.fsum([v - mean for v in temps]) / n
+    centered = [(v - mean) - rest for v in temps]
     pairs = list(zip(shifted, centered))
-    blocks = [pairs[i:i + 128] for i in range(0, n, 128)]
 
     def project(log_tau):
         k = -1.0 / math.exp(log_tau)
         e = [math.exp(k * s) for s in shifted]
         e_mean = math.fsum(e) / n
         dc = dd = sc = sd = 0.0
-        rest = iter(e)  # zip draws from the block first, so it stops at the block's end
-        for block in blocks:
-            bc = bd = bs = bsd = 0.0
-            for (s, c), v in zip(block, rest):
-                d, es = v - e_mean, v * s
-                bc += d * c
-                bd += d * d
-                bs += c * es
-                bsd += d * es
-            dc, dd, sc, sd = dc + bc, dd + bd, sc + bs, sd + bsd
+        for (s, c), v in zip(pairs, e):
+            d, es = v - e_mean, v * s
+            dc += d * c
+            dd += d * d
+            sc += c * es
+            sd += d * es
         b = dc / dd
         return b * (b * sd - sc), b, -b * e_mean, e
-    return project
+
+    def finish(log_tau, growth):
+        _, b, offset, e = project(log_tau)
+        tau = math.exp(log_tau)
+        decay = [v / growth for v in e]  # exp(-t/tau)
+        jac = ([1.0 - v for v in decay], decay, [b * v * t / (tau * tau) for v, t in zip(e, times)])
+        return (mean + (rest + offset), b, [offset + b * v - c for v, c in zip(e, centered)],
+                [[_dot(u, v) for v in jac] for u in jac])
+
+    area = accumulate(map(operator.mul, map(operator.sub, shifted[1:], shifted),
+                          map(operator.add, centered[1:], centered)), initial=0.0)
+    return project, _integral_start(_dot, list(area), shifted,
+                                    [c - centered[0] for c in centered]), finish
 
 
-def _integral_start(shifted, centered):
-    """log tau by the integral method, or nan: T_i - T_0 = (s_i T_inf - A_i)/tau,
-    with A_i the integral of T up to shifted time s_i over cumulative
-    trapezoids (any sample spacing will do), is linear in 1/tau and T_inf/tau."""
-    area = list(accumulate(map(operator.mul, map(operator.sub, shifted[1:], shifted),
-                               map(operator.add, centered[1:], centered)), initial=0.0))  # 2 A
-    rise = [c - centered[0] for c in centered]
-    aa, a_s, ss = _dot(area, area), _dot(area, shifted), _dot(shifted, shifted)
-    slope = _div(ss * _dot(area, rise) - a_s * _dot(shifted, rise), aa * ss - a_s * a_s)
-    return -math.log(-2.0 * slope) if slope < 0 else math.nan  # slope = -1/(2 tau)
+def _array_model(times, temps):
+    """_float_model on numpy arrays, where project makes five numpy calls."""
+    import numpy as np
+    times, temps = np.array(times), np.array(temps)
+    shifted = times - times[0]
+    mean = float(temps.sum()) / temps.size
+    rest = float((temps - mean).sum()) / temps.size
+    centered = (temps - mean) - rest
+    # rows centered, de = e - mean e and es = e * shifted: [de; es] @ [centered, de]
+    rows = np.array((centered, centered, centered))
+    (_, de, es), left, right = rows, rows[1:], rows[:2].T
+
+    def project(log_tau):
+        e = np.exp(shifted * (-1.0 / math.exp(log_tau)))
+        e_mean = float(e.sum()) / temps.size
+        np.subtract(e, e_mean, out=de)
+        np.multiply(e, shifted, out=es)
+        (dc, dd), (sc, sd) = left.dot(right).tolist()
+        b = dc / dd
+        return b * (b * sd - sc), b, -b * e_mean, e
+
+    def finish(log_tau, growth):
+        _, b, offset, e = project(log_tau)
+        tau = math.exp(log_tau)
+        jac = np.array((1.0 - e / growth, e / growth, b * e * times / (tau * tau)))
+        return (mean + (rest + offset), b, (offset + b * e - centered).tolist(),
+                jac.dot(jac.T).tolist())
+
+    area = np.zeros(temps.size)
+    ((shifted[1:] - shifted[:-1]) * (centered[1:] + centered[:-1])).cumsum(out=area[1:])
+    return project, _integral_start(np.dot, area, shifted, centered - centered[0]), finish
 
 
 def fit_exponential(
@@ -201,9 +253,9 @@ def fit_exponential(
 
     window is an inclusive (t_min, t_max) time range; None uses the
     whole trace.  A constant trace leaves tau unidentifiable and raises.
-    The temperatures are centred on a two-part mean, whose rounding then
-    does not shift a late window's small exponential.  tau is the root of
-    _projection's gradient over EXP_TAU_BRACKET times the sample span;
+    Up to EXP_FLOAT_SAMPLES samples the fit runs on plain floats
+    (_float_model), above on numpy (_array_model).  tau is the root of
+    their gradient over EXP_TAU_BRACKET times the sample span;
     without a sign change from falling to rising cost there the trace
     does not pin tau, and the fit is reported unconverged at the better
     bracket end.  Else _zeroin searches the first segment that rises
@@ -213,30 +265,25 @@ def fit_exponential(
     and T0 match the same fit in 60 decimal digits to 1e-12 relative.
     """
     times, temps = trace.t, trace.temperatures(axis)
-    if window is not None:
-        keep = [window[0] <= t <= window[1] for t in times]
-        times, temps = list(compress(times, keep)), list(compress(temps, keep))
-    n = len(times)
-    if n < EXP_MIN_SAMPLES:
+    if window is not None:  # the times increase, so the window is a slice
+        first = bisect_left(times, window[0])
+        last = bisect_right(times, window[1]) if window[0] <= window[1] else first
+        times, temps = times[first:last], temps[first:last]
+    if len(times) < EXP_MIN_SAMPLES:
         raise ValueError(f"need at least {EXP_MIN_SAMPLES} samples in the fit window")
-    if min(temps) == max(temps):
+    if temps[0] == temps[-1] and min(temps) == max(temps):  # the first test is cheap
         raise DegenerateDataError("temperature is constant over the window; tau is unidentifiable")
-    shifted = [t - times[0] for t in times]
-    mean = math.fsum(temps) / n
-    mean_rest = math.fsum([v - mean for v in temps]) / n  # mean + mean_rest: the mean, unrounded
-    centered = [(v - mean) - mean_rest for v in temps]
-    project, seen = _projection(shifted, centered), {}
+    model = _float_model if len(times) <= EXP_FLOAT_SAMPLES else _array_model
+    project, start, finish = model(times, temps)
 
     def gradient(log_tau):
-        seen[log_tau] = projected = project(log_tau)
-        return projected[0]
+        return project(log_tau)[0]
 
-    lo, hi = (math.log(f * shifted[-1]) for f in EXP_TAU_BRACKET)
+    lo, hi = (math.log(f * (times[-1] - times[0])) for f in EXP_TAU_BRACKET)
     points = [(lo, gradient(lo)), (hi, gradient(hi))]
     converged = points[0][1] < 0 and points[1][1] > 0
     more = 0  # evaluations by _zeroin
     if converged:
-        start = _integral_start(shifted, centered)
         if lo < start - 0.01 and start + 0.01 < hi:
             points[1:1] = [(x, gradient(x)) for x in (start - 0.01, start + 0.01)]
         (p, g_p), (q, g_q) = next(pair for pair in zip(points, points[1:]) if pair[1][1] > 0)
@@ -244,26 +291,21 @@ def fit_exponential(
     elif points[0][1] < 0:
         lo = hi  # the cost still falls at the top of the bracket
     tau = math.exp(lo)
-    _, b, offset, e = seen[lo]
-    r = [offset + b * v - c for v, c in zip(e, centered)]
     try:
         growth = math.exp(times[0] / tau)  # from the first sample back to t = 0
     except OverflowError:
         growth = math.inf
-    # J^T, as T0 - T_inf = b * growth and exp(-t/tau) = e / growth
-    decay = [v / growth for v in e]
-    jac = ([1.0 - v for v in decay], decay, [b * v * t / (tau * tau) for v, t in zip(e, times)])
-    s00, s01, s02, s11, s12, s22 = (_dot(u, v) for u, v in combinations_with_replacement(jac, 2))
+    t_inf, b, r, ((s00, s01, s02), (_, s11, s12), (_, _, s22)) = finish(lo, growth)
     c = (s11 * s22 - s12 * s12, s00 * s22 - s02 * s02, s00 * s11 - s01 * s01)  # cofactors
     det = s00 * c[0] + s01 * (s02 * s12 - s01 * s22) + s02 * (s01 * s12 - s02 * s11)
-    t_inf = mean + (mean_rest + offset)
     return _build_result(("T_inf", "T0", "tau"), (t_inf, t_inf + b * growth, tau), converged,
                          len(points) + more, [v / det for v in c] if det else None, r, temps,
                          weighted=False)
 
 
 def _dot(a, b):
-    """The dot product of two float sequences, correctly rounded on every Python."""
+    """The correctly rounded sum of the rounded products of two float
+    sequences: the same bits on every Python, where sum() is not."""
     return math.fsum(map(operator.mul, a, b))
 
 

@@ -1,7 +1,7 @@
 """The selfcheck verb: the built-in reference numbers, recomputed from the
 chromium and cloverleaf presets and held to their tolerances.  The slowest
 entries integrate the full cooling dynamics; their cooling-time fits load
-fitting.
+fitting, and with it numpy.
 """
 
 from __future__ import annotations

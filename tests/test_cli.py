@@ -796,11 +796,12 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_cli_runs_without_numpy_until_a_fit(tmp_path):
-    # only the noise of synthetic scan data needs numpy; a fresh
-    # interpreter running the other verbs, log-grid scans, a dynamics fit
-    # and selfcheck too, never loads it.  Nor does it load the fit verb's
-    # module or selfcheck's before their verb: fit loads fitting alone,
-    # selfcheck its own
+    # only the noise of synthetic scan data and exponential fits of more
+    # than EXP_FLOAT_SAMPLES samples need numpy; a fresh interpreter running
+    # the other verbs, log-grid scans and a 14-sample dynamics fit too,
+    # never loads it.  Nor does it load the fit verb's module or
+    # selfcheck's before their verb: fit loads fitting alone, selfcheck
+    # its own
     out = str(tmp_path / "out.csv")
     runs = [("simulate", DYNAMICS),
             ("simulate", DYNAMICS.replace("self_consistent = false", "self_consistent = true")),
@@ -808,16 +809,18 @@ def test_cli_runs_without_numpy_until_a_fit(tmp_path):
             ("scan", INTENSITY_FIT.replace("grid_scale = log", "grid_scale = linear")),
             ("scan", OD_SCAN.replace("grid_scale = log\n", "")),
             ("scan", ASPECT),
-            ("scan", INTENSITY_FIT)]  # a log grid
+            ("scan", INTENSITY_FIT),  # a log grid
+            ("fit", DYNAMICS.replace("sample_stride = 20", "sample_stride = 40"))]
     argvs = [[verb, "--config", _write(tmp_path, f"{i}.cfg", text), "--out", out]
              for i, (verb, text) in enumerate(runs)]
-    cold, log_scan = argvs[:-1] + [["preset-dump", "--out", out]], argvs[-1]
+    cold, (log_scan, short_fit) = argvs[:-2] + [["preset-dump", "--out", out]], argvs[-2:]
     dynamics_fit, fit = ["fit"] + argvs[0][1:], ["fit"] + argvs[3][1:]
     noisy_log_fit = ["fit"] + log_scan[1:]
-    # the noisy scan fits load numpy: it is loaded on demand, not taken out
-    for argv, tail in ((cold + [dynamics_fit, fit], ["0 False True False", "0 True True False"]),
+    # the last command of each run loads numpy: it is loaded on demand, not taken out
+    for argv, tail in ((cold + [fit], ["0 True True False"]),
+                       ([short_fit, dynamics_fit], ["0 False True False", "0 True True False"]),
                        ([log_scan, noisy_log_fit], ["0 True True False"]),
-                       ([["selfcheck", "--out", out]], ["0 False True True"])):
+                       ([["selfcheck", "--out", out]], ["0 True True True"])):
         result = _fresh_python("-c", _NUMPY_AFTER_EACH, json.dumps(argv))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == (["0 False False False"] * (len(argv) - len(tail))
@@ -877,11 +880,13 @@ for argv in json.loads(sys.argv[2]):
 def test_cli_loads_no_dataclasses_inspect_or_typing(tmp_path):
     # under -S no site hook loads them first; the package's value types
     # are named tuples, and annotations are never evaluated.  numpy's root
-    # is on the path, so a fit that imported numpy would list it
+    # is on the path, so the 14-sample fit would list numpy if it loaded it
     out = str(tmp_path / "out.csv")
-    sc = _write(tmp_path, "sc.cfg", DYNAMICS.replace("self_consistent = false",
-                                                     "self_consistent = true"))
-    runs = [["simulate", "--config", sc, "--out", out], ["fit", "--config", sc, "--out", out]]
+    text = DYNAMICS.replace("self_consistent = false", "self_consistent = true")
+    sc = _write(tmp_path, "sc.cfg", text)
+    short = _write(tmp_path, "short.cfg", text.replace("sample_stride = 20", "sample_stride = 40"))
+    runs = [["simulate", "--config", sc, "--out", out], ["fit", "--config", short, "--out", out],
+            ["fit", "--config", sc, "--out", out]]
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     numpy_root = os.path.dirname(os.path.dirname(np.__file__))
     result = subprocess.run(
@@ -890,8 +895,10 @@ def test_cli_loads_no_dataclasses_inspect_or_typing(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    cold, simulated, fitted = result.stdout.splitlines()
-    assert (cold, simulated, fitted) == ("", "0", "0")
+    cold, simulated, short_fitted, fitted = result.stdout.splitlines()
+    assert (cold, simulated, short_fitted) == ("", "0", "0")
+    # numpy, which the 27-sample fit loads, imports inspect and typing itself
+    assert fitted.split()[0] == "0" and "numpy" in fitted and "dataclasses" not in fitted
 
 
 def test_cli_loads_difflib_only_for_an_unknown_key(tmp_path):

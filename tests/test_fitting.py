@@ -498,7 +498,7 @@ def test_one_dominant_error_bar_makes_the_columns_parallel(species):
 
 def _reference_project(shifted, centered, tau):
     """(T_inf - mean T, b, gradient) of fitting's former _project, one numpy
-    dot product per term, kept as an oracle for _projection."""
+    dot product per term."""
     e = np.exp(shifted * (-1.0 / tau))
     e_mean = float(e.mean())
     de = e - e_mean
@@ -639,12 +639,14 @@ def _gradient_cases(self_consistent_run):
 @pytest.mark.parametrize("case", ["falling", "rising", "straight_line", "noisy",
                                   "self_consistent", "windowed"])
 def test_projection_gradient_matches_the_former_arithmetic(self_consistent_run, case):
-    # at 50 log-spaced tau across the bracket, against the same formulas in
-    # 60 digits: the sign wherever the exact gradient stands above the
-    # rounding scale, and 1e-9 relative
+    # the gradient on plain floats and on numpy at 50 log-spaced tau across
+    # the bracket, against the same formulas in 60 digits: the sign wherever
+    # the exact gradient stands above the rounding scale, and 1e-9 relative
     trace, window = _gradient_cases(self_consistent_run)[case]
-    shifted, centered = _centered(*_windowed(trace, window=window))
-    project, exact = fitting._projection(shifted, centered), _decimal_projection(shifted, centered)
+    times, temps = _windowed(trace, window=window)
+    shifted, centered = _centered(times, temps)
+    exact = _decimal_projection(shifted, centered)
+    projects = [model(times, temps)[0] for model in (fitting._float_model, fitting._array_model)]
     lo, hi = (math.log(f * shifted[-1]) for f in fitting.EXP_TAU_BRACKET)
     signs = set()
     for log_tau in np.linspace(lo, hi, 50).tolist():
@@ -657,13 +659,15 @@ def test_projection_gradient_matches_the_former_arithmetic(self_consistent_run, 
         scale = len(e) * 2.0**-52 * abs(b) * (
             abs(b) * fitting._dot([abs(v - e_mean) + e_mean for v in e], size_es)
             + fitting._dot(list(map(abs, centered)), size_es))
-        got, got_b, got_offset, _ = project(log_tau)
-        assert abs(got - g) <= 1e-9 * abs(g) + scale, log_tau
+        for model, project in enumerate(projects):
+            got, got_b, got_offset, _ = project(log_tau)
+            assert abs(got - g) <= 1e-9 * abs(g) + scale, (model, log_tau)
+            if abs(g) > scale:
+                assert (got > 0) == (g > 0), (model, log_tau)
+            assert got_b == pytest.approx(b, rel=1e-9, abs=0)
+            assert got_offset == pytest.approx(offset, rel=1e-9, abs=0)
         if abs(g) > scale:
-            assert (got > 0) == (g > 0), log_tau
             signs.add(g > 0)
-        assert got_b == pytest.approx(b, rel=1e-9, abs=0)
-        assert got_offset == pytest.approx(offset, rel=1e-9, abs=0)
     # the traces with a minimum cross it, the line falls throughout
     assert signs == ({False} if case == "straight_line" else {False, True})
 
@@ -693,11 +697,14 @@ def sweep():
     return list(_sweep_traces(40, seed=23))
 
 
-def test_exponential_fit_matches_a_60_digit_fit_over_a_sweep(sweep):
-    # tau, T_inf and T0 to 1e-12 relative: the worst over the sweep is 6.3e-14
-    # (T0).  Centred on a rounded mean, the fit was off by 3.3e-4 in tau on
-    # case 0, a window 29 tau after t = 0 where the exponential left is a few
-    # thousand units in the last place of T_inf
+@pytest.mark.parametrize("float_samples", [0, math.inf], ids=["array_model", "float_model"])
+def test_exponential_fit_matches_a_60_digit_fit_over_a_sweep(sweep, monkeypatch, float_samples):
+    # every sweep trace fitted by each model: tau, T_inf and T0 to 1e-12
+    # relative, where the worst is 6.3e-14.  Centred on a rounded mean, the
+    # fit was off by 3.3e-4 in tau on case 0, a window 29 tau after t = 0
+    # where the exponential left is a few thousand units in the last place
+    # of T_inf
+    monkeypatch.setattr(fitting, "EXP_FLOAT_SAMPLES", float_samples)
     iterations = {False: [], True: []}  # by shape: frozen, self-consistent
     for trace, axis, window in sweep:
         times, temps = _windowed(trace, axis, window)
@@ -735,9 +742,9 @@ def test_exponential_fit_matches_the_former_fit_over_a_sweep(sweep):
     assert converged >= 30
 
 
-def test_dot_is_correctly_rounded():
+def test_dot_does_not_depend_on_the_pythons_sum():
     # sum() adds left to right on Python 3.11 and compensates on 3.12, where
-    # these terms give 0.0 and 1.0; fsum gives 1.0 on both
+    # these terms give 0.0 and 1.0; fsum of the products gives 1.0 on both
     assert fitting._dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 1.0
 
 

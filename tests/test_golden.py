@@ -95,10 +95,10 @@ def _digest(argv, text) -> str:
 
 GOLDEN = {
     "aspect-scan": "0c2358708e479a09a381d3561e3a591829e744a050a98a3a70a734f1cb26dae2",
-    "dynamics-fit-frozen-seed0": "a3e064086375dc7859d07d8f36b809d06067c0893aee5208033a5156da3da839",
-    "dynamics-fit-frozen-seed1": "a3e064086375dc7859d07d8f36b809d06067c0893aee5208033a5156da3da839",
-    "dynamics-fit-sc-seed0": "3a296892811be8223008505f3c91cd62d26d0af157a3bb573ae5e2b3741a2b6d",
-    "dynamics-fit-sc-seed1": "3a296892811be8223008505f3c91cd62d26d0af157a3bb573ae5e2b3741a2b6d",
+    "dynamics-fit-frozen-seed0": "58b65e3c39ce65c88190e4c9731e60c67f9ccfb5932aa5e584c0f87711c4ac8f",
+    "dynamics-fit-frozen-seed1": "58b65e3c39ce65c88190e4c9731e60c67f9ccfb5932aa5e584c0f87711c4ac8f",
+    "dynamics-fit-sc-seed0": "51456f3ae72025b02d27eae21dbdf7020b44d7247925bf45ad66f4d1e00d6800",
+    "dynamics-fit-sc-seed1": "51456f3ae72025b02d27eae21dbdf7020b44d7247925bf45ad66f4d1e00d6800",
     "dynamics-fit-sc-window": "4ea72426991ce6cc47af25d3b9dbdfca27088f754bd0939b594e8f3b3c118aad",
     "dynamics-simulate-frozen": "e861560487f7b2899b3662094c6be63b1a1ec5aaa50eb6544c86bfa940541fb6",
     "dynamics-simulate-sc": "66867da8b7e1945b93913a31891def53b316906a611aedbdd9c5a6cd8da9c14b",
