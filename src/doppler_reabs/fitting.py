@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from itertools import accumulate
 
 from .atoms import AtomSpecies, _Checked
