@@ -5,8 +5,12 @@ The verbs are simulate (dynamics and steady_state scenarios), scan
 (recompute the built-in reference numbers) and preset-dump (the presets
 in config format).  `_VERBS` gives each verb its flags and their
 metavars; --config, where a verb takes it, is required.  Scenario
-configs are sectioned key=value text (see parse_config).  CSV goes to
---out when given, else to the path in scenario.output, else to stdout.
+configs are sectioned key=value text (see parse_config).  Output goes to
+--out when given, else to the path in scenario.output, else to stdout,
+in batches of at least 64 KiB (the last may be shorter); a trace's lines
+are rendered as its run reaches each sample.  The file is opened with
+the first batch: a run that fails before it leaves an existing file as
+it was, one that fails after it leaves a partial file, and both exit 1.
 Exit codes: 0 success, 1 invalid input (usage errors too), 2 fit that
 did not converge, 3 selfcheck failure.  The fit and selfcheck verbs load
 their modules (fitting, selfcheck) when they run.
@@ -14,15 +18,17 @@ their modules (fitting, selfcheck) when they run.
 
 from __future__ import annotations
 
+import os
 import sys
 
-from .config import (KINDS, ConfigError, ScenarioConfig, _read_text, _write_text, parse_config,
+from .config import (_O_BINARY, KINDS, ConfigError, ScenarioConfig, _read_text, parse_config,
                      preset_dump)
-from .runners import (run_aspect_scan, run_dynamics, run_intensity_scan, run_od_scan,
+from .runners import (_trace_lines, run_aspect_scan, run_intensity_scan, run_od_scan,
                       run_steady_state)
 
-_RUNNERS = {
-    "dynamics": run_dynamics,
+_BATCH = 1 << 16  # characters that one write takes, at least (all but the last)
+_RUNNERS = {  # each gives its CSV as one text, or a trace's as its lines
+    "dynamics": _trace_lines,
     "steady_state": run_steady_state,
     "aspect_scan": run_aspect_scan,
     "intensity_scan": run_intensity_scan,
@@ -75,11 +81,37 @@ def _load_config(verb: str, path: str) -> ScenarioConfig:
     return config
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        _write_text(out_path, text)
-    else:
-        sys.stdout.write(text)
+def _batches(texts):
+    """texts joined into batches of at least _BATCH characters, but the last."""
+    batch, size = [], 0
+    for text in texts:
+        batch.append(text)
+        size += len(text)
+        if size >= _BATCH:
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)
+
+
+def _emit(texts, out_path: str | None) -> None:
+    """Write texts (one text, or an iterable of them) as UTF-8 to out_path as
+    open(out_path, "wb") would, through the descriptor, else to stdout, in
+    _batches.  The file is opened for the first batch, so a run that fails
+    before it leaves no file, and a text shorter than a batch is one write."""
+    fd = None
+    try:
+        for batch in _batches((texts,) if isinstance(texts, str) else texts):
+            if not out_path:
+                sys.stdout.write(batch)
+                continue
+            if fd is None:
+                fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY, 0o666)
+            data = memoryview(batch.encode("utf-8"))
+            while data:  # a write may take part of the data
+                data = data[os.write(fd, data):]
+    finally:
+        if fd is not None:
+            os.close(fd)
 
 
 def main(argv=None) -> int:
@@ -114,8 +146,7 @@ def main(argv=None) -> int:
                       "without standard errors", file=sys.stderr)
                 return 2
             return 0
-        text = _RUNNERS[config.kind](config)
-        _emit(text, out_path)
+        _emit(_RUNNERS[config.kind](config), out_path)
         return 0
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

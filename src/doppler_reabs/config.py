@@ -71,17 +71,6 @@ def _read_text(path) -> str:
     return b"".join(chunks).decode("utf-8")
 
 
-def _write_text(path, text: str) -> None:
-    """Write text as UTF-8 to path as open(path, "wb") would, through the descriptor."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY, 0o666)
-    try:
-        data = memoryview(text.encode("utf-8"))
-        while data:  # a write may take part of the data
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
-
-
 class ScenarioKind(namedtuple("ScenarioKind", (
     "verbs",  # the CLI verbs that run it
     "needs",  # the [scenario] keys it needs

@@ -13,7 +13,9 @@ it steps from sample to sample by the exact solution at S and C
 extrapolated to each step's midpoint (exponential Adams-Bashforth 2,
 second order), halving a step whose difference from the first-order
 step exceeds a relative TOL, with one shape evaluation per step on plain
-floats.  A trace is held as columns; a frozen run's samples share one shape.
+floats.  A run is one stream of samples (_samples), which simulate collects
+into a trace held as columns, where a frozen run's samples share one shape,
+and which the CLI renders line by line.
 
 The heating rates carry a factor 4 over the quoted rate coefficients,
 which puts the fixed point of the rate equations on the closed-form
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import chain
 
 from . import constants as const
 from .atoms import AtomSpecies, LaserConfig, _Checked, effective_detuning
@@ -372,8 +375,29 @@ def simulate(
     step runs thermal_shape's, _kappas' and RateModel._rate_values'
     arithmetic on floats, in their order, with the constants bound once.
     delta_pol defaults to the effective detuning of the stretched-state
-    transition at the trap bottom.
+    transition at the trap bottom.  The trace collects _samples' stream.
     """
+    stream = _samples(initial, trap, species, laser, duration, self_consistent, sample_stride,
+                      delta_pol)
+    t, T_z, T_y, shapes = [], [], [], []
+    try:
+        while True:  # into columns: holding each sample's tuple costs 2-3 % more time
+            at, z, y, shape = next(stream)
+            t.append(at)
+            T_z.append(z)
+            T_y.append(y)
+            shapes.append(shape)
+    except StopIteration as end:  # the stream returns the run's fixed step
+        return TemperatureTrace(tuple(t), tuple(T_z), tuple(T_y),
+                                tuple(shapes if self_consistent else shapes[:1]), end.value)
+
+
+def _samples(initial, trap, species, laser, duration, self_consistent, sample_stride,
+             delta_pol):
+    """simulate's run as a stream: yields each sample as it is reached, as
+    (t, T_z, T_y, shape) with shape = (sigma_z, sigma_y, n0, kappa_y,
+    kappa_z, kappa, kappa0), one and the same tuple in every sample of a
+    frozen run.  Returns the run's fixed step."""
     if duration < 0:
         raise ValueError("duration must be >= 0")
     if sample_stride < 1:
@@ -394,7 +418,6 @@ def simulate(
     sqrt, integrals, second_order_step = math.sqrt, _closed_form_integrals, _second_order_step
 
     T_z, T_y = initial.T_z, initial.T_y
-    times, temps_z, temps_y, shapes = [], [], [], []
     k, last, n_steps, dt, now = 0, 1, -1, 0.0, None
     while True:  # after k fixed steps; at k = 0 the start sizes the step and takes the first
         sigma_z = sqrt(k_b * T_z / mu_z)
@@ -408,12 +431,10 @@ def simulate(
         radial, axial, total = integrals(sigma_y, sigma_z)
         kappa_y, kappa_z, kappa = k0 * two_over_pi * radial, k0 * axial, k0 * total
         if k % sample_stride == 0 or k == n_steps:
-            times.append(k * dt)
-            temps_z.append(T_z)
-            temps_y.append(T_y)
-            shapes.append((sigma_z, sigma_y, n0, kappa_y, kappa_z, kappa, k0))
+            shape = (sigma_z, sigma_y, n0, kappa_y, kappa_z, kappa, k0)
+            yield k * dt, T_z, T_y, shape
         if k == n_steps:
-            break
+            return dt
         cool_z = drive * (1.0 + kappa_z) * 2.0 * intensity * recoil / lorentz_sq
         cool_y = drive * kappa_y * 2.0 * intensity * recoil / lorentz_sq
         heat_z = ((1.0 + kappa_z) + 0.4 * (1.0 + kappa)) * scatter * 4.0
@@ -429,14 +450,13 @@ def simulate(
             k += last
             continue
         if duration == 0:
-            break
+            return dt
         S_z, C_z, S_y, C_y = now
         n_steps = max(1, math.ceil(duration / step_size(max(C_z, C_y))))
         dt = duration / n_steps
         if not self_consistent:  # every sample from the one shape, in closed form
-            times += [k * dt for k in [*range(sample_stride, n_steps, sample_stride), n_steps]]
-            temps_z += [_relax(T_z, S_z, C_z, t) for t in times[1:]]
-            temps_y += [_relax(T_y, S_y, C_y, t) for t in times[1:]]
-            break
+            for k in chain(range(sample_stride, n_steps, sample_stride), (n_steps,)):
+                t = k * dt
+                yield t, _relax(T_z, S_z, C_z, t), _relax(T_y, S_y, C_y, t), shape
+            return dt
         T_z, T_y, k = _relax(T_z, S_z, C_z, dt), _relax(T_y, S_y, C_y, dt), 1
-    return TemperatureTrace(tuple(times), tuple(temps_z), tuple(temps_y), tuple(shapes), dt)

@@ -4,8 +4,9 @@ deterministic CSV text.
 Every runner returns the complete CSV document as a string, with the
 resolved configuration echoed into # key=value comment lines so a result
 file carries its own provenance.  Identical configs produce byte-identical
-output.  Scan rows are emitted in grid order; a trace's rows come from its
-columns, with a frozen run's shared shape cells formatted once.
+output.  Scan rows are emitted in grid order.  A trace's lines are rendered
+as the run yields each sample (_trace_lines, which the CLI writes as they
+come), with a frozen run's one shape formatted once.
 
 All intensities entering scan grids are normalized to saturation and are
 the values at the atoms; the [laser] attenuation_factor applies only to
@@ -19,33 +20,28 @@ verbs build on the renderer, scan models and simulation here.
 
 from __future__ import annotations
 
-from .atoms import AtomSpecies
 from .config import ScenarioConfig, format_value
 from .dynamics import (RateModel, TemperatureTrace, _heating_extra, _radial_at_od,
-                       _radial_steady_state, _steady_constants, _steady_temperatures, rates,
-                       simulate, steady_state)
+                       _radial_steady_state, _samples, _steady_constants, _steady_temperatures,
+                       rates, simulate, steady_state)
 from .reabsorption import KappaSet, _aspect_shape, _kappas, kappa_set, optical_density
-from .trap import thermal_debroglie_wavelength
+from .trap import _psd_of
 
 
-def _render_csv(header_items, columns, rows, shared=(0, ())) -> str:
+def _render_csv(header_items, columns, rows) -> str:
     """The CSV text of tuple rows, each cell as format_value writes it: by one
     %-format for a row of built-in floats, unless it wrote inf or nan, the
-    only cells with an "n", else cell by cell.  shared = (at, cells): built-in
-    floats that every row holds from column at on and leaves out, formatted
-    once, into the row format."""
+    only cells with an "n", else cell by cell."""
     lines = [f"# {key}={value}" for key, value in header_items]
     lines.append(",".join(columns))
-    at, cells = shared
-    floats = ",".join(["%.12g"] * at + ["%.12g" % v for v in cells]
-                      + ["%.12g"] * (len(columns) - at - len(cells)))
+    floats = ",".join(["%.12g"] * len(columns))
     for row in rows:
         if all(type(v) is float for v in row):
             line = floats % row
             if "n" not in line:
                 lines.append(line)
                 continue
-        lines.append(",".join(format_value(v) for v in (*row[:at], *cells, *row[at:])))
+        lines.append(",".join(map(format_value, row)))
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 
@@ -72,13 +68,6 @@ def run_steady_state(config: ScenarioConfig) -> str:
     return _render_csv(config.header, columns, [row])
 
 
-def _trace_psd(n0: float, T_z: float, T_y: float, species: AtomSpecies) -> float:
-    # the simulation ties the unobserved x axis to y, so the geometric
-    # mean temperature uses T_y twice
-    t_geo = (T_y ** 2 * T_z) ** (1.0 / 3.0)
-    return n0 * thermal_debroglie_wavelength(t_geo, species) ** 3
-
-
 def _simulate(config: ScenarioConfig) -> TemperatureTrace:
     return simulate(
         config.cloud,
@@ -92,22 +81,33 @@ def _simulate(config: ScenarioConfig) -> TemperatureTrace:
     )
 
 
+_TRACE_COLUMNS = ("t_s", "T_z_K", "T_y_K", "sigma_z_m", "sigma_y_m", "n0_per_m3",
+                  "kappa_y", "kappa_z", "kappa", "psd")
+_SHAPE_CELLS = ",".join(["%.12g"] * 6)
+
+
+def _trace_lines(config: ScenarioConfig):
+    """run_dynamics's CSV: its head, then one line per sample as the run
+    reaches it.  A shape that repeats (a frozen run's one shape) has its six
+    cells formatted once; format_value writes only a line with inf or nan."""
+    yield _render_csv(config.header, _TRACE_COLUMNS, ())
+    psd, shape = _psd_of(config.species), None
+    for t, T_z, T_y, cells in _samples(config.cloud, config.trap, config.species, config.laser,
+                                       config.duration, config.self_consistent,
+                                       config.sample_stride, config.delta_pol):
+        if cells is not shape:
+            shape, n0 = cells, cells[2]
+            row = "%.12g,%.12g,%.12g," + _SHAPE_CELLS % cells[:6] + ",%.12g\n"
+        value = psd(n0, T_z, T_y)
+        line = row % (t, T_z, T_y, value)
+        if "n" in line:
+            line = ",".join(map(format_value, (t, T_z, T_y, *cells[:6], value))) + "\n"
+        yield line
+
+
 def run_dynamics(config: ScenarioConfig) -> str:
     """Integrate the rate equations; trace CSV plus a phase-space column."""
-    trace, species = _simulate(config), config.species
-    columns = (
-        "t_s", "T_z_K", "T_y_K", "sigma_z_m", "sigma_y_m", "n0_per_m3",
-        "kappa_y", "kappa_z", "kappa", "psd",
-    )
-    samples = zip(trace.t, trace.T_z, trace.T_y)
-    if len(trace.shapes) == 1:  # one shape for every sample: its cells are formatted once
-        n0 = trace.shapes[0][2]
-        rows = ((t, z, y, _trace_psd(n0, z, y, species)) for t, z, y in samples)
-        return _render_csv(config.header, columns, rows, (3, trace.shapes[0][:6]))
-    rows = (  # rendered as they come, not held as a second copy of the trace
-        (t, z, y, s_z, s_y, n0, k_y, k_z, k, _trace_psd(n0, z, y, species))
-        for (t, z, y), (s_z, s_y, n0, k_y, k_z, k, _) in zip(samples, trace.shapes))
-    return _render_csv(config.header, columns, rows)
+    return "".join(_trace_lines(config))
 
 
 def run_aspect_scan(config: ScenarioConfig) -> str:

@@ -16,8 +16,7 @@ from .presets import cr52, stuttgart_cloverleaf
 from .reabsorption import (SPHERE_INTEGRAL_AXIAL, SPHERE_INTEGRAL_RADIAL, SPHERE_INTEGRAL_TOTAL,
                            CloudShape, KappaSet, _aspect_shape, _closed_form_integrals, kappa_set,
                            optical_density)
-from .runners import _trace_psd
-from .trap import cloud_from_temperatures, trap_frequencies
+from .trap import _psd_of, cloud_from_temperatures, trap_frequencies
 
 
 class SelfCheck(namedtuple("SelfCheck", "name expected actual tolerance passed")):
@@ -145,8 +144,9 @@ def run_selfcheck() -> SelfCheckReport:
         self_consistent=True, sample_stride=10, delta_pol=delta_pol,
     )
     first, last = self_consistent.samples[0], self_consistent.samples[-1]
-    gain = _trace_psd(last.peak_density, last.T_z, last.T_y, species) / _trace_psd(
-        first.peak_density, first.T_z, first.T_y, species)
+    psd = _psd_of(species)
+    gain = psd(last.peak_density, last.T_z, last.T_y) / psd(
+        first.peak_density, first.T_z, first.T_y)
     checks.append(_check_range("phase-space density gain", gain, 30, 300, "~80"))
     checks.append(SelfCheck(
         name="self-consistent run ends colder radially",

@@ -133,3 +133,15 @@ def thermal_debroglie_wavelength(temperature: float, species: AtomSpecies) -> fl
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return const.PLANCK / math.sqrt(2.0 * math.pi * species.mass * const.K_B * temperature)
+
+
+def _psd_of(species: AtomSpecies):
+    """psd(n0, T_z, T_y): peak phase-space density n0 * lambda^3 [1], with
+    thermal_debroglie_wavelength's arithmetic at T = (T_y^2 T_z)^(1/3), the
+    geometric mean (x follows y), and the species' constants bound once.
+    A run's temperatures stay positive, so psd does not check them."""
+    planck, scale, sqrt = const.PLANCK, 2.0 * math.pi * species.mass * const.K_B, math.sqrt
+
+    def psd(n0: float, T_z: float, T_y: float) -> float:
+        return n0 * (planck / sqrt(scale * (T_y ** 2 * T_z) ** (1.0 / 3.0))) ** 3
+    return psd

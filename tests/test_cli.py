@@ -1167,8 +1167,9 @@ def test_render_csv_matches_format_value_on_finite_floats(row):
 
 
 def test_a_long_trace_renders_without_holding_its_rows_twice():
-    # 2.4 s frozen at stride 1: 20 341 rows, whose columns and text take
-    # about 490 B a row while the text is joined
+    # 2.4 s frozen at stride 1: 20 341 rows, whose lines and text take
+    # about 395 B a row while the text is joined (490 B when the lines
+    # were rendered from a trace held as columns)
     long = parse_config(DYNAMICS.replace("duration_ms = 60", "duration_ms = 2400")
                         .replace("sample_stride = 20", "sample_stride = 1"))
     runners.run_dynamics(parse_config(DYNAMICS))  # compiles and caches outside the count
@@ -1181,3 +1182,119 @@ def test_a_long_trace_renders_without_holding_its_rows_twice():
     rows = text.count("\n") - len(long.header) - 1
     assert rows == 20341 and text.endswith("\n") and not text.endswith("\n\n")
     assert peak / rows <= 539  # 490 measured, plus 10 %
+
+
+def _reference_trace_csv(config_):
+    """A trace's CSV built as the renderer built it before the sample stream:
+    rows from simulate's columns, every cell through format_value, and psd
+    through thermal_debroglie_wavelength."""
+    trace, species = runners._simulate(config_), config_.species
+    shapes = trace.shapes * len(trace.t) if len(trace.shapes) == 1 else trace.shapes
+    lines = [f"# {key}={value}" for key, value in config_.header]
+    lines.append("t_s,T_z_K,T_y_K,sigma_z_m,sigma_y_m,n0_per_m3,kappa_y,kappa_z,kappa,psd")
+    for t, z, y, (s_z, s_y, n0, k_y, k_z, k, _) in zip(trace.t, trace.T_z, trace.T_y, shapes):
+        psd = n0 * doppler_reabs.thermal_debroglie_wavelength((y ** 2 * z) ** (1.0 / 3.0),
+                                                              species) ** 3
+        lines.append(",".join(map(config.format_value, (t, z, y, s_z, s_y, n0, k_y, k_z, k, psd))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("self_consistent", ["false", "true"])
+@pytest.mark.parametrize("duration, stride", [(60, 1), (60, 3), (60, 7), (60, 20), (0, 1)])
+def test_the_sample_stream_renders_the_trace_simulate_returns(self_consistent, duration, stride):
+    # strides 3 and 7 leave a last sample interval shorter than the stride
+    config_ = parse_config(
+        DYNAMICS.replace("duration_ms = 60", f"duration_ms = {duration}")
+        .replace("sample_stride = 20", f"sample_stride = {stride}")
+        .replace("self_consistent = false", f"self_consistent = {self_consistent}"))
+    assert runners.run_dynamics(config_) == _reference_trace_csv(config_)
+    trace = runners._simulate(config_)
+    samples = list(dynamics._samples(config_.cloud, config_.trap, config_.species, config_.laser,
+                                     config_.duration, config_.self_consistent,
+                                     config_.sample_stride, config_.delta_pol))
+    assert [sample[:3] for sample in samples] == list(zip(trace.t, trace.T_z, trace.T_y))
+    if config_.self_consistent:
+        assert trace.shapes == tuple(sample[3] for sample in samples)
+    else:  # one shape, the same tuple in every sample, held once
+        assert all(sample[3] is samples[0][3] for sample in samples)
+        assert trace.shapes == (samples[0][3],)
+    if duration == 0:
+        assert trace.step == 0.0 and len(trace.t) == 1
+    else:
+        assert trace.step > 0 and all(t == round(t / trace.step) * trace.step for t in trace.t)
+        assert trace.t[-1] == pytest.approx(config_.duration, rel=1e-12)
+
+
+def _stride1_frozen(tmp_path, duration_ms):
+    return _write(tmp_path, f"long{duration_ms}.cfg",
+                  DYNAMICS.replace("duration_ms = 60", f"duration_ms = {duration_ms}")
+                  .replace("sample_stride = 20", "sample_stride = 1"))
+
+
+def test_the_cli_writes_a_long_trace_in_bounded_memory(tmp_path):
+    # 2.4 s and 4.8 s frozen at stride 1: 20 341 and 40 681 rows, 3.4 and
+    # 6.8 MB of CSV; the CLI holds one 64 KiB batch of lines at a time
+    out = str(tmp_path / "out.csv")
+    assert main(["simulate", "--config", _write(tmp_path, "d.cfg", DYNAMICS), "--out", out]) == 0
+    peaks = []
+    for duration_ms in (2400, 4800):
+        argv = ["simulate", "--config", _stride1_frozen(tmp_path, duration_ms), "--out", out]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert os.path.getsize(out) > 6_800_000
+    assert max(peaks) <= 330_000  # 291 kB measured, plus about 13 %
+    assert peaks[1] - peaks[0] <= 2_000  # under 0.1 B for each of the 20 340 added rows
+
+
+def _failing_after(calls, monkeypatch):
+    """Make the self-consistent loop's kappa evaluation raise after calls calls."""
+    integrals, count = dynamics._closed_form_integrals, [0]
+
+    def failing(sigma_y, sigma_z):
+        count[0] += 1
+        if count[0] > calls:
+            raise ValueError("kappa failed")
+        return integrals(sigma_y, sigma_z)
+    monkeypatch.setattr(dynamics, "_closed_form_integrals", failing)
+
+
+SELF_CONSISTENT = DYNAMICS.replace("self_consistent = false", "self_consistent = true")
+
+
+def test_a_run_failing_before_its_first_batch_leaves_the_out_file_as_it_was(
+        tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, "sc.cfg", SELF_CONSISTENT)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"kept \x00\xff" * 1000)
+    _failing_after(5, monkeypatch)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: kappa failed\n")
+    assert out.read_bytes() == b"kept \x00\xff" * 1000
+
+
+def test_a_run_failing_after_its_first_batch_leaves_a_partial_file(tmp_path, capsys,
+                                                                   monkeypatch):
+    # 0.6 s self-consistent at stride 1: 5 086 rows, about 860 kB
+    text = SELF_CONSISTENT.replace("duration_ms = 60", "duration_ms = 600")
+    cfg = _write(tmp_path, "sc.cfg", text.replace("sample_stride = 20", "sample_stride = 1"))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    whole = out.read_bytes()
+    _failing_after(2000, monkeypatch)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: kappa failed\n")
+    partial = out.read_bytes()
+    assert cli._BATCH <= len(partial) < len(whole) and whole.startswith(partial)
+    assert partial.endswith(b"\n") and partial.count(b"\n") < 2000
+
+
+def test_a_long_trace_to_a_full_device_exits_1(tmp_path, capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    cfg = _stride1_frozen(tmp_path, 2400)
+    assert main(["simulate", "--config", cfg, "--out", "/dev/full"]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")

@@ -16,7 +16,7 @@ from doppler_reabs import (
     trap_frequencies,
     trap_from_lab_units,
 )
-from doppler_reabs.runners import _trace_psd
+from doppler_reabs.trap import _psd_of
 
 
 def test_trap_frequencies_frozen(trap, species):
@@ -86,7 +86,7 @@ def test_cloud_from_temperatures_consistency(trap):
 
 
 def _psd(cloud, species):
-    return _trace_psd(cloud.peak_density, cloud.T_z, cloud.T_y, species)
+    return _psd_of(species)(cloud.peak_density, cloud.T_z, cloud.T_y)
 
 
 def test_phase_space_density_frozen(hot_cloud, species):
