@@ -386,10 +386,10 @@ def simulate(
             t.append(at)
             T_z.append(z)
             T_y.append(y)
-            shapes.append(shape)
+            if self_consistent or not shapes:  # a frozen run's one shape, once
+                shapes.append(shape)
     except StopIteration as end:  # the stream returns the run's fixed step
-        return TemperatureTrace(tuple(t), tuple(T_z), tuple(T_y),
-                                tuple(shapes if self_consistent else shapes[:1]), end.value)
+        return TemperatureTrace(tuple(t), tuple(T_z), tuple(T_y), tuple(shapes), end.value)
 
 
 def _samples(initial, trap, species, laser, duration, self_consistent, sample_stride,

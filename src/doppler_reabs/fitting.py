@@ -28,7 +28,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .atoms import AtomSpecies, _Checked
-from .config import KINDS, ConfigError, ScenarioConfig, _read_text
+from .config import KINDS, ConfigError, ScenarioConfig, _read_text, format_value
 from .dynamics import TemperatureTrace, _heating_extra, _radial_at_od, _steady_constants
 from .runners import _render_csv, _scan_model, _simulate
 
@@ -317,7 +317,8 @@ def _div(a, b):
 def _linear_fit(points, design, y, scale):
     """Weighted least squares of target = y/scale - 1 ~ sum_j q_j design[j]
     over one or two columns, in closed form; returns (q, unscaled
-    covariance of q or None, residuals [K], weighted).
+    covariance of q or None, residuals [K], weighted).  The target is
+    (y - scale)/scale: its subtraction is exact for y within 2x of scale.
 
     A point's residual in kelvin is scale * (model - target), divided by
     y_err in the solve when every point has one.  Scaled to unit norm,
@@ -336,7 +337,7 @@ def _linear_fit(points, design, y, scale):
     a = [list(map(operator.mul, column, weights)) for column in design]
     norms = [math.sqrt(_dot(column, column)) for column in a]
     solvable = all(0.0 < n < math.inf for n in norms)  # so a is finite and scale nonzero
-    target = [v / scale - 1.0 for v in y] if solvable else []
+    target = [(v - scale) / scale for v in y] if solvable else []
     b = list(map(operator.mul, target, weights))
     if not (solvable and all(map(math.isfinite, b))):
         raise DegenerateDataError("the scan data are out of range for a least-squares solve")
@@ -501,14 +502,15 @@ def _fit_csv(config: ScenarioConfig, result: FitResult) -> str:
     rows.append(("residual_norm_K", result.residual_norm, ""))
     rows.append(("converged", result.converged, ""))
     rows.append(("iterations", result.iterations, ""))
-    return _render_csv(config.header, ("parameter", "value", "standard_error"), rows)
+    head = _render_csv(config.header, ("parameter", "value", "standard_error"), ())
+    return head + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
 
 
-def _short_window(config: ScenarioConfig, trace: TemperatureTrace, needed: int) -> ConfigError:
-    """The error of a dynamics fit whose window keeps fewer than needed
-    samples, at the key to change: the stride when a sample at every
-    fixed step would fill the window, else the window's end or start
-    where it cuts the run short, else the duration.
+def _short_window(config: ScenarioConfig, trace: TemperatureTrace) -> ConfigError:
+    """The error of a dynamics fit whose window keeps fewer than
+    EXP_MIN_SAMPLES samples, at the key to change: the stride when a sample
+    at every fixed step would fill the window, else the window's end or
+    start where it cuts the run short, else the duration.
     """
     w_min, w_max = config.window or (0.0, math.inf)
     kept = sum(w_min <= t <= w_max for t in trace.t)
@@ -516,7 +518,7 @@ def _short_window(config: ScenarioConfig, trace: TemperatureTrace, needed: int) 
     every_step = kept  # at stride 1; a run of 0 s (or of 5e-324 ms, which is 0 s) has one
     if dt > 0:
         every_step = math.floor(min(w_max, config.duration) / dt) - math.ceil(w_min / dt) + 1
-    if every_step >= needed:
+    if every_step >= EXP_MIN_SAMPLES:
         key = "sample_stride"
     elif w_max < config.duration:
         key = "window_max_ms"
@@ -526,7 +528,7 @@ def _short_window(config: ScenarioConfig, trace: TemperatureTrace, needed: int) 
         key = "duration_ms"
     return ConfigError([(config.lines.get(key, 0),
                          f"scenario.{key}: the fit window holds {kept} sample(s); "
-                         f"an exponential fit needs at least {needed}")])
+                         f"an exponential fit needs at least {EXP_MIN_SAMPLES}")])
 
 
 def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
@@ -549,7 +551,7 @@ def fit_scenario(config: ScenarioConfig, seed: int = 0) -> FitResult:
                        "constant over the fit window, so tau is unidentifiable")
             raise ConfigError([(config.lines.get("intensity_Isat", 0), message)]) from exc
         except ValueError as exc:  # fewer than EXP_MIN_SAMPLES in the window
-            raise _short_window(config, trace, EXP_MIN_SAMPLES) from exc
+            raise _short_window(config, trace) from exc
 
     def fit(points: list[ScanPoint]) -> FitResult:
         if config.kind == "intensity_scan":

@@ -29,19 +29,15 @@ from .trap import _psd_of
 
 
 def _render_csv(header_items, columns, rows) -> str:
-    """The CSV text of tuple rows, each cell as format_value writes it: by one
-    %-format for a row of built-in floats, unless it wrote inf or nan, the
-    only cells with an "n", else cell by cell."""
+    """The CSV text of rows of numbers, each cell as format_value writes it:
+    one %-format per row, and format_value only for a line with inf or nan,
+    the only cells with an "n"."""
     lines = [f"# {key}={value}" for key, value in header_items]
     lines.append(",".join(columns))
-    floats = ",".join(["%.12g"] * len(columns))
+    numbers = ",".join(["%.12g"] * len(columns))
     for row in rows:
-        if all(type(v) is float for v in row):
-            line = floats % row
-            if "n" not in line:
-                lines.append(line)
-                continue
-        lines.append(",".join(map(format_value, row)))
+        line = numbers % row
+        lines.append(line if "n" not in line else ",".join(map(format_value, row)))
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 
@@ -68,17 +64,14 @@ def run_steady_state(config: ScenarioConfig) -> str:
     return _render_csv(config.header, columns, [row])
 
 
+def _run(config: ScenarioConfig) -> tuple:
+    """The config's run as simulate's eight arguments, in its order."""
+    return (config.cloud, config.trap, config.species, config.laser, config.duration,
+            config.self_consistent, config.sample_stride, config.delta_pol)
+
+
 def _simulate(config: ScenarioConfig) -> TemperatureTrace:
-    return simulate(
-        config.cloud,
-        config.trap,
-        config.species,
-        config.laser,
-        config.duration,
-        self_consistent=config.self_consistent,
-        sample_stride=config.sample_stride,
-        delta_pol=config.delta_pol,
-    )
+    return simulate(*_run(config))
 
 
 _TRACE_COLUMNS = ("t_s", "T_z_K", "T_y_K", "sigma_z_m", "sigma_y_m", "n0_per_m3",
@@ -92,9 +85,7 @@ def _trace_lines(config: ScenarioConfig):
     cells formatted once; format_value writes only a line with inf or nan."""
     yield _render_csv(config.header, _TRACE_COLUMNS, ())
     psd, shape = _psd_of(config.species), None
-    for t, T_z, T_y, cells in _samples(config.cloud, config.trap, config.species, config.laser,
-                                       config.duration, config.self_consistent,
-                                       config.sample_stride, config.delta_pol):
+    for t, T_z, T_y, cells in _samples(*_run(config)):
         if cells is not shape:
             shape, n0 = cells, cells[2]
             row = "%.12g,%.12g,%.12g," + _SHAPE_CELLS % cells[:6] + ",%.12g\n"
@@ -146,10 +137,8 @@ def run_intensity_scan(config: ScenarioConfig) -> str:
     model = _scan_model(config)
     rate_values = RateModel(config.delta_pol, config.species, config.trap)._rate_values
     kappas = KappaSet(config.kappa_y, 0.0, config.kappa, 0.0)
-    rows = [
-        (intensity, model(intensity), rate_values(kappas, intensity)[1] if intensity > 0 else 0.0)
-        for intensity in config.grid.values()
-    ]
+    rows = [(intensity, model(intensity), rate_values(kappas, intensity)[1])
+            for intensity in config.grid.values()]
     return _render_csv(config.header, ("intensity_Isat", "T_y_inf_K", "cool_rate_y_per_s"), rows)
 
 

@@ -1041,16 +1041,20 @@ def test_short_fit_window_exits_1_at_the_key_to_change(tmp_path, capsys, key, va
     assert "Traceback" not in err
 
 
-def _no_rates(*args, **kwargs):
-    raise AssertionError("a fit worked out the run's rates again")
-
-
 @pytest.mark.parametrize("key, value", SHORT_WINDOWS)
 def test_short_fit_window_takes_the_step_from_the_trace(tmp_path, capsys, monkeypatch, key,
                                                         value):
-    # the fit's window is checked by the fit, with the step the run took
-    monkeypatch.setattr(dynamics.RateModel, "_rate_values", _no_rates)
+    # the fit's window is checked by the fit, with the step the run took:
+    # the model runs once, not again for its step
+    runs, samples = [], dynamics._samples
+
+    def counted(*run):
+        runs.append(run)
+        return samples(*run)
+
+    monkeypatch.setattr(dynamics, "_samples", counted)
     test_short_fit_window_exits_1_at_the_key_to_change(tmp_path, capsys, key, value)
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("partial", [
@@ -1132,10 +1136,10 @@ def test_arithmetic_error_exits_1_with_the_numeric_range_message(tmp_path, capsy
 
 # cells the one row format must write as format_value does: signed zero, the
 # smallest subnormal, the largest magnitudes, 1e22 (the largest power of ten
-# a float holds exactly), non-finite floats, which read divergent, and the
-# types that take the cell-by-cell path
+# a float holds exactly), non-finite floats, which read divergent, an int
+# and numpy floats
 _CELLS = [-0.0, 5e-324, 1e308, -1e308, 1e22, math.nan, math.inf, -math.inf,
-          3, True, False, "T_inf", np.float64(0.1), np.float64(math.inf)]
+          3, np.float64(0.1), np.float64(math.inf)]
 
 
 def _rendered_rows(rows):
@@ -1157,6 +1161,19 @@ def test_render_csv_writes_a_row_of_edge_floats_as_format_value_does():
     row = tuple(cell for cell in _CELLS if type(cell) is float and math.isfinite(cell))
     assert _rendered_rows([row]) == ["-0,4.94065645841e-324,1e+308,-1e+308,1e+22"]
     assert _rendered_rows([row]) == [",".join(map(config.format_value, row))]
+
+
+@pytest.mark.parametrize("cell", [True, False, "T_inf"], ids=repr)
+def test_fit_csv_writes_each_cell_as_format_value_does(cell):
+    # the fit table is the one table with flags, names and blank cells
+    config_ = parse_config(DYNAMICS)
+    result = FitResult({"tau": 0.1, "T_inf": cell}, {"tau": cell}, -2.5e-7, cell, 3)
+    lines = fitting._fit_csv(config_, result).splitlines()
+    rows = [("tau", 0.1, cell), ("T_inf", cell, ""), ("residual_norm_K", -2.5e-7, ""),
+            ("converged", cell, ""), ("iterations", 3, "")]
+    assert lines[len(config_.header)] == "parameter,value,standard_error"
+    assert lines[len(config_.header) + 1:] == [",".join(map(config.format_value, row))
+                                               for row in rows]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1223,6 +1240,18 @@ def test_the_sample_stream_renders_the_trace_simulate_returns(self_consistent, d
     else:
         assert trace.step > 0 and all(t == round(t / trace.step) * trace.step for t in trace.t)
         assert trace.t[-1] == pytest.approx(config_.duration, rel=1e-12)
+
+
+def test_a_trace_line_with_inf_is_written_as_format_value_writes_it(monkeypatch):
+    # an inf psd sends its line through format_value, which writes divergent
+    monkeypatch.setattr(runners, "_psd_of", lambda species: lambda n0, T_z, T_y: math.inf)
+    config_ = parse_config(DYNAMICS)
+    lines = runners.run_dynamics(config_).splitlines()[len(config_.header) + 1:]
+    trace = runners._simulate(config_)
+    assert len(lines) == len(trace.t) > 1
+    assert lines == [",".join(map(config.format_value, (t, z, y, *trace.shapes[0][:6], math.inf)))
+                     for t, z, y in zip(trace.t, trace.T_z, trace.T_y)]
+    assert all(line.endswith(",divergent") for line in lines)
 
 
 def _stride1_frozen(tmp_path, duration_ms):

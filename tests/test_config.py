@@ -124,6 +124,21 @@ def test_duplicate_key_rejected():
     assert any("duplicate key 'intensity_Isat'" in msg for _, msg in errors)
 
 
+def test_a_section_given_twice_merges_its_keys():
+    # the second [laser] block adds to the first; a key of the first block
+    # given again in the second is a duplicate, at its second line
+    split = BASE.replace("detuning_Gamma = 7\nattenuation_factor = 3\n", "").replace(
+        "[scenario]", "[laser]\ndetuning_Gamma = 7\nattenuation_factor = 3\n\n[scenario]")
+    assert split.count("[laser]") == 2
+    merged, whole = parse_config(split), parse_config(BASE)
+    assert (merged.laser, merged.header) == (whole.laser, whole.header)
+    assert merged.lines["attenuation_factor"] == split.splitlines().index(
+        "attenuation_factor = 3") + 1
+    repeated = split.replace("detuning_Gamma = 7", "detuning_Gamma = 7\nintensity_Isat = 5e-3")
+    line_no = repeated.splitlines().index("intensity_Isat = 5e-3") + 1
+    assert (line_no, "duplicate key 'intensity_Isat'") in _errors_of(repeated)
+
+
 def test_unknown_section_rejected():
     errors = _errors_of(BASE.replace("[laser]", "[lasers]"))
     assert any("unknown section '[lasers]'" in msg for _, msg in errors)
@@ -296,6 +311,7 @@ def test_linear_grid_values_match_numpy_linspace_bit_for_bit():
     # takes its branch that scales i/div by the whole span
     grids.append((0.0, 1.5e-323, 10))
     assert (1.5e-323 - 0.0) / 9 == 0.0
+    grids += [(2.0, 5.0, 0), (2.0, 5.0, 1)]  # no interval: numpy's branch for num <= 1
     for low, high, count in grids:
         values = GridSpec(low, high, count, "linear").values()
         assert _bits(values) == _bits(np.linspace(low, high, count)), (low, high, count)

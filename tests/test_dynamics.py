@@ -236,6 +236,12 @@ def test_simulate_rejects_bad_arguments(hot_cloud, trap, species, measured_laser
         simulate(hot_cloud, trap, species, measured_laser, 0.1, sample_stride=0)
 
 
+def test_temperatures_rejects_an_unknown_axis(frozen_run):
+    assert frozen_run.temperatures("y") is frozen_run.T_y
+    with pytest.raises(ValueError, match="axis must be 'z' or 'y'"):
+        frozen_run.temperatures("x")
+
+
 def test_frozen_run_matches_closed_forms(frozen_run, hot_cloud, species, delta_pol):
     # with the shape pinned, the equations are linear and the end state
     # must sit on the closed-form fixed point

@@ -7,6 +7,7 @@ import math
 import operator
 import statistics
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from doppler_reabs import fitting, parse_config, rates
 from doppler_reabs.dynamics import TemperatureTrace, detuning_factor
 from doppler_reabs.fitting import _fit_csv, fit_scenario
 from doppler_reabs.runners import _simulate as simulate_config
-from test_cli import DYNAMICS
+from test_cli import ASPECT, DYNAMICS
 
 # The root search may take at most this many gradient evaluations,
 # bracket ends included; the bisection it replaced took 55-58, and 106
@@ -266,6 +267,11 @@ def test_od_scan_rejects_bad_reference(species):
         fit_od_scan(_od_points(species), 0.24, 4.5, 2.6e-26, 0.0, -0.8, species)
 
 
+def test_fit_scenario_rejects_a_kind_without_a_fit():
+    with pytest.raises(ValueError, match="scenario kind 'aspect_scan' has no fit"):
+        fit_scenario(parse_config(ASPECT))
+
+
 def test_scan_point_validation():
     with pytest.raises(ValueError):
         ScanPoint(x=-1.0, y=1e-4)
@@ -492,6 +498,77 @@ def test_one_dominant_error_bar_makes_the_columns_parallel(species):
     assert fit.parameters["kappa_y"] == pytest.approx(1 / u, rel=1e-12, abs=0)
     assert fit.parameters["heating_power"] == pytest.approx(v * power / u, rel=1e-12, abs=0)
     assert all(math.isnan(e) for e in fit.standard_errors.values())
+
+
+# --- the scan fits against an exact fit of the same points ----------------
+
+def _exact_weighted_fit(columns, points, base):
+    """The weighted least-squares solution q of y/base - 1 ~ columns @ q in
+    exact rational arithmetic on the float points and float columns."""
+    w2 = [1 if pt.y_err is None else 1 / Fraction(pt.y_err) ** 2 for pt in points]
+    target = [Fraction(pt.y) / Fraction(base) - 1 for pt in points]
+    columns = [list(map(Fraction, column)) for column in columns]
+    g = [[sum(map(operator.mul, w2, map(operator.mul, a, b))) for b in columns] for a in columns]
+    h = [sum(map(operator.mul, w2, map(operator.mul, a, target))) for a in columns]
+    if len(columns) == 1:
+        return [h[0] / g[0][0]]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    return [(h[0] * g[1][1] - g[0][1] * h[1]) / det, (g[0][0] * h[1] - g[1][0] * h[0]) / det]
+
+
+def _scan_fit_errors(species, rng, noise):
+    """{parameter: relative error} of one random scan fit against
+    _exact_weighted_fit.  a, the kappa term of y/base - 1, runs down to 1e-5,
+    where y is within 1e-5 of base (to 10 * noise, where the noise would
+    hide it), and h, the heating term at the lowest point over a, down to
+    1e-4, where the heating power is barely seen."""
+    delta, kappa = -rng.uniform(0.2, 2.0), 10 ** rng.uniform(-2, 1)
+    a = 10 ** rng.uniform(math.log10(max(1e-5, 10 * noise)), 0.5)
+    h, n = 10 ** rng.uniform(-4, 1), int(rng.integers(3, 26))
+    base = species.doppler_temperature / 2.0 * detuning_factor(delta)
+    power = species.recoil_energy * species.linewidth
+    if rng.random() < 0.5:
+        lo, span = 10 ** rng.uniform(-4, -1), 10 ** rng.uniform(0.5, 3)
+        xs = [lo * span ** (i / (n - 1)) for i in range(n)]
+        kappa_y, heating = 0.3 * (1 + kappa) / a, h * 0.3 * (1 + kappa) * power * lo
+        truth = [steady_state_with_heating(kappa_y, kappa, heating, x, delta, species) for x in xs]
+        columns = ([0.3 * (1.0 + kappa)] * n, [1.0 / x for x in xs])
+    else:
+        lo, span, od_ref = rng.uniform(0.5, 3), 10 ** rng.uniform(0.5, 2), rng.uniform(1, 10)
+        xs = [lo * span ** (i / (n - 1)) for i in range(n)]
+        intensity = 10 ** rng.uniform(-4, -1)
+        heating = h * 0.3 * (1 + kappa) * power * intensity
+
+        def model(star, od):
+            return steady_state_vs_od(star, kappa / od_ref, od, heating, intensity, delta, species)
+        truth = [model(0.3 * (1 + kappa) / a / xs[-1], x) for x in xs]
+        columns = ([model(1.0, x) / base - 1.0 for x in xs],)
+    points = [ScanPoint(x, y * (1 + noise * rng.standard_normal()), noise * y if noise else None)
+              for x, y in zip(xs, truth)]
+    if len(columns) == 2:
+        fit = fit_intensity_scan(points, kappa, delta, species)
+        u, v = _exact_weighted_fit(columns, points, base)
+        exact = {"kappa_y": 1 / u, "heating_power": v * Fraction(power) / u}
+    else:
+        fit = fit_od_scan(points, kappa, od_ref, heating, intensity, delta, species)
+        exact = {"kappa_y_star": 1 / _exact_weighted_fit(columns, points, base)[0]}
+    return {name: float(abs(Fraction(fit.parameters[name]) / value - 1))
+            for name, value in exact.items()}
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3], ids=["noise_free", "noise_0.1%"])
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_scan_fits_match_an_exact_fit_over_a_sweep(species, seed, noise):
+    # the target y/scale - 1 lost up to 3e-12 in kappa_y, 8.7e-9 in
+    # heating_power and 1.1e-12 in kappa_y_star on the noise-free sweeps;
+    # (y - scale)/scale keeps 5.5e-16, 1e-11 (noisy) and 3.6e-16 on all six
+    rng = np.random.default_rng([seed, int(noise > 0)])
+    worst = {}
+    for _ in range(67):
+        for name, error in _scan_fit_errors(species, rng, noise).items():
+            worst[name] = max(worst.get(name, 0.0), error)
+    bounds = {"kappa_y": 1e-12, "heating_power": 1e-8, "kappa_y_star": 1e-14}
+    assert all(worst[name] <= bound for name, bound in bounds.items()), worst
 
 
 # --- the exponential fit against the arithmetic it replaced ----------------

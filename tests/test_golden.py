@@ -114,8 +114,8 @@ GOLDEN = {
     "intensity-fit-seed1": "c2b7e52352f4846facfb03e6a41c8fa788be9b72463aa2c9937f12115ff6ee9d",
     "intensity-scan": "e641eafa4fa6f0ae18cc9a6db707ff223ea717df8bc03074093fb9adfeb9746b",
     "long-simulate-frozen-stride1": "c4e2f6321c05763caf24fe6fd7e0f7fab64d3f96d9f939078afaed44a611c532",
-    "od-fit-seed0": "c743d6948423b7e0c35cb1f7c2ba8c3e786f53d180305d680164d83d86349ade",
-    "od-fit-seed1": "c743d6948423b7e0c35cb1f7c2ba8c3e786f53d180305d680164d83d86349ade",
+    "od-fit-seed0": "fad14f574bc5d27207a533b4d9fb6b9d2ef7847b4e9d33340862a4219f8740b2",
+    "od-fit-seed1": "fad14f574bc5d27207a533b4d9fb6b9d2ef7847b4e9d33340862a4219f8740b2",
     "od-scan": "d0d37e5b28115949e3ef427916ecc72b01d7a70d007a43b74a4eaf85eeac3587",
     "preset-dump": "ad25d6fcea766886c5d862613b4ce08e9259c7d7e312c1844aa5915aa9aecd6f",
     "reference-simulate-sc-stride10": "14528f8079e4c50f78e25a2db8fc60e80f89a4f28c615dc6476d962c44a4be7c",
